@@ -4,19 +4,12 @@ from .core import (
     SGD,
     AdaGrad,
     Adam,
-    CoordState,
     Domain,
     GradaGrad,
     HyperParams,
     Optimizer,
     ScalarGradaGrad,
     StepTrace,
-    accumulate_positive,
-    apply_reparam,
-    clip_negative_v,
-    compute_v_coord,
-    compute_v_scalar,
-    preconditioner_entry,
     project,
 )
 from .data import (

@@ -354,9 +354,21 @@ def read_trace_csv(path) -> list[StepTrace]:
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: non-numeric field") from None
             grouped.setdefault(k, []).append((i, row[5], floats))
+    # every step 0..n-1 must hold exactly one row per coordinate 0..d-1
+    d = 1 + max((rec[0] for recs in grouped.values() for rec in recs), default=-1)
     traces = []
-    for k in sorted(grouped):
+    for expected, k in enumerate(sorted(grouped)):
+        if k != expected:
+            raise ConfigError(f"{path}: step {expected} is missing; steps must run 0, 1, 2, ...")
         records = sorted(grouped[k])
+        if [rec[0] for rec in records] != list(range(d)):
+            missing = sorted(set(range(d)) - {rec[0] for rec in records})
+            raise ConfigError(
+                f"{path}: step {k} "
+                + (f"lacks rows for coordinates {missing[:5]}" if missing
+                   else "has duplicate or negative coordinates")
+                + f"; every step needs one row per coordinate 0..{d - 1}"
+            )
         cols = list(zip(*[rec[2] for rec in records]))
         traces.append(StepTrace(
             k=k,

@@ -7,10 +7,13 @@ the numerator, gamma <- gamma * sqrt(1 - v / alpha), which leaves alpha
 unchanged and *grows* the effective step size. The clip v >= -r * alpha
 bounds that growth so the per-step gradient error never increases.
 
-Two variants are provided: ScalarGradaGrad (one gamma/alpha pair scales the
-whole gradient, fixed or adaptive clip r) and GradaGrad (per-coordinate
-gamma/alpha with momentum and box projection, always adaptive r). AdaGrad,
-SGD and Adam baselines share the same single-step interface.
+The update is elementwise, so one array kernel, _gradagrad_update, applies
+it to every gamma/alpha pair at once. Both variants call it: GradaGrad
+(per-coordinate gamma/alpha with momentum and box projection, always
+adaptive r) on length-d arrays, and ScalarGradaGrad (one gamma/alpha pair
+scaling the whole gradient, fixed or adaptive r) on length-1 arrays. Each
+variant only forms v and the clip ratio t. AdaGrad, SGD and Adam baselines
+share the same single-step interface.
 
 All state is double precision; numerators much below 1e-6 lose adaptivity
 in single precision.
@@ -26,6 +29,7 @@ BRANCH_CAPPED = "capped"
 BRANCH_POSITIVE = "positive"
 BRANCH_NEGATIVE = "negative"
 BRANCHES = (BRANCH_INIT, BRANCH_CAPPED, BRANCH_POSITIVE, BRANCH_NEGATIVE)
+_BRANCH_NAMES = np.array(BRANCHES, dtype=object)  # indexed by branch code
 
 
 @dataclass
@@ -78,18 +82,6 @@ class HyperParams:
 
 
 @dataclass
-class CoordState:
-    """One coordinate's numerator/accumulator pair.
-
-    alpha never decreases; gamma never decreases. The preconditioner entry
-    is sqrt(alpha) / gamma once alpha > 0.
-    """
-
-    gamma: float
-    alpha: float
-
-
-@dataclass
 class Domain:
     """Feasible set: unconstrained (default) or an axis-aligned box."""
 
@@ -138,98 +130,6 @@ class StepTrace:
     f_sample: float | None = None
 
 
-# ---------------------------------------------------------------------------
-# elementary operations
-# ---------------------------------------------------------------------------
-
-def compute_v_scalar(g, g_prev, rho: float) -> float:
-    """Whole-vector increment v = ||g||^2 - rho * <g, g_prev>."""
-    g = np.asarray(g, dtype=float)
-    g_prev = np.asarray(g_prev, dtype=float)
-    if g.shape != g_prev.shape:
-        raise ValueError(f"shape mismatch: {g.shape} vs {g_prev.shape}")
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    return float(g @ g - rho * (g @ g_prev))
-
-
-def compute_v_coord(
-    g_i: float, m_prev_i: float, rho: float, k: int, gamma_i: float, params: HyperParams
-) -> tuple[float, str]:
-    """Coordinate increment and the branch that produced it.
-
-    Step 0 seeds the accumulator (g_inf^2 in theory mode, g_i^2 otherwise);
-    a coordinate whose gamma has reached the cap reverts to plain squared
-    accumulation; everything else uses g_i^2 - rho * g_i * m_prev_i.
-    The cap comparison is gamma >= d_inf: the min() in the negative branch
-    lands gamma exactly on the cap only up to rounding.
-    """
-    if k < 0:
-        raise ValueError(f"step index must be nonnegative, got {k}")
-    if k == 0:
-        v = params.g_inf ** 2 if params.mode == "theory" else g_i * g_i
-        return v, BRANCH_INIT
-    if gamma_i >= params.d_inf:
-        return g_i * g_i, BRANCH_CAPPED
-    v = g_i * g_i - rho * g_i * m_prev_i
-    return v, (BRANCH_NEGATIVE if v < 0 else BRANCH_POSITIVE)
-
-
-def clip_negative_v(
-    v: float,
-    g_i: float,
-    m_prev_i: float,
-    rho: float,
-    alpha_i: float,
-    r_fixed: float | None = None,
-) -> tuple[float, float]:
-    """Clip a negative v to -r * alpha so the step-size growth stays bounded.
-
-    With r_fixed absent, r = (rho * m_prev_i / g_i)^2 - 1, the largest value
-    for which the per-step gradient error stays nonpositive. v < 0 forces
-    rho * g_i * m_prev_i > g_i^2 >= 0, so g_i != 0 and r > 0.
-    """
-    if v >= 0:
-        raise ValueError(f"clip applies to negative v only, got {v}")
-    if alpha_i <= 0:
-        raise ValueError(
-            f"negative v with alpha = {alpha_i}: the accumulator is positive "
-            "before any negative branch can occur"
-        )
-    if r_fixed is not None:
-        r = float(r_fixed)
-    else:
-        r = (rho * m_prev_i / g_i) ** 2 - 1.0
-    return max(v, -r * alpha_i), r
-
-
-def apply_reparam(gamma: float, alpha: float, v: float) -> float:
-    """Absorb a nonpositive v into the numerator: gamma * sqrt(1 - v/alpha).
-
-    The rescaled pair keeps the current step size: the implied accumulator
-    alpha - v satisfies gamma' / sqrt(alpha - v) = gamma / sqrt(alpha).
-    """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if v > 0:
-        raise ValueError(f"reparameterization applies to v <= 0, got {v}")
-    return gamma * math.sqrt(1.0 - v / alpha)
-
-
-def accumulate_positive(alpha: float, v: float) -> float:
-    """Plain accumulator update alpha + v for nonnegative v."""
-    if v < 0:
-        raise ValueError(f"negative v must be clipped and reparameterized, got {v}")
-    return alpha + v
-
-
-def preconditioner_entry(coord: CoordState) -> float:
-    """Diagonal preconditioner entry sqrt(alpha) / gamma."""
-    if coord.alpha <= 0:
-        raise ValueError("unbootstrapped coordinate: alpha is zero")
-    return math.sqrt(coord.alpha) / coord.gamma
-
-
 def project(point, domain: Domain) -> np.ndarray:
     """Euclidean projection onto the domain (identity, or box clamp)."""
     p = np.asarray(point, dtype=float)
@@ -238,6 +138,38 @@ def project(point, domain: Domain) -> np.ndarray:
     if p.shape != domain.lower.shape:
         raise ValueError(f"dimension mismatch: point {p.shape}, box {domain.lower.shape}")
     return np.clip(p, domain.lower, domain.upper)
+
+
+def _gradagrad_update(v, t, gamma, alpha, r_fixed, d_inf):
+    """Apply the GradaGrad accumulator update to every gamma/alpha pair.
+
+    Where v >= 0 (or NaN), alpha += v. Where v < 0, v is clipped at
+    -r * alpha with r = r_fixed, or r = t^2 - 1 when r_fixed is None (the
+    largest r for which the per-step gradient error stays nonpositive), and
+    absorbed as gamma = min(gamma * sqrt(1 - v / alpha), d_inf); alpha
+    stays, and the step size gamma / sqrt(alpha) is that of the implied
+    accumulator alpha - v. gamma and alpha are updated in place; t is read
+    only where v < 0. Returns (v_clipped, r), with r NaN where v >= 0.
+
+    Two rounding rules keep runs bit-identical to the per-coordinate
+    reference in tests/reference_core.py, and so keep seeded CSVs stable:
+    callers compute t themselves and pass it, since rho*m/g and
+    rho*g*m/g^2 round differently; and t is squared with float_power,
+    which calls libm pow as `**` does on Python and numpy scalars, while
+    `t*t`, `t**2` and np.square on arrays multiply and differ in the last
+    bit.
+    """
+    i = (v < 0).nonzero()[0]
+    alpha_i = alpha[i]
+    r_i = np.float_power(t[i], 2.0) - 1.0 if r_fixed is None else r_fixed
+    v_clip_i = np.maximum(v[i], -r_i * alpha_i)
+    gamma[i] = np.minimum(gamma[i] * np.sqrt(1.0 - v_clip_i / alpha_i), d_inf)
+    r = np.full(v.shape, math.nan)
+    r[i] = r_i
+    v_clip = v.copy()
+    v_clip[i] = v_clip_i
+    alpha += np.maximum(v_clip, 0.0)  # v_clip <= 0 where v < 0: adds v only where v >= 0 or NaN
+    return v_clip, r
 
 
 # ---------------------------------------------------------------------------
@@ -293,36 +225,34 @@ class ScalarGradaGrad(Optimizer):
         v <  0:  v = max(v, -r * alpha);  gamma *= sqrt(1 - v / alpha)
         x <- x - (gamma / sqrt(alpha)) * g
 
-    r is params.r_fixed, or derived from the gradient pair when r_fixed is
-    None. gamma is uncapped in this variant. A zero gradient before anything
-    has accumulated leaves the state untouched (zero-step rule).
+    This is the GradaGrad kernel on a length-1 gamma/alpha pair, with no cap
+    (d_inf = inf) and no init branch. r is params.r_fixed, or t^2 - 1 with
+    t = rho * <g, g_prev> / ||g||^2 when r_fixed is None: ||g||^2 and
+    <g, g_prev> play the roles of g_i^2 and g_i * m_prev_i. A zero gradient
+    before anything has accumulated leaves the state untouched (zero-step
+    rule).
     """
 
     def __init__(self, x0, params: HyperParams | None = None):
         super().__init__(x0)
         self.params = params if params is not None else HyperParams()
-        self.coord = CoordState(gamma=self.params.gamma0, alpha=0.0)
+        self.gamma = np.array([self.params.gamma0], dtype=float)
+        self.alpha = np.zeros(1)
         self.g_prev = np.zeros_like(self.x)
 
     def step(self, g) -> StepTrace:
         g = self._check_grad(g)
         p = self.params
         k = self.k
-        v = compute_v_scalar(g, self.g_prev, p.rho)
-        if v >= 0:
-            self.coord.alpha = accumulate_positive(self.coord.alpha, v)
-            v_clip, r, branch = v, math.nan, BRANCH_POSITIVE
-        else:
-            # ||g||^2 and <g, g_prev> play the (g_i, m_prev_i) roles: the clip
-            # only uses the ratio rho*m/g = rho*<g,g_prev>/||g||^2.
-            v_clip, r = clip_negative_v(
-                v, float(g @ g), float(g @ self.g_prev), p.rho, self.coord.alpha, p.r_fixed
-            )
-            self.coord.gamma = apply_reparam(self.coord.gamma, self.coord.alpha, v_clip)
-            branch = BRANCH_NEGATIVE
-        if self.coord.alpha > 0:
-            x_new = self.x - (self.coord.gamma / math.sqrt(self.coord.alpha)) * g
-            a = preconditioner_entry(self.coord)
+        gsq = g @ g
+        cross = g @ self.g_prev
+        v = np.array([gsq - p.rho * cross])
+        t = np.array([p.rho * cross / gsq if v[0] < 0 else math.nan])
+        v_clip, r = _gradagrad_update(v, t, self.gamma, self.alpha, p.r_fixed, math.inf)
+        gamma, alpha = float(self.gamma[0]), float(self.alpha[0])
+        if alpha > 0:
+            x_new = self.x - (gamma / math.sqrt(alpha)) * g
+            a = math.sqrt(alpha) / gamma
         else:
             x_new = self.x.copy()
             a = 0.0
@@ -331,35 +261,36 @@ class ScalarGradaGrad(Optimizer):
         return StepTrace(
             k=k,
             g=np.array([float(np.linalg.norm(g))]),
-            v_raw=np.array([v]),
-            v_clipped=np.array([v_clip]),
-            branch=[branch],
-            r=np.array([r]),
-            gamma_after=np.array([self.coord.gamma]),
-            alpha_after=np.array([self.coord.alpha]),
+            v_raw=v,
+            v_clipped=v_clip,
+            branch=[BRANCH_NEGATIVE if v[0] < 0 else BRANCH_POSITIVE],
+            r=r,
+            gamma_after=self.gamma.copy(),
+            alpha_after=self.alpha.copy(),
             a_after=np.array([a]),
         )
 
     def stats(self) -> dict:
-        c = self.coord
-        ainv = c.gamma / math.sqrt(c.alpha) if c.alpha > 0 else None
+        gamma, alpha = float(self.gamma[0]), float(self.alpha[0])
         return {
-            "gamma_mean": c.gamma,
-            "gamma_max": c.gamma,
-            "alpha_mean": c.alpha,
-            "alpha_max": c.alpha,
-            "ainv_mean": ainv,
+            "gamma_mean": gamma,
+            "gamma_max": gamma,
+            "alpha_mean": alpha,
+            "alpha_max": alpha,
+            "ainv_mean": gamma / math.sqrt(alpha) if alpha > 0 else None,
         }
 
 
 class GradaGrad(Optimizer):
     """Diagonal GradaGrad with momentum and projection.
 
-    Per coordinate i at step k:
+    Per coordinate i at step k, the increment is
 
         k == 0            -> v = g_inf^2 (theory mode) or g_i^2
         gamma_i >= d_inf  -> v = g_i^2   (cap reached: plain accumulation)
         otherwise         -> v = g_i^2 - rho * g_i * m_prev_i
+
+    and the GradaGrad kernel applies it to all coordinates at once:
 
         v >= 0:  alpha_i += v
         v <  0:  v = max(v, -r * alpha_i), r = (rho * m_prev_i / g_i)^2 - 1
@@ -390,22 +321,18 @@ class GradaGrad(Optimizer):
         p = self.params
         k = self.k
         d = self.dim
-        v_raw = np.empty(d)
-        v_clip = np.empty(d)
-        r_arr = np.full(d, math.nan)
-        branches = []
-        for i in range(d):
-            v, branch = compute_v_coord(g[i], self.m_prev[i], p.rho, k, self.gamma[i], p)
-            v_raw[i] = v
-            if branch == BRANCH_NEGATIVE:
-                vc, r = clip_negative_v(v, g[i], self.m_prev[i], p.rho, self.alpha[i], None)
-                self.gamma[i] = min(apply_reparam(self.gamma[i], self.alpha[i], vc), p.d_inf)
-                v_clip[i] = vc
-                r_arr[i] = r
-            else:
-                self.alpha[i] = accumulate_positive(self.alpha[i], v)
-                v_clip[i] = v
-            branches.append(branch)
+        gsq = g * g
+        if k == 0:
+            v_raw = np.full(d, p.g_inf ** 2) if p.mode == "theory" else gsq
+            t = gsq  # unread: init increments are nonnegative
+            codes = np.zeros(d, dtype=int)
+        else:
+            capped = self.gamma >= p.d_inf  # not ==: min() meets the cap up to rounding
+            v_raw = np.where(capped, gsq, gsq - p.rho * g * self.m_prev)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = p.rho * self.m_prev / g
+            codes = 2 + (v_raw < 0) - capped  # BRANCHES index: capped 1, positive 2, negative 3
+        v_clip, r = _gradagrad_update(v_raw, t, self.gamma, self.alpha, None, p.d_inf)
 
         a = np.zeros(d)
         ainv = np.zeros(d)  # unbootstrapped coordinates take a zero step
@@ -423,8 +350,8 @@ class GradaGrad(Optimizer):
             g=g.copy(),
             v_raw=v_raw,
             v_clipped=v_clip,
-            branch=branches,
-            r=r_arr,
+            branch=_BRANCH_NAMES[codes].tolist(),
+            r=r,
             gamma_after=self.gamma.copy(),
             alpha_after=self.alpha.copy(),
             a_after=a,

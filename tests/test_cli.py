@@ -293,6 +293,31 @@ class TestCheck:
         assert run_cli(["check", str(bad)]) == 2
         assert "missing columns" in capsys.readouterr().err
 
+    @staticmethod
+    def _drop_rows(trace, prefix):
+        rows = read_rows(trace)
+        kept = [r for r in rows if not ",".join(r).startswith(prefix)]
+        assert len(kept) < len(rows)
+        trace.write_text("\n".join(",".join(r) for r in kept) + "\n")
+
+    def test_missing_coordinate_row_is_config_error(self, tmp_path, capsys):
+        trace = _make_trace(tmp_path)
+        self._drop_rows(trace, "40,1,")
+        for command in ("check", "trace-dump"):
+            assert run_cli([command, str(trace)]) == 2
+            err = capsys.readouterr().err
+            assert "step 40 lacks rows for coordinates [1]" in err
+            assert "Traceback" not in err
+
+    def test_missing_step_is_config_error(self, tmp_path, capsys):
+        trace = _make_trace(tmp_path)
+        self._drop_rows(trace, "40,")
+        for command in ("check", "trace-dump"):
+            assert run_cli([command, str(trace)]) == 2
+            err = capsys.readouterr().err
+            assert "step 40 is missing" in err
+            assert "Traceback" not in err
+
     def test_named_subset(self, tmp_path):
         trace = _make_trace(tmp_path)
         assert run_cli(["check", str(trace), "--checks", "reparam,monotone"]) == 0

@@ -8,17 +8,10 @@ from gradagrad import (
     SGD,
     AdaGrad,
     Adam,
-    CoordState,
     Domain,
     GradaGrad,
     HyperParams,
     ScalarGradaGrad,
-    accumulate_positive,
-    apply_reparam,
-    clip_negative_v,
-    compute_v_coord,
-    compute_v_scalar,
-    preconditioner_entry,
     project,
 )
 
@@ -51,118 +44,207 @@ class TestHyperParams:
         HyperParams(mode="theory", gamma0=1.0, d_inf=1.0)  # equal is fine
 
 
+def _past_init(rho=2.0, alpha=None, m_prev=None, **kwargs):
+    """A one-coordinate diagonal stepper after its init step on g = 1, so
+    alpha = 1 and m_prev = 1 unless set by hand."""
+    opt = GradaGrad([0.0], HyperParams(rho=rho, **kwargs))
+    opt.step([1.0])
+    if alpha is not None:
+        opt.alpha[0] = alpha
+    if m_prev is not None:
+        opt.m_prev[0] = m_prev
+    return opt
+
+
 class TestComputeVScalar:
+    """The scalar increment v = ||g||^2 - rho * <g, g_prev>, through step."""
+
     def test_first_step_convention(self):
         # g_prev = 0 forces v = ||g||^2
-        assert compute_v_scalar([3.0], [0.0], 2.0) == 9.0
+        assert ScalarGradaGrad([0.0]).step([3.0]).v_raw[0] == 9.0
 
     def test_direct_substitution(self):
-        assert compute_v_scalar([1.0, 1.0], [1.0, 1.0], 2.0) == -2.0
+        opt = ScalarGradaGrad([0.0, 0.0], HyperParams(rho=2.0))
+        opt.step([1.0, 1.0])
+        assert opt.step([1.0, 1.0]).v_raw[0] == -2.0
 
     def test_orthogonal_gradients(self):
-        assert compute_v_scalar([1.0, -1.0], [1.0, 1.0], 1.0) == 2.0
+        opt = ScalarGradaGrad([0.0, 0.0], HyperParams(rho=1.0))
+        opt.step([1.0, 1.0])
+        assert opt.step([1.0, -1.0]).v_raw[0] == 2.0
 
     def test_dimension_mismatch(self):
+        opt = ScalarGradaGrad([0.0, 0.0])
         with pytest.raises(ValueError):
-            compute_v_scalar([1.0, 2.0], [1.0], 2.0)
+            opt.step([1.0, 2.0, 3.0])
 
 
 class TestComputeVCoord:
+    """Per-coordinate increment and branch, through GradaGrad.step."""
+
     def test_theory_init(self):
-        p = HyperParams(mode="theory", g_inf=4.0)
-        assert compute_v_coord(0.5, 0.0, 2.0, 0, 1.0, p) == (16.0, "init")
+        opt = GradaGrad([0.0], HyperParams(mode="theory", g_inf=4.0))
+        tr = opt.step([0.5])
+        assert (tr.v_raw[0], tr.branch) == (16.0, ["init"])
+        assert opt.alpha[0] == 16.0
 
     def test_practical_init(self):
-        p = HyperParams(mode="practical")
-        assert compute_v_coord(3.0, 0.0, 2.0, 0, 1.0, p) == (9.0, "init")
+        tr = GradaGrad([0.0], HyperParams(mode="practical")).step([3.0])
+        assert (tr.v_raw[0], tr.branch) == (9.0, ["init"])
 
     def test_capped(self):
-        p = HyperParams(d_inf=5.0)
-        assert compute_v_coord(3.0, 100.0, 2.0, 4, 5.0, p) == (9.0, "capped")
-        # cap comparison is >=, not exact equality
-        assert compute_v_coord(3.0, 100.0, 2.0, 4, 5.0 + 1e-9, p) == (9.0, "capped")
+        # m_prev = 100 would make v hugely negative below the cap
+        for gamma in (5.0, 5.0 + 1e-9):  # the cap comparison is >=, not equality
+            opt = _past_init(d_inf=5.0, m_prev=100.0)
+            opt.gamma[0] = gamma
+            tr = opt.step([3.0])
+            assert (tr.v_raw[0], tr.branch) == (9.0, ["capped"])
+            assert (opt.gamma[0], opt.alpha[0]) == (gamma, 10.0)
+        opt = _past_init(d_inf=5.0, m_prev=100.0)
+        opt.gamma[0] = 5.0 - 1e-9
+        assert opt.step([3.0]).branch == ["negative"]
 
     def test_negative(self):
-        p = HyperParams()
-        v, branch = compute_v_coord(1.0, 1.0, 2.0, 1, 1.0, p)
-        assert v == -1.0 and branch == "negative"
+        tr = _past_init().step([1.0])  # v = 1 - 2 * 1 * 1
+        assert (tr.v_raw[0], tr.branch) == (-1.0, ["negative"])
 
     def test_zero_ties_to_positive(self):
-        p = HyperParams()
-        v, branch = compute_v_coord(2.0, 1.0, 2.0, 1, 1.0, p)
-        assert v == 0.0 and branch == "positive"
+        opt = _past_init()
+        tr = opt.step([2.0])  # v = 4 - 2 * 2 * 1
+        assert (tr.v_raw[0], tr.branch) == (0.0, ["positive"])
+        assert np.isnan(tr.r[0]) and tr.v_clipped[0] == 0.0
+        assert (opt.gamma[0], opt.alpha[0]) == (1.0, 1.0)
 
 
 class TestClipNegativeV:
+    """The clip v >= -r * alpha on negative steps, through step."""
+
     def test_adaptive_clip_binds(self):
-        v_clip, r = clip_negative_v(-1.0, 1.0, 1.0, 2.0, 0.2)
-        assert r == pytest.approx(3.0)
-        assert v_clip == pytest.approx(-0.6)
+        opt = _past_init(alpha=0.2)
+        tr = opt.step([1.0])  # v = -1, r = (2 * 1 / 1)^2 - 1 = 3
+        assert tr.r[0] == 3.0
+        assert tr.v_clipped[0] == pytest.approx(-0.6)
+        assert opt.gamma[0] == pytest.approx(2.0)
         # preconditioner ratio after reparam equals the critical ratio exactly
-        ratio = 1.0 / math.sqrt(1.0 - v_clip / 0.2)
+        ratio = 1.0 / math.sqrt(1.0 - tr.v_clipped[0] / 0.2)
         h = 1.0 ** 2 / (2.0 * 1.0 * 1.0)
         assert ratio == pytest.approx(h, rel=1e-12)
 
     def test_adaptive_clip_loose(self):
-        v_clip, r = clip_negative_v(-1.0, 1.0, 1.0, 2.0, 0.5)
-        assert (v_clip, r) == (-1.0, 3.0)
+        opt = _past_init(alpha=0.5)
+        tr = opt.step([1.0])
+        assert (tr.v_clipped[0], tr.r[0]) == (-1.0, 3.0)
         # ratio stays above the critical one: growth was already safe
-        assert 1.0 / math.sqrt(1.0 - v_clip / 0.5) >= 0.5
+        assert 1.0 / math.sqrt(1.0 - tr.v_clipped[0] / 0.5) >= 0.5
 
     def test_fixed_r(self):
-        assert clip_negative_v(-0.5, 0.0, 0.0, 0.0, 1.0, r_fixed=0.25) == (-0.25, 0.25)
+        opt = ScalarGradaGrad([0.0], HyperParams(rho=1.5, r_fixed=0.25))
+        opt.step([1.0])  # alpha = 1
+        tr = opt.step([1.0])  # v = 1 - 1.5 = -0.5, clipped at -0.25 * 1
+        assert (tr.v_raw[0], tr.v_clipped[0], tr.r[0]) == (-0.5, -0.25, 0.25)
+        assert tr.branch == ["negative"]
+        assert opt.gamma[0] == math.sqrt(1.25) and opt.alpha[0] == 1.0
 
     def test_zero_alpha_is_contract_violation(self):
-        with pytest.raises(ValueError):
-            clip_negative_v(-1.0, 1.0, 1.0, 2.0, 0.0)
+        # a negative step never meets alpha = 0: m_prev is zero on a
+        # coordinate until its alpha is positive, so v = g^2 there
+        opt = GradaGrad([0.0, 0.0, 0.0], HyperParams(rho=3.0))
+        rng = np.random.default_rng(4)
+        negatives = 0
+        for k in range(200):
+            g = rng.normal(1.0, 0.5, 3)
+            g[rng.random(3) < (0.9 if k < 20 else 0.2)] = 0.0
+            alpha_before = opt.alpha.copy()
+            tr = opt.step(g)
+            neg = np.array(tr.branch) == "negative"
+            negatives += int(neg.sum())
+            assert np.all(alpha_before[neg] > 0)
+        assert negatives > 20
 
     def test_nonnegative_v_rejected(self):
-        with pytest.raises(ValueError):
-            clip_negative_v(0.0, 1.0, 1.0, 2.0, 1.0)
+        # nonnegative v is never clipped: r stays NaN and v passes through
+        _, traces = make_fuzz_run(steps=200, seed=6)
+        for tr in traces:
+            keep = tr.v_raw >= 0
+            assert np.all(np.isnan(tr.r[keep]))
+            np.testing.assert_array_equal(tr.v_clipped[keep], tr.v_raw[keep])
 
 
 class TestApplyReparam:
+    """Absorbing a clipped negative v into gamma, through step."""
+
     def test_direct(self):
-        assert apply_reparam(1.0, 0.5, -1.0) == pytest.approx(math.sqrt(3.0))
+        opt = _past_init(alpha=0.5)
+        opt.step([1.0])  # v = -1 does not bind at -r * alpha = -1.5
+        assert opt.gamma[0] == pytest.approx(math.sqrt(3.0))
 
     def test_identity_at_zero(self):
-        assert apply_reparam(2.5, 7.0, 0.0) == 2.5
+        opt = _past_init(gamma0=2.5, alpha=7.0)
+        opt.step([2.0])  # v = 0
+        assert (opt.gamma[0], opt.alpha[0]) == (2.5, 7.0)
 
     def test_continues_clip_example(self):
-        gamma_new = apply_reparam(1.0, 0.2, -0.6)
+        opt = _past_init(alpha=0.2)
+        tr = opt.step([1.0])
+        gamma_new = opt.gamma[0]
         assert gamma_new == pytest.approx(2.0)
         # the implied accumulator keeps the step size unchanged
-        assert gamma_new / math.sqrt(0.2 - (-0.6)) == pytest.approx(1.0 / math.sqrt(0.2), rel=1e-12)
+        implied = gamma_new / math.sqrt(0.2 - tr.v_clipped[0])
+        assert implied == pytest.approx(1.0 / math.sqrt(0.2), rel=1e-12)
 
     def test_bad_alpha(self):
-        with pytest.raises(ValueError):
-            apply_reparam(1.0, 0.0, -0.1)
+        # an unbootstrapped coordinate (alpha = 0) is never rescaled
+        opt = GradaGrad([0.0, 0.0], HyperParams(gamma0=0.7, rho=2.0))
+        for _ in range(5):
+            opt.step([0.0, 1.0])
+        assert (opt.gamma[0], opt.alpha[0]) == (0.7, 0.0)
+        assert opt.gamma[1] > 0.7
 
     def test_positive_v_rejected(self):
-        with pytest.raises(ValueError):
-            apply_reparam(1.0, 1.0, 0.5)
+        # gamma moves only on negative steps, alpha only on the others
+        _, traces = make_fuzz_run(steps=200, seed=6)
+        for prev, tr in zip(traces, traces[1:]):
+            neg = np.array(tr.branch) == "negative"
+            np.testing.assert_array_equal(tr.gamma_after[~neg], prev.gamma_after[~neg])
+            np.testing.assert_array_equal(tr.alpha_after[neg], prev.alpha_after[neg])
 
 
 class TestAccumulatePositive:
+    """alpha += v on nonnegative steps, through step."""
+
     @pytest.mark.parametrize("alpha,v,expected", [(0.0, 9.0, 9.0), (5.0, 0.0, 5.0), (1.0, 2.0, 3.0)])
     def test_values(self, alpha, v, expected):
-        assert accumulate_positive(alpha, v) == expected
+        # with rho = 1 and g = 2, v = 4 - 2 * m_prev
+        opt = _past_init(rho=1.0, alpha=alpha, m_prev=(4.0 - v) / 2.0)
+        tr = opt.step([2.0])
+        assert (tr.v_raw[0], tr.branch) == (v, ["positive"])
+        assert opt.alpha[0] == expected
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            accumulate_positive(1.0, -0.1)
+        # a negative v never enters alpha
+        opt = _past_init()
+        tr = opt.step([1.0])
+        assert tr.v_raw[0] < 0 and opt.alpha[0] == 1.0
 
 
 class TestPreconditionerEntry:
+    """The recorded preconditioner entry a = sqrt(alpha) / gamma."""
+
     @pytest.mark.parametrize(
         "alpha,gamma,expected", [(4.0, 2.0, 1.0), (9.0, 1.0, 3.0), (2.0, math.sqrt(2.0), 1.0)]
     )
     def test_values(self, alpha, gamma, expected):
-        assert preconditioner_entry(CoordState(gamma=gamma, alpha=alpha)) == pytest.approx(expected)
+        opt = GradaGrad([0.0], HyperParams(gamma0=gamma))
+        g = math.sqrt(alpha)
+        tr = opt.step([g])
+        assert tr.a_after[0] == pytest.approx(expected)
+        assert opt.x[0] == pytest.approx(-g / expected)
 
     def test_unbootstrapped(self):
-        with pytest.raises(ValueError, match="unbootstrapped"):
-            preconditioner_entry(CoordState(gamma=1.0, alpha=0.0))
+        opt = GradaGrad([1.0, 1.0])
+        tr = opt.step([0.0, 2.0])
+        assert tr.a_after[0] == 0.0 and opt.x[0] == 1.0  # zero step, no division by zero
+        assert tr.a_after[1] == 2.0
 
 
 class TestProject:
@@ -194,8 +276,8 @@ class TestScalarStepper:
         opt = ScalarGradaGrad([0.0], HyperParams(gamma0=1.0, rho=2.0, r_fixed=1.0))
         tr0 = opt.step([3.0])
         assert tr0.v_raw[0] == 9.0
-        assert opt.coord.alpha == 9.0
-        assert opt.coord.gamma == 1.0
+        assert opt.alpha[0] == 9.0
+        assert opt.gamma[0] == 1.0
         assert tr0.a_after[0] == 3.0
         np.testing.assert_allclose(opt.x, [-1.0])
 
@@ -203,8 +285,8 @@ class TestScalarStepper:
         assert tr1.v_raw[0] == -9.0
         assert tr1.v_clipped[0] == -9.0  # -r*alpha = -9 exactly
         assert tr1.branch == ["negative"]
-        assert opt.coord.gamma == pytest.approx(math.sqrt(2.0))
-        assert opt.coord.alpha == 9.0
+        assert opt.gamma[0] == pytest.approx(math.sqrt(2.0))
+        assert opt.alpha[0] == 9.0
         assert tr1.a_after[0] == pytest.approx(3.0 / math.sqrt(2.0))
         np.testing.assert_allclose(opt.x, [-1.0 - math.sqrt(2.0)])
 
@@ -212,21 +294,21 @@ class TestScalarStepper:
         opt = ScalarGradaGrad([0.0], HyperParams(rho=2.0, r_fixed=1.0))
         opt.step([3.0])
         x_before = opt.x.copy()
-        gamma, alpha = opt.coord.gamma, opt.coord.alpha
+        gamma, alpha = opt.gamma[0], opt.alpha[0]
         tr = opt.step([0.0])
         assert tr.v_raw[0] == 0.0 and tr.branch == ["positive"]
-        assert (opt.coord.gamma, opt.coord.alpha) == (gamma, alpha)
+        assert (opt.gamma[0], opt.alpha[0]) == (gamma, alpha)
         np.testing.assert_array_equal(opt.x, x_before)
 
     def test_zero_gradient_start_is_zero_step(self):
         opt = ScalarGradaGrad([2.0])
         tr = opt.step([0.0])
-        assert opt.coord.alpha == 0.0
+        assert opt.alpha[0] == 0.0
         assert tr.a_after[0] == 0.0
         np.testing.assert_array_equal(opt.x, [2.0])
         # a later real gradient bootstraps normally
         opt.step([1.0])
-        assert opt.coord.alpha == 1.0
+        assert opt.alpha[0] == 1.0
 
     def test_adaptive_r_opt_in(self):
         params = HyperParams(gamma0=1.0, rho=2.0, r_fixed=None)
@@ -236,7 +318,7 @@ class TestScalarStepper:
         # v = -9 with alpha = 9; adaptive r = (rho*<g,g_prev>/||g||^2)^2 - 1 = 3
         assert tr.r[0] == pytest.approx(3.0)
         assert tr.v_clipped[0] == -9.0  # -r*alpha = -27 does not bind
-        assert opt.coord.gamma == pytest.approx(math.sqrt(2.0))
+        assert opt.gamma[0] == pytest.approx(math.sqrt(2.0))
 
     def test_trace_records_gradient_norm(self):
         opt = ScalarGradaGrad([0.0, 0.0])
@@ -406,9 +488,9 @@ class TestInvariantsFuzz:
     def test_scalar_monotone_alpha_gamma(self):
         rng = np.random.default_rng(2)
         opt = ScalarGradaGrad(rng.standard_normal(3), HyperParams(rho=2.0, r_fixed=None))
-        gamma_prev, alpha_prev = opt.coord.gamma, opt.coord.alpha
+        gamma_prev, alpha_prev = opt.gamma[0], opt.alpha[0]
         for _ in range(500):
             opt.step(rng.normal(0.5, 0.5, 3))
-            assert opt.coord.gamma >= gamma_prev
-            assert opt.coord.alpha >= alpha_prev
-            gamma_prev, alpha_prev = opt.coord.gamma, opt.coord.alpha
+            assert opt.gamma[0] >= gamma_prev
+            assert opt.alpha[0] >= alpha_prev
+            gamma_prev, alpha_prev = opt.gamma[0], opt.alpha[0]
