@@ -9,7 +9,7 @@ from .core import (
     HyperParams,
     Optimizer,
     ScalarGradaGrad,
-    StepTrace,
+    Trace,
     project,
 )
 from .data import (

@@ -13,6 +13,7 @@ appears in the stderr summary.
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 import time
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .core import SGD, Adam, AdaGrad, GradaGrad, HyperParams, ScalarGradaGrad, StepTrace
+from .core import BRANCHES, FLOAT_COLUMNS, SGD, Adam, AdaGrad, GradaGrad, HyperParams, ScalarGradaGrad, Trace
 from .data import LibsvmParseError, load_dataset, normalize_labels
 from .problems import AbsValue, LogisticRegression, Quadratic
 
@@ -30,6 +31,7 @@ RUN_HEADER = [
     "gamma_mean", "gamma_max", "alpha_mean", "alpha_max", "ainv_mean", "subopt",
 ]
 TRACE_HEADER = ["k", "i", "g", "v_raw", "v_clipped", "branch", "r", "gamma", "alpha", "a"]
+TRACE_CHUNK_ROWS = 1024  # trace CSV rows held as strings at once
 CHECK_HEADER = ["name", "passed", "worst_violation", "step", "coord", "details"]
 
 TRACE_OPTIMIZERS = ("gradagrad", "gradagrad-scalar")
@@ -199,20 +201,21 @@ def _eval_row(step, n_batches, problem, opt):
     ]
 
 
-def _execute_run(problem, opt, steps, eval_every, n_batches, state, collect_traces):
+def _execute_run(problem, opt, steps, eval_every, n_batches, state, traced):
+    """Returns (record rows, trace or None, wall seconds); only the GradaGrad
+    steppers can be traced."""
     rows = [_eval_row(0, n_batches, problem, opt)]
-    traces = [] if collect_traces else None
+    trace = Trace.empty(steps, opt.gamma.size) if traced else None
+    trace_arg = () if trace is None else (trace,)
     t0 = time.perf_counter()
     for k in range(1, steps + 1):
         g = problem.grad_sample(opt.x, state)
-        trace = opt.step(g)
-        if traces is not None:
-            traces.append(trace)
+        opt.step(g, *trace_arg)
         if k % eval_every == 0 or k == steps:
             if rows[-1][0] != k:
                 rows.append(_eval_row(k, n_batches, problem, opt))
     wall = time.perf_counter() - t0
-    return rows, traces, wall
+    return rows, trace, wall
 
 
 def cmd_run(args) -> int:
@@ -226,13 +229,13 @@ def cmd_run(args) -> int:
             raise ConfigError("--trace requires --out (the trace path derives from it)")
     eval_every = args.eval_every or (n_batches if n_batches else 100)
     state = problem.init_state(args.seed)
-    rows, traces, wall = _execute_run(
-        problem, opt, steps, eval_every, n_batches, state, collect_traces=args.trace
+    rows, trace, wall = _execute_run(
+        problem, opt, steps, eval_every, n_batches, state, traced=args.trace
     )
     _write_csv(args.out, RUN_HEADER, [[_fmt(v) for v in row] for row in rows])
     if args.trace:
         trace_path = Path(args.out).with_suffix(".trace.csv")
-        _write_csv(trace_path, TRACE_HEADER, _trace_rows(traces))
+        _write_csv(trace_path, TRACE_HEADER, _trace_rows(trace))
         print(f"trace written to {trace_path}", file=sys.stderr)
     final_loss = rows[-1][2]
     avg_loss = problem.loss_full(opt.averaged_iterate()) if opt.k > 0 else final_loss
@@ -244,17 +247,22 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _trace_rows(traces):
-    rows = []
-    for tr in traces:
-        for i, branch in enumerate(tr.branch):
-            rows.append([
-                tr.k, i, _fmt(float(tr.g[i])), _fmt(float(tr.v_raw[i])),
-                _fmt(float(tr.v_clipped[i])), branch, _fmt(float(tr.r[i])),
-                _fmt(float(tr.gamma_after[i])), _fmt(float(tr.alpha_after[i])),
-                _fmt(float(tr.a_after[i])),
-            ])
-    return rows
+def _trace_columns(trace: Trace, fmt) -> list[list]:
+    """The trace CSV columns, row-major over (step, coordinate); fmt formats a float column."""
+    steps, d = trace.branch.shape
+    cols = [np.repeat(trace.k, d).tolist(), list(range(d)) * steps]
+    cols += [fmt(getattr(trace, name).ravel().tolist()) for name in FLOAT_COLUMNS]
+    cols.insert(5, np.take(BRANCHES, trace.branch.ravel()).tolist())
+    return cols
+
+
+def _trace_rows(trace: Trace):
+    """The trace CSV rows, formatted column by column as _fmt formats a
+    value, about TRACE_CHUNK_ROWS rows at a time."""
+    steps = max(1, TRACE_CHUNK_ROWS // max(1, trace.branch.shape[1]))
+    for start in range(0, len(trace), steps):
+        chunk = trace[start:start + steps]
+        yield from zip(*_trace_columns(chunk, lambda values: ["" if v != v else repr(v) for v in values]))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +338,50 @@ def cmd_grid(args) -> int:
 # check / trace-dump
 # ---------------------------------------------------------------------------
 
-def read_trace_csv(path) -> list[StepTrace]:
+def _parse(text: np.ndarray, dtype):
+    """A (columns, rows) object array of strings as dtype, empty fields as
+    NaN; if some field does not parse, the index of the first row with one."""
+    if dtype is float:
+        text = np.where(text == "", "nan", text)
+    try:
+        return text.astype(dtype)  # int() or float() of each string
+    except (ValueError, OverflowError):
+        def parses(field):
+            try:
+                np.array([field], dtype=object).astype(dtype)
+            except (ValueError, OverflowError):
+                return False
+            return True
+        return int(np.argmin(np.vectorize(parses, otypes=[bool])(text).all(axis=0)))
+
+
+def _parse_trace_rows(path, rows, first_line):
+    """Branch codes, k, i and the float columns of a run of trace CSV rows;
+    a ConfigError names the line of the first bad row."""
+    errors = []  # (row index, message), the first bad row of each kind
+    short = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) != len(TRACE_HEADER))
+    if short.size:
+        errors.append((short[0], f"expected {len(TRACE_HEADER)} fields"))
+        rows = rows[: short[0]]
+    text = np.array(rows, dtype=object).reshape(len(rows), len(TRACE_HEADER)).T
+    ints, floats = _parse(text[:2], int), _parse(text[[2, 3, 4, 6, 7, 8, 9]], float)
+    errors += [(bad, "non-numeric field") for bad in (ints, floats) if isinstance(bad, int)]
+    codes = np.full(len(rows), -1, dtype=np.int8)
+    for code, name in enumerate(BRANCHES):
+        codes[text[5] == name] = code
+    if (codes < 0).any():
+        row = int(np.argmin(codes))
+        errors.append((row, f"unknown branch {text[5][row]!r}; expected one of {list(BRANCHES)}"))
+    if errors:
+        row, message = min(errors, key=lambda e: e[0])  # ties keep the order above
+        raise ConfigError(f"{path}:{first_line + row}: {message}")
+    return codes, ints, floats
+
+
+def read_trace_csv(path) -> Trace:
+    """Parse a trace CSV column by column, TRACE_CHUNK_ROWS rows at a time.
+    Rows may come in any order, but every step 0..n-1 must hold exactly one
+    row per coordinate 0..d-1."""
     with open(path, "r", newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
@@ -343,56 +394,42 @@ def read_trace_csv(path) -> list[StepTrace]:
                 f"{path}: bad trace header, missing columns {missing}" if missing
                 else f"{path}: bad trace header {header}"
             )
-        grouped: dict[int, list] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(TRACE_HEADER):
-                raise ConfigError(f"{path}:{lineno}: expected {len(TRACE_HEADER)} fields")
-            try:
-                k = int(row[0])
-                i = int(row[1])
-                floats = [float(row[j]) if row[j] != "" else math.nan for j in (2, 3, 4, 6, 7, 8, 9)]
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: non-numeric field") from None
-            grouped.setdefault(k, []).append((i, row[5], floats))
-    # every step 0..n-1 must hold exactly one row per coordinate 0..d-1
-    d = 1 + max((rec[0] for recs in grouped.values() for rec in recs), default=-1)
-    traces = []
-    for expected, k in enumerate(sorted(grouped)):
-        if k != expected:
-            raise ConfigError(f"{path}: step {expected} is missing; steps must run 0, 1, 2, ...")
-        records = sorted(grouped[k])
-        if [rec[0] for rec in records] != list(range(d)):
-            missing = sorted(set(range(d)) - {rec[0] for rec in records})
-            raise ConfigError(
-                f"{path}: step {k} "
-                + (f"lacks rows for coordinates {missing[:5]}" if missing
-                   else "has duplicate or negative coordinates")
-                + f"; every step needs one row per coordinate 0..{d - 1}"
-            )
-        cols = list(zip(*[rec[2] for rec in records]))
-        traces.append(StepTrace(
-            k=k,
-            g=np.array(cols[0]),
-            v_raw=np.array(cols[1]),
-            v_clipped=np.array(cols[2]),
-            branch=[rec[1] for rec in records],
-            r=np.array(cols[3]),
-            gamma_after=np.array(cols[4]),
-            alpha_after=np.array(cols[5]),
-            a_after=np.array(cols[6]),
-        ))
-    return traces
+        chunks = iter(lambda: list(itertools.islice(reader, TRACE_CHUNK_ROWS)), [])
+        parts = [_parse_trace_rows(path, rows, 2 + n * TRACE_CHUNK_ROWS) for n, rows in enumerate(chunks)]
+    parts = parts or [_parse_trace_rows(path, [], 2)]  # a header and no rows
+    codes, (k, i), floats = (np.concatenate(p, axis=-1) for p in zip(*parts))
+
+    # the first bad step: a gap in 0, 1, 2, ..., or not one row per coordinate
+    d = max(0, 1 + int(i.max(initial=-1)))
+    steps, row_step = np.unique(k, return_inverse=True)
+    counts = np.bincount(row_step * (d + 1) + np.where(i < 0, d, i), minlength=len(steps) * (d + 1))
+    counts = counts.reshape(len(steps), d + 1)  # column d counts negative coordinates
+    bad = (steps != np.arange(len(steps))) | (counts[:, :d] != 1).any(axis=1) | (counts[:, d] > 0)
+    if bad.any():
+        s = int(np.argmax(bad))
+        if steps[s] != s:
+            raise ConfigError(f"{path}: step {s} is missing; steps must run 0, 1, 2, ...")
+        missing = np.flatnonzero(counts[s, :d] == 0).tolist()
+        raise ConfigError(
+            f"{path}: step {s} "
+            + (f"lacks rows for coordinates {missing[:5]}" if missing
+               else "has duplicate or negative coordinates")
+            + f"; every step needs one row per coordinate 0..{d - 1}"
+        )
+    order = np.argsort(row_step * d + i)  # (k, i) order, a permutation now
+    columns = floats[:, order].reshape(len(FLOAT_COLUMNS), len(steps), d)
+    return Trace(k=steps, branch=codes[order].reshape(len(steps), d), **dict(zip(FLOAT_COLUMNS, columns)))
 
 
-def _run_checks(traces, names, d_inf):
+def _run_checks(trace, names, d_inf):
     reports = []
     for name in names:
         if name == "errnegativity":
-            reports.append(verify.check_errnegativity(traces))
+            reports.append(verify.check_errnegativity(trace))
         elif name == "monotone":
-            reports.append(verify.check_monotone_and_cap(traces, d_inf=d_inf))
+            reports.append(verify.check_monotone_and_cap(trace, d_inf=d_inf))
         elif name == "reparam":
-            reports.append(verify.check_reparam_invariance(traces, d_inf=d_inf))
+            reports.append(verify.check_reparam_invariance(trace, d_inf=d_inf))
         else:
             raise ConfigError(f"unknown check {name!r}; choose from {CHECK_NAMES} or 'all'")
     return reports
@@ -408,15 +445,21 @@ def _check_run_record(path, d_inf):
         reader = csv.reader(f)
         next(reader)
         prev_step = None
-        for row in reader:
-            step = int(row[0])
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(RUN_HEADER):
+                raise ConfigError(f"{path}:{lineno}: expected {len(RUN_HEADER)} fields")
+            try:
+                step = int(row[0])
+                gamma_max = float(row[5]) if row[5] else None
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: non-numeric step or gamma_max") from None
             if prev_step is not None and step <= prev_step:
                 worst = max(worst, 1.0)
                 location = (step, 0)
                 details.append(f"step {step} does not increase past {prev_step}")
             prev_step = step
-            if d_inf is not None and row[5]:
-                over = (float(row[5]) - d_inf) / d_inf
+            if d_inf is not None and gamma_max is not None:
+                over = (gamma_max - d_inf) / d_inf
                 if over > worst:
                     worst = over
                     location = (step, 0)
@@ -443,8 +486,7 @@ def cmd_check(args) -> int:
             raise ConfigError("run record files support only the 'record' check")
         reports = [_check_run_record(args.trace, args.d_inf)]
     else:
-        traces = read_trace_csv(args.trace)
-        reports = _run_checks(traces, names, args.d_inf)
+        reports = _run_checks(read_trace_csv(args.trace), names, args.d_inf)
     rows = []
     for rep in reports:
         step, coord = rep.location if rep.location is not None else (None, None)
@@ -459,30 +501,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_trace_dump(args) -> int:
-    traces = read_trace_csv(args.trace)
-    n_coords = len(traces[0].branch) if traces else 0
-    counts = {}
-    for tr in traces:
-        for branch in tr.branch:
-            counts[branch] = counts.get(branch, 0) + 1
-    print(f"steps: {len(traces)}  coordinates: {n_coords}")
-    print("branches: " + " ".join(f"{b}={counts.get(b, 0)}" for b in ("init", "capped", "positive", "negative")))
-    if traces:
-        gammas = np.concatenate([tr.gamma_after for tr in traces])
-        alphas = np.concatenate([tr.alpha_after for tr in traces])
+    trace = read_trace_csv(args.trace)
+    steps, d = trace.branch.shape
+    counts = np.bincount(trace.branch.ravel(), minlength=len(BRANCHES))
+    print(f"steps: {steps}  coordinates: {d}")
+    print("branches: " + " ".join(f"{b}={n}" for b, n in zip(BRANCHES, counts.tolist())))
+    if steps:
+        gammas, alphas = trace.gamma_after, trace.alpha_after
         print(f"gamma in [{gammas.min():g}, {gammas.max():g}]  alpha in [{alphas.min():g}, {alphas.max():g}]")
     print("  ".join(TRACE_HEADER))
-    shown = 0
-    for tr in traces:
-        for i in range(len(tr.branch)):
-            if shown >= args.head:
-                return 0
-            print(
-                f"{tr.k}  {i}  {tr.g[i]:.6g}  {tr.v_raw[i]:.6g}  {tr.v_clipped[i]:.6g}  "
-                f"{tr.branch[i]}  {'' if math.isnan(tr.r[i]) else format(tr.r[i], '.6g')}  "
-                f"{tr.gamma_after[i]:.6g}  {tr.alpha_after[i]:.6g}  {tr.a_after[i]:.6g}"
-            )
-            shown += 1
+    n = max(0, min(args.head, steps * d))
+    if n:
+        cols = _trace_columns(trace[: -(-n // d)], lambda values: [format(v, ".6g") for v in values])
+        cols[6] = ["" if r == "nan" else r for r in cols[6]]  # no clip ran
+        print("\n".join(["  ".join(map(str, row)) for row in zip(*cols)][:n]))
     return 0
 
 

@@ -13,23 +13,25 @@ it to every gamma/alpha pair at once. Both variants call it: GradaGrad
 adaptive r) on length-d arrays, and ScalarGradaGrad (one gamma/alpha pair
 scaling the whole gradient, fixed or adaptive r) on length-1 arrays. Each
 variant only forms v and the clip ratio t. AdaGrad, SGD and Adam baselines
-share the same single-step interface.
+share the same single-step interface, step(g).
+
+A run's trace is one columnar Trace of (steps, width) arrays, with width d
+for the diagonal stepper and 1 for the scalar one. The GradaGrad steppers
+take it as step(g, trace) and fill row k in place; untraced steps do no
+trace work.
 
 All state is double precision; numerators much below 1e-6 lose adaptivity
 in single precision.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-BRANCH_INIT = "init"
-BRANCH_CAPPED = "capped"
-BRANCH_POSITIVE = "positive"
-BRANCH_NEGATIVE = "negative"
-BRANCHES = (BRANCH_INIT, BRANCH_CAPPED, BRANCH_POSITIVE, BRANCH_NEGATIVE)
-_BRANCH_NAMES = np.array(BRANCHES, dtype=object)  # indexed by branch code
+# branch codes of Trace.branch, and their names indexed by code
+BRANCH_INIT, BRANCH_CAPPED, BRANCH_POSITIVE, BRANCH_NEGATIVE = range(4)
+BRANCHES = ("init", "capped", "positive", "negative")
 
 
 @dataclass
@@ -108,26 +110,49 @@ class Domain:
         return cls(lower=lower, upper=upper)
 
 
-@dataclass
-class StepTrace:
-    """Per-step, per-coordinate record of one optimizer step.
+# the float columns of a Trace, in trace CSV order
+FLOAT_COLUMNS = ("g", "v_raw", "v_clipped", "r", "gamma_after", "alpha_after", "a_after")
 
-    The scalar variant emits a single record (i = 0) whose g field holds
-    the gradient norm, the whole-vector analogue of a coordinate entry;
-    only g^2 and v enter the downstream checks, so the formulas coincide.
-    r is NaN on steps where no clip happened.
+
+@dataclass(eq=False)
+class Trace:
+    """Per-step, per-coordinate record of a run, one array per column.
+
+    Every column has one row per step: k is (steps,), and the others are
+    (steps, width), with branch holding int8 codes (names in BRANCHES).
+    trace[t] is a row view and trace[t:] a sub-trace; both slice every
+    column, so iteration yields row views. The scalar variant is 1 wide,
+    and its g column holds the gradient norm, the whole-vector analogue of
+    a coordinate entry; only g^2 and v enter the checks, so the formulas
+    coincide. r is NaN where no clip happened.
     """
 
-    k: int
+    k: np.ndarray
     g: np.ndarray
     v_raw: np.ndarray
     v_clipped: np.ndarray
-    branch: list[str]
+    branch: np.ndarray
     r: np.ndarray
     gamma_after: np.ndarray
     alpha_after: np.ndarray
     a_after: np.ndarray
-    f_sample: float | None = None
+
+    @classmethod
+    def empty(cls, steps: int, width: int) -> "Trace":
+        """A trace of `steps` rows for a stepper to fill, k = 0, 1, 2, ..."""
+        cols = {name: np.full((steps, width), math.nan) for name in FLOAT_COLUMNS}
+        return cls(k=np.arange(steps), branch=np.zeros((steps, width), dtype=np.int8), **cols)
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, index) -> "Trace":
+        return Trace(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
+
+    def record(self, k: int, **columns):
+        """Write row k of the named columns."""
+        for name, value in columns.items():
+            getattr(self, name)[k] = value
 
 
 def project(point, domain: Domain) -> np.ndarray:
@@ -240,10 +265,9 @@ class ScalarGradaGrad(Optimizer):
         self.alpha = np.zeros(1)
         self.g_prev = np.zeros_like(self.x)
 
-    def step(self, g) -> StepTrace:
+    def step(self, g, trace: Trace | None = None) -> None:
         g = self._check_grad(g)
         p = self.params
-        k = self.k
         gsq = g @ g
         cross = g @ self.g_prev
         v = np.array([gsq - p.rho * cross])
@@ -256,19 +280,14 @@ class ScalarGradaGrad(Optimizer):
         else:
             x_new = self.x.copy()
             a = 0.0
+        if trace is not None:
+            trace.record(
+                self.k, g=np.linalg.norm(g), v_raw=v, v_clipped=v_clip,
+                branch=BRANCH_NEGATIVE if v[0] < 0 else BRANCH_POSITIVE, r=r,
+                gamma_after=self.gamma, alpha_after=self.alpha, a_after=a,
+            )
         self.g_prev = g.copy()
         self._commit(x_new)
-        return StepTrace(
-            k=k,
-            g=np.array([float(np.linalg.norm(g))]),
-            v_raw=v,
-            v_clipped=v_clip,
-            branch=[BRANCH_NEGATIVE if v[0] < 0 else BRANCH_POSITIVE],
-            r=r,
-            gamma_after=self.gamma.copy(),
-            alpha_after=self.alpha.copy(),
-            a_after=np.array([a]),
-        )
 
     def stats(self) -> dict:
         gamma, alpha = float(self.gamma[0]), float(self.alpha[0])
@@ -316,7 +335,7 @@ class GradaGrad(Optimizer):
         self.gamma = np.full(self.dim, self.params.gamma0, dtype=float)
         self.alpha = np.zeros(self.dim, dtype=float)
 
-    def step(self, g) -> StepTrace:
+    def step(self, g, trace: Trace | None = None) -> None:
         g = self._check_grad(g)
         p = self.params
         k = self.k
@@ -325,13 +344,11 @@ class GradaGrad(Optimizer):
         if k == 0:
             v_raw = np.full(d, p.g_inf ** 2) if p.mode == "theory" else gsq
             t = gsq  # unread: init increments are nonnegative
-            codes = np.zeros(d, dtype=int)
         else:
             capped = self.gamma >= p.d_inf  # not ==: min() meets the cap up to rounding
             v_raw = np.where(capped, gsq, gsq - p.rho * g * self.m_prev)
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = p.rho * self.m_prev / g
-            codes = 2 + (v_raw < 0) - capped  # BRANCHES index: capped 1, positive 2, negative 3
         v_clip, r = _gradagrad_update(v_raw, t, self.gamma, self.alpha, None, p.d_inf)
 
         a = np.zeros(d)
@@ -345,21 +362,15 @@ class GradaGrad(Optimizer):
         x_new = p.beta * self.x + (1.0 - p.beta) * z_new
         m = a * (self.x - x_new)
 
-        trace = StepTrace(
-            k=k,
-            g=g.copy(),
-            v_raw=v_raw,
-            v_clipped=v_clip,
-            branch=_BRANCH_NAMES[codes].tolist(),
-            r=r,
-            gamma_after=self.gamma.copy(),
-            alpha_after=self.alpha.copy(),
-            a_after=a,
-        )
+        if trace is not None:
+            trace.record(
+                k, g=g, v_raw=v_raw, v_clipped=v_clip,
+                branch=BRANCH_INIT if k == 0 else BRANCH_POSITIVE + (v_raw < 0) - capped, r=r,
+                gamma_after=self.gamma, alpha_after=self.alpha, a_after=a,
+            )
         self.z = z_new
         self.m_prev = m
         self._commit(x_new)
-        return trace
 
     def stats(self) -> dict:
         live = self.alpha > 0

@@ -4,22 +4,17 @@ Checks are pure functions over traces, runs, or gradient sequences; they
 never mutate optimizer state. Each returns a CheckReport whose passed flag
 is equivalent to worst_violation <= the check's tolerance.
 
-Trace-based checks expect the full consecutive trace sequence of a run
-(starting at step 0), since several identities relate step k to step k-1.
+Trace-based checks take a run's Trace from step 0 on, since several
+identities relate step k to step k-1, and evaluate each identity on all
+rows at once, over shifted slices of the columns. A NaN among the values a
+check reads fails it at the first such (step, coordinate).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BRANCH_CAPPED,
-    BRANCH_NEGATIVE,
-    AdaGrad,
-    GradaGrad,
-    HyperParams,
-    StepTrace,
-)
+from .core import BRANCH_NEGATIVE, BRANCHES, AdaGrad, GradaGrad, HyperParams, Trace
 
 TOL_IDENTITY = 1e-12
 TOL_MOMENTUM = 1e-10
@@ -35,6 +30,31 @@ class CheckReport:
     details: str = ""
 
 
+def _worst(viol, checked, steps):
+    """(worst, location) of viol over its checked entries: the largest
+    positive value at its first row-major position, the first NaN (which no
+    tolerance passes) if there is one, and (0.0, None) if neither. Row t of
+    viol is step steps[t]."""
+    viol = np.where(checked, viol, 0.0)
+    if viol.size == 0:
+        return 0.0, None
+    flat = int(np.argmax(viol))  # the first NaN, if any
+    worst = float(viol.flat[flat])
+    if worst <= 0.0:
+        return 0.0, None
+    t, i = np.unravel_index(flat, viol.shape)
+    return worst, (int(steps[t]), int(i))
+
+
+def _negative_after_first(trace: Trace) -> np.ndarray:
+    """Negative-branch mask of rows 1..n-1; the identities relate a negative
+    step to the one before it, so row 0 must not hold one."""
+    neg = trace.branch == BRANCH_NEGATIVE
+    if neg[:1].any():
+        raise ValueError("negative branch in the first trace: traces must start at step 0")
+    return neg[1:]
+
+
 def _report(name, worst, tol, location, details=""):
     worst = float(worst)
     return CheckReport(
@@ -46,7 +66,7 @@ def _report(name, worst, tol, location, details=""):
     )
 
 
-def check_errnegativity(traces: list[StepTrace], rho: float | None = None) -> CheckReport:
+def check_errnegativity(trace: Trace, rho: float | None = None) -> CheckReport:
     """Restricted-increase inequality on every negative-branch step:
 
         g^2 / A_{k+1} - rho * g * m_prev / A_k <= 0
@@ -56,31 +76,15 @@ def check_errnegativity(traces: list[StepTrace], rho: float | None = None) -> Ch
     with the adaptive clip; a fixed clip r need not satisfy the inequality.
     Vacuously passes when no negative branch occurred.
     """
-    worst = 0.0
-    location = None
-    count = 0
-    for t, tr in enumerate(traces):
-        for i, branch in enumerate(tr.branch):
-            if branch != BRANCH_NEGATIVE:
-                continue
-            if t == 0:
-                raise ValueError("negative branch in the first trace: traces must start at step 0")
-            count += 1
-            prev = traces[t - 1]
-            g_sq = tr.g[i] ** 2
-            term_new = g_sq / tr.a_after[i]
-            term_old = (g_sq - tr.v_raw[i]) / prev.a_after[i]
-            scaled = (term_new - term_old) / max(1.0, abs(term_new), abs(term_old))
-            if scaled > worst:
-                worst = scaled
-                location = (tr.k, i)
-    return _report(
-        "errnegativity",
-        worst,
-        TOL_IDENTITY,
-        location,
-        f"{count} negative-branch coordinate-steps, tolerance {TOL_IDENTITY:g}",
-    )
+    neg = _negative_after_first(trace)
+    g_sq = np.float_power(trace.g[1:], 2.0)  # pow, not g * g: rounds as tests/reference_verify.py
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term_new = g_sq / trace.a_after[1:]
+        term_old = (g_sq - trace.v_raw[1:]) / trace.a_after[:-1]
+        scaled = (term_new - term_old) / np.maximum(1.0, np.maximum(abs(term_new), abs(term_old)))
+    worst, location = _worst(scaled, neg, trace.k[1:])
+    details = f"{np.count_nonzero(neg)} negative-branch coordinate-steps, tolerance {TOL_IDENTITY:g}"
+    return _report("errnegativity", worst, TOL_IDENTITY, location, details)
 
 
 def alpha_identity_sides(gs) -> tuple[float, float]:
@@ -127,17 +131,12 @@ def check_adagrad_equivalence(problem, steps: int, gamma: float, x0=None) -> Che
         x0 = np.ones(problem.dim)
     gg = GradaGrad(x0, HyperParams(gamma0=gamma, rho=0.0, beta=0.0, mode="practical"))
     ag = AdaGrad(x0, gamma=gamma)
-    worst = 0.0
-    location = None
+    dev = np.empty((steps, gg.dim))
     for k in range(steps):
         gg.step(problem.grad_full(gg.x))
         ag.step(problem.grad_full(ag.x))
-        denom = np.maximum(1.0, np.maximum(np.abs(gg.x), np.abs(ag.x)))
-        dev = np.abs(gg.x - ag.x) / denom
-        i = int(np.argmax(dev))
-        if dev[i] > worst:
-            worst = float(dev[i])
-            location = (k, i)
+        dev[k] = np.abs(gg.x - ag.x) / np.maximum(1.0, np.maximum(np.abs(gg.x), np.abs(ag.x)))
+    worst, location = _worst(dev, True, range(steps))
     return _report("adagrad_equivalence", worst, TOL_IDENTITY, location, f"{steps} steps")
 
 
@@ -156,16 +155,10 @@ def check_finite_diff(problem, point, h: float = 1e-6) -> CheckReport:
             details="skipped: objective not smooth at the evaluation point",
         )
     grad = problem.grad_full(point)
-    worst = 0.0
-    location = None
-    for i in range(point.size):
-        e = np.zeros_like(point)
-        e[i] = h
-        fd = (problem.loss_full(point + e) - problem.loss_full(point - e)) / (2.0 * h)
-        rel = abs(fd - grad[i]) / max(1.0, abs(grad[i]))
-        if rel > worst:
-            worst = rel
-            location = (0, i)
+    fd = [(problem.loss_full(point + e) - problem.loss_full(point - e)) / (2.0 * h)
+          for e in h * np.eye(point.size)]
+    rel = np.abs(np.array(fd) - grad) / np.maximum(1.0, np.abs(grad))
+    worst, location = _worst(rel[None], True, [0])
     return _report("finite_diff", worst, TOL_FINITE_DIFF, location, f"h={h:g}")
 
 
@@ -222,44 +215,36 @@ def check_convergence_trend(
 
 
 def check_monotone_and_cap(
-    traces: list[StepTrace], d_inf: float | None = None, gamma0: float | None = None
+    trace: Trace, d_inf: float | None = None, gamma0: float | None = None
 ) -> CheckReport:
     """alpha and gamma never decrease, gamma stays at or below the cap, and
     state changes match the branch taken (alpha moves only on init/capped/
-    positive branches, gamma only on negative ones)."""
-    worst = 0.0
-    location = None
-    details = []
-    for t, tr in enumerate(traces):
-        if t == 0:
-            gamma_prev = (
-                np.full_like(tr.gamma_after, gamma0) if gamma0 is not None else tr.gamma_after
-            )
-            alpha_prev = np.zeros_like(tr.alpha_after)
-        else:
-            gamma_prev = traces[t - 1].gamma_after
-            alpha_prev = traces[t - 1].alpha_after
-        for i, branch in enumerate(tr.branch):
-            viol = max(
-                (alpha_prev[i] - tr.alpha_after[i]) / max(1.0, abs(alpha_prev[i])),
-                (gamma_prev[i] - tr.gamma_after[i]) / max(1.0, abs(gamma_prev[i])),
-            )
-            if d_inf is not None:
-                viol = max(viol, (tr.gamma_after[i] - d_inf) / d_inf)
-            if branch == BRANCH_NEGATIVE:
-                if tr.alpha_after[i] != alpha_prev[i]:
-                    viol = max(viol, abs(tr.alpha_after[i] - alpha_prev[i]))
-                    details.append(f"alpha changed on a negative branch at k={tr.k} i={i}")
-            elif tr.gamma_after[i] != gamma_prev[i]:
-                viol = max(viol, abs(tr.gamma_after[i] - gamma_prev[i]))
-                details.append(f"gamma changed on a {branch} branch at k={tr.k} i={i}")
-            if viol > worst:
-                worst = viol
-                location = (tr.k, i)
-    return _report("monotone_and_cap", worst, 0.0, location, "; ".join(details[:3]))
+    positive branches, gamma only on negative ones). Row 0 is compared with
+    gamma0 (itself when gamma0 is None) and zero alpha."""
+    gamma, alpha = trace.gamma_after, trace.alpha_after
+    first = gamma[:1] if gamma0 is None else np.full_like(gamma[:1], gamma0)
+    gamma_prev = np.concatenate([first, gamma[:-1]])
+    alpha_prev = np.concatenate([np.zeros_like(alpha[:1]), alpha[:-1]])
+    viol = np.maximum(
+        (alpha_prev - alpha) / np.maximum(1.0, abs(alpha_prev)),
+        (gamma_prev - gamma) / np.maximum(1.0, abs(gamma_prev)),
+    )
+    if d_inf is not None:
+        viol = np.maximum(viol, (gamma - d_inf) / d_inf)
+    neg = trace.branch == BRANCH_NEGATIVE
+    change = np.where(neg, alpha - alpha_prev, gamma - gamma_prev)  # must be 0
+    moved = np.where(neg, alpha != alpha_prev, gamma != gamma_prev)
+    viol = np.where(moved, np.maximum(viol, abs(change)), viol)
+    worst, location = _worst(viol, True, trace.k)
+    details = [
+        f"alpha changed on a negative branch at k={trace.k[t]} i={i}" if neg[t, i]
+        else f"gamma changed on a {BRANCHES[trace.branch[t, i]]} branch at k={trace.k[t]} i={i}"
+        for t, i in np.argwhere(moved)[:3]
+    ]
+    return _report("monotone_and_cap", worst, 0.0, location, "; ".join(details))
 
 
-def check_reparam_invariance(traces: list[StepTrace], d_inf: float | None = None) -> CheckReport:
+def check_reparam_invariance(trace: Trace, d_inf: float | None = None) -> CheckReport:
     """On every negative-branch step where the cap did not bind,
 
         gamma_{k+1} / sqrt(alpha_k - v_clipped) = gamma_k / sqrt(alpha_k)
@@ -271,60 +256,46 @@ def check_reparam_invariance(traces: list[StepTrace], d_inf: float | None = None
     below the uncapped rescale value (only an under-growth could hide
     there, and that direction is covered by the monotonicity check).
     """
-    worst = 0.0
-    location = None
-    count = 0
-    for t, tr in enumerate(traces):
-        for i, branch in enumerate(tr.branch):
-            if branch != BRANCH_NEGATIVE:
-                continue
-            if t == 0:
-                raise ValueError("negative branch in the first trace: traces must start at step 0")
-            gamma_prev = traces[t - 1].gamma_after[i]
-            alpha = tr.alpha_after[i]  # unchanged on the negative branch
-            if d_inf is not None:
-                if tr.gamma_after[i] >= d_inf:
-                    continue  # cap bound; the identity is intentionally broken
-            else:
-                uncapped = gamma_prev * np.sqrt(1.0 - tr.v_clipped[i] / alpha)
-                if tr.gamma_after[i] < uncapped * (1.0 - 1e-9):
-                    continue
-            count += 1
-            lhs = tr.gamma_after[i] / np.sqrt(alpha - tr.v_clipped[i])
-            rhs = gamma_prev / np.sqrt(alpha)
-            rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-            if rel > worst:
-                worst = rel
-                location = (tr.k, i)
-    return _report(
-        "reparam_invariance", worst, TOL_IDENTITY, location, f"{count} uncapped negative steps"
-    )
+    neg = _negative_after_first(trace)
+    gamma_prev, gamma = trace.gamma_after[:-1], trace.gamma_after[1:]
+    alpha = trace.alpha_after[1:]  # unchanged on the negative branch
+    v = trace.v_clipped[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if d_inf is not None:
+            capped = gamma >= d_inf  # the cap bound; the identity is intentionally broken
+        else:
+            capped = gamma < gamma_prev * np.sqrt(1.0 - v / alpha) * (1.0 - 1e-9)
+        lhs = gamma / np.sqrt(alpha - v)
+        rhs = gamma_prev / np.sqrt(alpha)
+        rel = abs(lhs - rhs) / np.maximum(abs(lhs), abs(rhs))
+    checked = neg & ~capped
+    worst, location = _worst(rel, checked, trace.k[1:])
+    details = f"{np.count_nonzero(checked)} uncapped negative steps"
+    return _report("reparam_invariance", worst, TOL_IDENTITY, location, details)
 
 
 @dataclass
 class RunHistory:
-    """Full iterate/auxiliary/direction history of a diagonal run."""
+    """Full history of a diagonal run: iterates x and auxiliary iterates z
+    from x0 on, (steps + 1, d); directions m, (steps, d); and the trace."""
 
-    xs: list[np.ndarray]
-    zs: list[np.ndarray]
-    ms: list[np.ndarray]
-    traces: list[StepTrace]
+    x: np.ndarray
+    z: np.ndarray
+    m: np.ndarray
+    trace: Trace
     beta: float
 
 
 def record_run(opt: GradaGrad, grad_fn, steps: int) -> RunHistory:
     """Step a diagonal optimizer `steps` times, recording everything the
     identity checks need. grad_fn maps the current iterate to a gradient."""
-    xs = [opt.x.copy()]
-    zs = [opt.z.copy()]
-    ms = []
-    traces = []
-    for _ in range(steps):
-        traces.append(opt.step(grad_fn(opt.x)))
-        xs.append(opt.x.copy())
-        zs.append(opt.z.copy())
-        ms.append(opt.m_prev.copy())
-    return RunHistory(xs=xs, zs=zs, ms=ms, traces=traces, beta=opt.params.beta)
+    trace = Trace.empty(opt.k + steps, opt.dim)  # the stepper writes row opt.k
+    x, z, m = np.empty((steps + 1, opt.dim)), np.empty((steps + 1, opt.dim)), np.empty((steps, opt.dim))
+    x[0], z[0] = opt.x, opt.z
+    for t in range(steps):
+        opt.step(grad_fn(opt.x), trace)
+        x[t + 1], z[t + 1], m[t] = opt.x, opt.z, opt.m_prev
+    return RunHistory(x=x, z=z, m=m, trace=trace[opt.k - steps:], beta=opt.params.beta)
 
 
 def check_momentum_identities(run: RunHistory) -> CheckReport:
@@ -333,30 +304,14 @@ def check_momentum_identities(run: RunHistory) -> CheckReport:
         z_k = x_k / (1 - beta) - beta * x_{k-1} / (1 - beta)   (k >= 1)
         m_k = A_{k+1} * (x_k - x_{k+1})                         (every k)
     """
-    beta = run.beta
-    worst_z = 0.0
-    location = None
-    for k in range(1, len(run.xs)):
-        z_expected = run.xs[k] / (1.0 - beta) - beta * run.xs[k - 1] / (1.0 - beta)
-        rel = np.abs(run.zs[k] - z_expected) / np.maximum(1.0, np.abs(z_expected))
-        i = int(np.argmax(rel))
-        if rel[i] > worst_z:
-            worst_z = float(rel[i])
-            location = (k, i)
-    worst_m = 0.0
-    for k, m in enumerate(run.ms):
-        expected = run.traces[k].a_after * (run.xs[k] - run.xs[k + 1])
-        rel = np.abs(m - expected) / np.maximum(1.0, np.abs(expected))
-        i = int(np.argmax(rel))
-        if rel[i] > worst_m:
-            worst_m = float(rel[i])
-            if worst_m > worst_z:
-                location = (k, i)
-    worst = max(worst_z, worst_m)
-    return _report(
-        "momentum_identities",
-        worst,
-        TOL_MOMENTUM,
-        location,
-        f"z-identity worst {worst_z:g}, direction-identity worst {worst_m:g}",
-    )
+    beta, x = run.beta, run.x
+    z_expected = x[1:] / (1.0 - beta) - beta * x[:-1] / (1.0 - beta)
+    rel_z = abs(run.z[1:] - z_expected) / np.maximum(1.0, abs(z_expected))  # steps 1..n
+    expected = run.trace.a_after * (x[:-1] - x[1:])
+    rel_m = abs(run.m - expected) / np.maximum(1.0, abs(expected))  # steps 0..n-1
+    # z rows first: a tie keeps the z-identity's location
+    steps = [*range(1, len(x)), *range(len(run.m))]
+    worst, location = _worst(np.concatenate([rel_z, rel_m]), True, steps)
+    details = (f"z-identity worst {rel_z.max(initial=0.0):g}, "
+               f"direction-identity worst {rel_m.max(initial=0.0):g}")
+    return _report("momentum_identities", worst, TOL_MOMENTUM, location, details)

@@ -1,8 +1,10 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 
-from gradagrad import GradaGrad, HyperParams
+from gradagrad import GradaGrad, HyperParams, Trace
+from gradagrad.core import BRANCHES
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 BLOBS = DATASETS / "blobs.libsvm"
@@ -31,5 +33,35 @@ def make_fuzz_run(
     rng = np.random.default_rng(seed)
     params = HyperParams(gamma0=1.0, rho=rho, beta=beta, d_inf=d_inf, g_inf=g_inf, mode=mode)
     opt = GradaGrad(rng.standard_normal(dim), params)
-    traces = [opt.step(rng.normal(drift, scale, dim)) for _ in range(steps)]
-    return opt, traces
+    trace = Trace.empty(steps, dim)
+    for _ in range(steps):
+        opt.step(rng.normal(drift, scale, dim), trace)
+    return opt, trace
+
+
+def traced_run(opt, grads) -> Trace:
+    """Step a GradaGrad stepper on each gradient; the run's trace."""
+    trace = Trace.empty(opt.k + len(grads), opt.gamma.size)
+    for g in grads:
+        opt.step(g, trace)
+    return trace[len(trace) - len(grads):]
+
+
+def traced_step(opt, g) -> Trace:
+    """One step of a GradaGrad stepper; its trace row."""
+    return traced_run(opt, [g])[0]
+
+
+def branch_names(row) -> list[str]:
+    return [BRANCHES[code] for code in row.branch]
+
+
+def copy_trace(trace) -> Trace:
+    return Trace(**{f.name: getattr(trace, f.name).copy() for f in dataclasses.fields(trace)})
+
+
+def first_branch(trace, code) -> tuple[int, int]:
+    """(step, coordinate) of the first entry after step 0 with this branch code."""
+    found = np.argwhere(trace.branch[1:] == code)
+    assert found.size, f"no branch {BRANCHES[code]} after step 0"
+    return int(found[0, 0]) + 1, int(found[0, 1])

@@ -4,24 +4,38 @@ These are the per-coordinate diagonal loop and the Python-float scalar step
 that `gradagrad.core` used before both steppers moved onto one elementwise
 array kernel. They are kept as they were, helpers included (only docstrings
 trimmed), as the oracle the kernel must match bit for bit; do not edit them
-to follow the package.
+to follow the package. They return the per-step record and branch strings
+the package used then (StepTrace, kept here); the package's Trace stores
+branch codes, whose names are gradagrad.core.BRANCHES.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from gradagrad.core import (
-    BRANCH_CAPPED,
-    BRANCH_INIT,
-    BRANCH_NEGATIVE,
-    BRANCH_POSITIVE,
-    Domain,
-    HyperParams,
-    Optimizer,
-    StepTrace,
-    project,
-)
+from gradagrad.core import Domain, HyperParams, Optimizer, project
+
+BRANCH_INIT = "init"
+BRANCH_CAPPED = "capped"
+BRANCH_POSITIVE = "positive"
+BRANCH_NEGATIVE = "negative"
+
+
+@dataclass
+class StepTrace:
+    """One step's per-coordinate record."""
+
+    k: int
+    g: np.ndarray
+    v_raw: np.ndarray
+    v_clipped: np.ndarray
+    branch: list[str]
+    r: np.ndarray
+    gamma_after: np.ndarray
+    alpha_after: np.ndarray
+    a_after: np.ndarray
+    f_sample: float | None = None
 
 
 class CoordState:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import BITS, BLOBS, make_fuzz_run
+from conftest import BITS, BLOBS, make_fuzz_run, traced_run
 from gradagrad import (
     AbsValue,
     AdaGrad,
@@ -19,6 +19,7 @@ from gradagrad import (
     LogisticRegression,
     Quadratic,
     ScalarGradaGrad,
+    Trace,
     alpha_identity_sides,
     check_adagrad_equivalence,
     check_alpha_identity_rho1,
@@ -31,6 +32,7 @@ from gradagrad import (
     load_dataset,
     normalize_labels,
 )
+from gradagrad.core import BRANCH_NEGATIVE
 
 FIXTURES = (BLOBS, BITS)
 
@@ -53,7 +55,7 @@ def test_01_errnegativity_over_fuzzed_steps():
         dim = int(rng.integers(4, 14))
         steps = int(rng.integers(50, 110))
         mode = "theory" if run_idx % 5 == 0 else "practical"
-        _, traces = make_fuzz_run(
+        _, trace = make_fuzz_run(
             dim=dim,
             steps=steps,
             seed=int(rng.integers(0, 2**32)),
@@ -64,17 +66,17 @@ def test_01_errnegativity_over_fuzzed_steps():
             drift=float(rng.uniform(0.5, 1.5)),
             scale=float(rng.uniform(0.2, 0.6)),
         )
-        report = check_errnegativity(traces)
+        report = check_errnegativity(trace)
         assert report.passed, (run_idx, report)
         worst = max(worst, report.worst_violation)
         coord_steps += dim * steps
-        negatives += sum(b == "negative" for tr in traces for b in tr.branch)
+        negatives += int(np.sum(trace.branch == BRANCH_NEGATIVE))
     # the scalar variant with the adaptive clip goes through the same check
     opt = ScalarGradaGrad(np.zeros(3), HyperParams(rho=2.0, r_fixed=None))
-    scalar_traces = [opt.step(rng.normal(1.0, 0.4, 3)) for _ in range(500)]
-    report = check_errnegativity(scalar_traces)
+    scalar_trace = traced_run(opt, [rng.normal(1.0, 0.4, 3) for _ in range(500)])
+    report = check_errnegativity(scalar_trace)
     assert report.passed, report
-    negatives += sum(b == "negative" for tr in scalar_traces for b in tr.branch)
+    negatives += int(np.sum(scalar_trace.branch == BRANCH_NEGATIVE))
     elapsed = time.perf_counter() - t0
     assert coord_steps >= 100_000
     assert negatives > 5_000, "fuzz must actually exercise the negative branch"
@@ -88,20 +90,22 @@ def test_02_reparam_invariance_and_monotonicity():
     runs = []
     # fuzzed runs, one of them with a binding cap and one with momentum
     for seed, d_inf, beta in ((7, 50.0, 0.0), (8, 3.0, 0.0), (9, 50.0, 0.8)):
-        _, traces = make_fuzz_run(steps=2_000, seed=seed, d_inf=d_inf, beta=beta)
-        runs.append((traces, d_inf))
+        _, trace = make_fuzz_run(steps=2_000, seed=seed, d_inf=d_inf, beta=beta)
+        runs.append((trace, d_inf))
     # a benchmark run on a bundled dataset
     ds = normalize_labels(load_dataset(BITS))
     problem = LogisticRegression(ds, batch_size=50)
     opt = GradaGrad(np.zeros(problem.dim), HyperParams(gamma0=1.0, rho=2.0))
     state = problem.init_state(0)
-    bench = [opt.step(problem.grad_sample(opt.x, state)) for _ in range(300)]
+    bench = Trace.empty(300, problem.dim)
+    for _ in range(300):
+        opt.step(problem.grad_sample(opt.x, state), bench)
     runs.append((bench, 1e10))
 
     checked = 0
-    for traces, d_inf in runs:
-        assert check_monotone_and_cap(traces, d_inf=d_inf, gamma0=1.0).passed
-        assert check_reparam_invariance(traces, d_inf=d_inf).passed
+    for trace, d_inf in runs:
+        assert check_monotone_and_cap(trace, d_inf=d_inf, gamma0=1.0).passed
+        assert check_reparam_invariance(trace, d_inf=d_inf).passed
         checked += 1
     _announce(2, f"gamma/alpha monotone, cap respected, reparam identity <= 1e-12 "
                  f"on {checked} runs (fuzz + benchmark)")

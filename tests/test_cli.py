@@ -318,6 +318,77 @@ class TestCheck:
             assert "step 40 is missing" in err
             assert "Traceback" not in err
 
+    @staticmethod
+    def _write_rows(path, rows):
+        path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+
+    @pytest.mark.parametrize("line", [11, 1101])  # the reader parses 1024 rows at a time
+    def test_unknown_branch_label_is_config_error(self, tmp_path, capsys, line):
+        trace = _make_trace(tmp_path, ["--steps", "400"])
+        rows = read_rows(trace)
+        rows[line - 1][5] = "bogus"
+        rows[line][2] = "x"  # a later bad line does not hide it
+        self._write_rows(trace, rows)
+        for command in ("check", "trace-dump"):
+            assert run_cli([command, str(trace)]) == 2
+            err = capsys.readouterr().err
+            assert f"{trace}:{line}: unknown branch 'bogus'" in err
+            assert "Traceback" not in err
+
+    def test_nan_gamma_and_empty_alpha_fail_monotone(self, tmp_path, capsys):
+        trace = _make_trace(tmp_path)
+        rows = read_rows(trace)
+        line = 1 + 19 * 3 + 2
+        assert rows[line][:2] == ["19", "2"]
+        rows[line][7] = "nan"  # gamma at k=19 i=2
+        rows[line + 3][8] = ""  # alpha at k=20 i=2
+        self._write_rows(trace, rows)
+        report_csv = tmp_path / "checks.csv"
+        assert run_cli(["check", str(trace), "--checks", "monotone", "--out", str(report_csv)]) == 1
+        report = read_rows(report_csv)[1]
+        assert report[:2] == ["monotone_and_cap", "false"]
+        assert report[3:5] == ["19", "2"]
+        assert "monotone_and_cap: FAIL (worst=nan)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check,name,column", [
+        ("errnegativity", "errnegativity", 2),  # g
+        ("errnegativity", "errnegativity", 9),  # a
+        ("reparam", "reparam_invariance", 4),  # v_clipped
+        ("reparam", "reparam_invariance", 8),  # alpha
+    ])
+    def test_nan_in_a_checked_value_fails_there(self, tmp_path, check, name, column):
+        trace = _make_trace(tmp_path)
+        rows = read_rows(trace)
+        line = next(n for n, r in enumerate(rows) if r[5] == "negative")
+        rows[line][column] = "nan"
+        self._write_rows(trace, rows)
+        report_csv = tmp_path / "checks.csv"
+        assert run_cli(["check", str(trace), "--checks", check, "--out", str(report_csv)]) == 1
+        report = read_rows(report_csv)[1]
+        assert report[:2] == [name, "false"]
+        assert report[3:5] == rows[line][:2]
+
+    @pytest.mark.parametrize("field,value,message", [
+        (None, None, "expected 10 fields"),
+        (0, "three", "non-numeric step or gamma_max"),
+        (5, "big", "non-numeric step or gamma_max"),
+    ])
+    def test_malformed_run_record_is_config_error(self, tmp_path, capsys, field, value, message):
+        out = tmp_path / "r.csv"
+        assert run_cli([
+            "run", "--problem", "quadratic", "--dim", "2", "--steps", "400", "--out", str(out),
+        ]) == 0
+        rows = read_rows(out)
+        if field is None:
+            rows[3] = rows[3][:5]
+        else:
+            rows[3][field] = value
+        self._write_rows(out, rows)
+        assert run_cli(["check", str(out), "--d-inf", "3"]) == 2
+        err = capsys.readouterr().err
+        assert f"{out}:4: {message}" in err
+        assert "Traceback" not in err
+
     def test_named_subset(self, tmp_path):
         trace = _make_trace(tmp_path)
         assert run_cli(["check", str(trace), "--checks", "reparam,monotone"]) == 0
@@ -353,9 +424,78 @@ class TestRoundTripThroughCli:
         from gradagrad.cli import read_trace_csv
 
         trace_path = _make_trace(tmp_path)
-        traces = read_trace_csv(trace_path)
-        assert len(traces) == 150
-        assert all(len(tr.branch) == 3 for tr in traces)
-        ks = [tr.k for tr in traces]
+        trace = read_trace_csv(trace_path)
+        assert len(trace) == 150
+        assert all(len(row.branch) == 3 for row in trace)
+        ks = [row.k for row in trace]
         assert ks == sorted(ks)
-        assert np.isnan(traces[0].r[0])  # init branch has no clip parameter
+        assert np.isnan(trace[0].r[0])  # init branch has no clip parameter
+
+    def test_read_matches_the_run_and_ignores_row_order(self, tmp_path):
+        import dataclasses
+
+        from gradagrad import GradaGrad, HyperParams, Quadratic, Trace
+        from gradagrad.cli import read_trace_csv
+
+        trace_path = _make_trace(tmp_path)
+        problem = Quadratic(np.ones(3), noise_std=0.5)
+        opt, state = GradaGrad(np.ones(3), HyperParams()), problem.init_state(3)
+        trace = Trace.empty(150, 3)
+        for _ in range(150):
+            opt.step(problem.grad_sample(opt.x, state), trace)
+        rows = read_rows(trace_path)
+        shuffled = tmp_path / "shuffled.trace.csv"
+        order = np.random.default_rng(0).permutation(len(rows) - 1) + 1
+        shuffled.write_text("\n".join(",".join(rows[j]) for j in [0, *order]) + "\n")
+        for path in (trace_path, shuffled):
+            read = read_trace_csv(path)
+            for f in dataclasses.fields(Trace):
+                a, b = getattr(read, f.name), getattr(trace, f.name)
+                assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), f.name
+
+
+# SHA-256 of output bytes recorded before traces became columnar; the trace,
+# check and trace-dump formats must not change.
+GOLDEN = {
+    "abs": ("a092c223cdf0972b76dd94a82d42aba6c266266b339a6fa1dd930db0ec510838",
+            "213c27d4aab8264daf4ad23ab65ce4ae9d27545b671412ccf744c9b5a9cd4541", None),
+    "quad": ("aa041f721c776da02cbbdbf6b15a965dd568184220267f665be16b789490cc65",
+             "cd6cfc4c9470af545bcb44117b6fb6b6063980c0bac69dc890c29822430d4e15",
+             "8b0bde7a28e851d5cfc3dae0c34a34fc9562f6451bab6ee1c3503c67990b0590"),
+    "scalar": ("7257a3ff2070e24157d860a6fb9bfcb4b9bbc7d9b21a51f82b91f495f3796c22", None,
+               "5386b37ce7b8cb9089f5a7c165e4ee7410367a0e60171882d5de1b080d5d457a"),
+}
+GOLDEN_RUNS = {
+    # the README's poor-initial-step-size demo
+    "abs": (["--problem", "abs", "--optimizer", "gradagrad", "--gamma0", "1e-3", "--steps", "500"],
+            [], 8),
+    # d=3 with the cap at 2: all four branches fire
+    "quad": (["--problem", "quadratic", "--dim", "3", "--noise-std", "0.5", "--x0", "3",
+              "--gamma0", "1.5", "--d-inf", "2", "--steps", "300", "--seed", "3"], ["--d-inf", "2"], 20),
+    "scalar": (["--problem", "quadratic", "--dim", "3", "--noise-std", "0.5",
+                "--optimizer", "gradagrad-scalar", "--r", "adaptive", "--steps", "300", "--seed", "3"],
+               [], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trace_check_and_dump_bytes_match_golden(tmp_path, capsys, name):
+    import hashlib
+
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    run_args, check_args, head = GOLDEN_RUNS[name]
+    trace_digest, dump_digest, check_digest = GOLDEN[name]
+    out = tmp_path / f"{name}.csv"
+    assert run_cli(["run", *run_args, "--trace", "--out", str(out)]) == 0
+    trace = tmp_path / f"{name}.trace.csv"
+    assert sha(trace.read_bytes()) == trace_digest
+    if check_digest is not None:
+        report = tmp_path / "check.csv"
+        assert run_cli(["check", str(trace), *check_args, "--out", str(report)]) == 0
+        assert sha(report.read_bytes()) == check_digest
+    if dump_digest is not None:
+        capsys.readouterr()
+        assert run_cli(["trace-dump", str(trace), "--head", str(head)]) == 0
+        assert sha(capsys.readouterr().out.encode()) == dump_digest

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_fuzz_run
+from conftest import branch_names, make_fuzz_run, traced_step
 from gradagrad import (
     SGD,
     AdaGrad,
@@ -12,8 +12,10 @@ from gradagrad import (
     GradaGrad,
     HyperParams,
     ScalarGradaGrad,
+    Trace,
     project,
 )
+from gradagrad.core import BRANCH_NEGATIVE, FLOAT_COLUMNS
 
 
 class TestHyperParams:
@@ -61,17 +63,17 @@ class TestComputeVScalar:
 
     def test_first_step_convention(self):
         # g_prev = 0 forces v = ||g||^2
-        assert ScalarGradaGrad([0.0]).step([3.0]).v_raw[0] == 9.0
+        assert traced_step(ScalarGradaGrad([0.0]), [3.0]).v_raw[0] == 9.0
 
     def test_direct_substitution(self):
         opt = ScalarGradaGrad([0.0, 0.0], HyperParams(rho=2.0))
         opt.step([1.0, 1.0])
-        assert opt.step([1.0, 1.0]).v_raw[0] == -2.0
+        assert traced_step(opt, [1.0, 1.0]).v_raw[0] == -2.0
 
     def test_orthogonal_gradients(self):
         opt = ScalarGradaGrad([0.0, 0.0], HyperParams(rho=1.0))
         opt.step([1.0, 1.0])
-        assert opt.step([1.0, -1.0]).v_raw[0] == 2.0
+        assert traced_step(opt, [1.0, -1.0]).v_raw[0] == 2.0
 
     def test_dimension_mismatch(self):
         opt = ScalarGradaGrad([0.0, 0.0])
@@ -84,34 +86,34 @@ class TestComputeVCoord:
 
     def test_theory_init(self):
         opt = GradaGrad([0.0], HyperParams(mode="theory", g_inf=4.0))
-        tr = opt.step([0.5])
-        assert (tr.v_raw[0], tr.branch) == (16.0, ["init"])
+        tr = traced_step(opt, [0.5])
+        assert (tr.v_raw[0], branch_names(tr)) == (16.0, ["init"])
         assert opt.alpha[0] == 16.0
 
     def test_practical_init(self):
-        tr = GradaGrad([0.0], HyperParams(mode="practical")).step([3.0])
-        assert (tr.v_raw[0], tr.branch) == (9.0, ["init"])
+        tr = traced_step(GradaGrad([0.0], HyperParams(mode="practical")), [3.0])
+        assert (tr.v_raw[0], branch_names(tr)) == (9.0, ["init"])
 
     def test_capped(self):
         # m_prev = 100 would make v hugely negative below the cap
         for gamma in (5.0, 5.0 + 1e-9):  # the cap comparison is >=, not equality
             opt = _past_init(d_inf=5.0, m_prev=100.0)
             opt.gamma[0] = gamma
-            tr = opt.step([3.0])
-            assert (tr.v_raw[0], tr.branch) == (9.0, ["capped"])
+            tr = traced_step(opt, [3.0])
+            assert (tr.v_raw[0], branch_names(tr)) == (9.0, ["capped"])
             assert (opt.gamma[0], opt.alpha[0]) == (gamma, 10.0)
         opt = _past_init(d_inf=5.0, m_prev=100.0)
         opt.gamma[0] = 5.0 - 1e-9
-        assert opt.step([3.0]).branch == ["negative"]
+        assert branch_names(traced_step(opt, [3.0])) == ["negative"]
 
     def test_negative(self):
-        tr = _past_init().step([1.0])  # v = 1 - 2 * 1 * 1
-        assert (tr.v_raw[0], tr.branch) == (-1.0, ["negative"])
+        tr = traced_step(_past_init(), [1.0])  # v = 1 - 2 * 1 * 1
+        assert (tr.v_raw[0], branch_names(tr)) == (-1.0, ["negative"])
 
     def test_zero_ties_to_positive(self):
         opt = _past_init()
-        tr = opt.step([2.0])  # v = 4 - 2 * 2 * 1
-        assert (tr.v_raw[0], tr.branch) == (0.0, ["positive"])
+        tr = traced_step(opt, [2.0])  # v = 4 - 2 * 2 * 1
+        assert (tr.v_raw[0], branch_names(tr)) == (0.0, ["positive"])
         assert np.isnan(tr.r[0]) and tr.v_clipped[0] == 0.0
         assert (opt.gamma[0], opt.alpha[0]) == (1.0, 1.0)
 
@@ -121,7 +123,7 @@ class TestClipNegativeV:
 
     def test_adaptive_clip_binds(self):
         opt = _past_init(alpha=0.2)
-        tr = opt.step([1.0])  # v = -1, r = (2 * 1 / 1)^2 - 1 = 3
+        tr = traced_step(opt, [1.0])  # v = -1, r = (2 * 1 / 1)^2 - 1 = 3
         assert tr.r[0] == 3.0
         assert tr.v_clipped[0] == pytest.approx(-0.6)
         assert opt.gamma[0] == pytest.approx(2.0)
@@ -132,7 +134,7 @@ class TestClipNegativeV:
 
     def test_adaptive_clip_loose(self):
         opt = _past_init(alpha=0.5)
-        tr = opt.step([1.0])
+        tr = traced_step(opt, [1.0])
         assert (tr.v_clipped[0], tr.r[0]) == (-1.0, 3.0)
         # ratio stays above the critical one: growth was already safe
         assert 1.0 / math.sqrt(1.0 - tr.v_clipped[0] / 0.5) >= 0.5
@@ -140,9 +142,9 @@ class TestClipNegativeV:
     def test_fixed_r(self):
         opt = ScalarGradaGrad([0.0], HyperParams(rho=1.5, r_fixed=0.25))
         opt.step([1.0])  # alpha = 1
-        tr = opt.step([1.0])  # v = 1 - 1.5 = -0.5, clipped at -0.25 * 1
+        tr = traced_step(opt, [1.0])  # v = 1 - 1.5 = -0.5, clipped at -0.25 * 1
         assert (tr.v_raw[0], tr.v_clipped[0], tr.r[0]) == (-0.5, -0.25, 0.25)
-        assert tr.branch == ["negative"]
+        assert branch_names(tr) == ["negative"]
         assert opt.gamma[0] == math.sqrt(1.25) and opt.alpha[0] == 1.0
 
     def test_zero_alpha_is_contract_violation(self):
@@ -155,19 +157,18 @@ class TestClipNegativeV:
             g = rng.normal(1.0, 0.5, 3)
             g[rng.random(3) < (0.9 if k < 20 else 0.2)] = 0.0
             alpha_before = opt.alpha.copy()
-            tr = opt.step(g)
-            neg = np.array(tr.branch) == "negative"
+            tr = traced_step(opt, g)
+            neg = tr.branch == BRANCH_NEGATIVE
             negatives += int(neg.sum())
             assert np.all(alpha_before[neg] > 0)
         assert negatives > 20
 
     def test_nonnegative_v_rejected(self):
         # nonnegative v is never clipped: r stays NaN and v passes through
-        _, traces = make_fuzz_run(steps=200, seed=6)
-        for tr in traces:
-            keep = tr.v_raw >= 0
-            assert np.all(np.isnan(tr.r[keep]))
-            np.testing.assert_array_equal(tr.v_clipped[keep], tr.v_raw[keep])
+        _, trace = make_fuzz_run(steps=200, seed=6)
+        keep = trace.v_raw >= 0
+        assert np.all(np.isnan(trace.r[keep]))
+        np.testing.assert_array_equal(trace.v_clipped[keep], trace.v_raw[keep])
 
 
 class TestApplyReparam:
@@ -185,7 +186,7 @@ class TestApplyReparam:
 
     def test_continues_clip_example(self):
         opt = _past_init(alpha=0.2)
-        tr = opt.step([1.0])
+        tr = traced_step(opt, [1.0])
         gamma_new = opt.gamma[0]
         assert gamma_new == pytest.approx(2.0)
         # the implied accumulator keeps the step size unchanged
@@ -202,11 +203,11 @@ class TestApplyReparam:
 
     def test_positive_v_rejected(self):
         # gamma moves only on negative steps, alpha only on the others
-        _, traces = make_fuzz_run(steps=200, seed=6)
-        for prev, tr in zip(traces, traces[1:]):
-            neg = np.array(tr.branch) == "negative"
-            np.testing.assert_array_equal(tr.gamma_after[~neg], prev.gamma_after[~neg])
-            np.testing.assert_array_equal(tr.alpha_after[neg], prev.alpha_after[neg])
+        _, trace = make_fuzz_run(steps=200, seed=6)
+        neg = trace.branch[1:] == BRANCH_NEGATIVE
+        gamma, alpha = trace.gamma_after, trace.alpha_after
+        np.testing.assert_array_equal(gamma[1:][~neg], gamma[:-1][~neg])
+        np.testing.assert_array_equal(alpha[1:][neg], alpha[:-1][neg])
 
 
 class TestAccumulatePositive:
@@ -216,14 +217,14 @@ class TestAccumulatePositive:
     def test_values(self, alpha, v, expected):
         # with rho = 1 and g = 2, v = 4 - 2 * m_prev
         opt = _past_init(rho=1.0, alpha=alpha, m_prev=(4.0 - v) / 2.0)
-        tr = opt.step([2.0])
-        assert (tr.v_raw[0], tr.branch) == (v, ["positive"])
+        tr = traced_step(opt, [2.0])
+        assert (tr.v_raw[0], branch_names(tr)) == (v, ["positive"])
         assert opt.alpha[0] == expected
 
     def test_negative_rejected(self):
         # a negative v never enters alpha
         opt = _past_init()
-        tr = opt.step([1.0])
+        tr = traced_step(opt, [1.0])
         assert tr.v_raw[0] < 0 and opt.alpha[0] == 1.0
 
 
@@ -236,13 +237,13 @@ class TestPreconditionerEntry:
     def test_values(self, alpha, gamma, expected):
         opt = GradaGrad([0.0], HyperParams(gamma0=gamma))
         g = math.sqrt(alpha)
-        tr = opt.step([g])
+        tr = traced_step(opt, [g])
         assert tr.a_after[0] == pytest.approx(expected)
         assert opt.x[0] == pytest.approx(-g / expected)
 
     def test_unbootstrapped(self):
         opt = GradaGrad([1.0, 1.0])
-        tr = opt.step([0.0, 2.0])
+        tr = traced_step(opt, [0.0, 2.0])
         assert tr.a_after[0] == 0.0 and opt.x[0] == 1.0  # zero step, no division by zero
         assert tr.a_after[1] == 2.0
 
@@ -274,17 +275,17 @@ class TestProject:
 class TestScalarStepper:
     def test_hand_trace(self):
         opt = ScalarGradaGrad([0.0], HyperParams(gamma0=1.0, rho=2.0, r_fixed=1.0))
-        tr0 = opt.step([3.0])
+        tr0 = traced_step(opt, [3.0])
         assert tr0.v_raw[0] == 9.0
         assert opt.alpha[0] == 9.0
         assert opt.gamma[0] == 1.0
         assert tr0.a_after[0] == 3.0
         np.testing.assert_allclose(opt.x, [-1.0])
 
-        tr1 = opt.step([3.0])
+        tr1 = traced_step(opt, [3.0])
         assert tr1.v_raw[0] == -9.0
         assert tr1.v_clipped[0] == -9.0  # -r*alpha = -9 exactly
-        assert tr1.branch == ["negative"]
+        assert branch_names(tr1) == ["negative"]
         assert opt.gamma[0] == pytest.approx(math.sqrt(2.0))
         assert opt.alpha[0] == 9.0
         assert tr1.a_after[0] == pytest.approx(3.0 / math.sqrt(2.0))
@@ -295,14 +296,14 @@ class TestScalarStepper:
         opt.step([3.0])
         x_before = opt.x.copy()
         gamma, alpha = opt.gamma[0], opt.alpha[0]
-        tr = opt.step([0.0])
-        assert tr.v_raw[0] == 0.0 and tr.branch == ["positive"]
+        tr = traced_step(opt, [0.0])
+        assert tr.v_raw[0] == 0.0 and branch_names(tr) == ["positive"]
         assert (opt.gamma[0], opt.alpha[0]) == (gamma, alpha)
         np.testing.assert_array_equal(opt.x, x_before)
 
     def test_zero_gradient_start_is_zero_step(self):
         opt = ScalarGradaGrad([2.0])
-        tr = opt.step([0.0])
+        tr = traced_step(opt, [0.0])
         assert opt.alpha[0] == 0.0
         assert tr.a_after[0] == 0.0
         np.testing.assert_array_equal(opt.x, [2.0])
@@ -314,7 +315,7 @@ class TestScalarStepper:
         params = HyperParams(gamma0=1.0, rho=2.0, r_fixed=None)
         opt = ScalarGradaGrad([0.0], params)
         opt.step([3.0])
-        tr = opt.step([3.0])
+        tr = traced_step(opt, [3.0])
         # v = -9 with alpha = 9; adaptive r = (rho*<g,g_prev>/||g||^2)^2 - 1 = 3
         assert tr.r[0] == pytest.approx(3.0)
         assert tr.v_clipped[0] == -9.0  # -r*alpha = -27 does not bind
@@ -322,7 +323,7 @@ class TestScalarStepper:
 
     def test_trace_records_gradient_norm(self):
         opt = ScalarGradaGrad([0.0, 0.0])
-        tr = opt.step([3.0, 4.0])
+        tr = traced_step(opt, [3.0, 4.0])
         assert tr.g[0] == pytest.approx(5.0)
 
 
@@ -330,14 +331,14 @@ class TestDiagonalStepper:
     def test_theory_mode_first_step(self):
         params = HyperParams(gamma0=1.0, rho=2.0, beta=0.0, g_inf=1.0, mode="theory")
         opt = GradaGrad([0.0, 0.0], params)
-        tr = opt.step([1.0, 0.0])
+        tr = traced_step(opt, [1.0, 0.0])
         np.testing.assert_array_equal(tr.v_raw, [1.0, 1.0])
         np.testing.assert_array_equal(opt.alpha, [1.0, 1.0])
         np.testing.assert_array_equal(tr.a_after, [1.0, 1.0])
         np.testing.assert_array_equal(opt.z, [-1.0, 0.0])
         np.testing.assert_array_equal(opt.x, [-1.0, 0.0])
         np.testing.assert_array_equal(opt.m_prev, [1.0, 0.0])
-        assert tr.branch == ["init", "init"]
+        assert branch_names(tr) == ["init", "init"]
 
     def test_direction_equals_gradient_without_momentum(self):
         rng = np.random.default_rng(3)
@@ -359,11 +360,11 @@ class TestDiagonalStepper:
         params = HyperParams(gamma0=1.0, rho=2.0, d_inf=1.2)
         opt = GradaGrad([0.0], params)
         opt.step([1.0])           # init: alpha=1
-        tr1 = opt.step([1.0])     # v=-1, gamma -> min(sqrt(2), 1.2) = 1.2 (cap binds)
-        assert tr1.branch == ["negative"]
+        tr1 = traced_step(opt, [1.0])     # v=-1, gamma -> min(sqrt(2), 1.2) = 1.2 (cap binds)
+        assert branch_names(tr1) == ["negative"]
         assert opt.gamma[0] == 1.2
-        tr2 = opt.step([2.0])
-        assert tr2.branch == ["capped"]
+        tr2 = traced_step(opt, [2.0])
+        assert branch_names(tr2) == ["capped"]
         assert tr2.v_raw[0] == 4.0
         assert opt.alpha[0] == 5.0
         assert opt.gamma[0] == 1.2
@@ -453,11 +454,11 @@ class TestAveragedIterate:
 
 class TestInvariantsFuzz:
     def test_branch_bookkeeping(self):
-        _, traces = make_fuzz_run(steps=400, seed=5)
+        _, trace = make_fuzz_run(steps=400, seed=5)
         seen = set()
         prev = None
-        for tr in traces:
-            for i, branch in enumerate(tr.branch):
+        for tr in trace:
+            for i, branch in enumerate(branch_names(tr)):
                 seen.add(branch)
                 assert branch in ("init", "capped", "positive", "negative")
                 # negative <=> raw v < 0 outside init/capped
@@ -480,10 +481,9 @@ class TestInvariantsFuzz:
     def test_determinism_bit_identical(self):
         _, t1 = make_fuzz_run(steps=200, seed=11)
         _, t2 = make_fuzz_run(steps=200, seed=11)
-        for a, b in zip(t1, t2):
-            assert a.branch == b.branch
-            for field in ("g", "v_raw", "v_clipped", "gamma_after", "alpha_after", "a_after"):
-                assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert np.array_equal(t1.branch, t2.branch)
+        for field in ("g", "v_raw", "v_clipped", "gamma_after", "alpha_after", "a_after"):
+            assert np.array_equal(getattr(t1, field), getattr(t2, field))
 
     def test_scalar_monotone_alpha_gamma(self):
         rng = np.random.default_rng(2)
@@ -494,3 +494,55 @@ class TestInvariantsFuzz:
             assert opt.gamma[0] >= gamma_prev
             assert opt.alpha[0] >= alpha_prev
             gamma_prev, alpha_prev = opt.gamma[0], opt.alpha[0]
+
+
+class TestTrace:
+    def test_empty_shapes(self):
+        trace = Trace.empty(4, 3)
+        assert len(trace) == 4
+        np.testing.assert_array_equal(trace.k, [0, 1, 2, 3])
+        assert trace.branch.shape == (4, 3) and trace.branch.dtype == np.int8
+        for name in FLOAT_COLUMNS:
+            assert getattr(trace, name).shape == (4, 3)
+
+    def test_rows_and_slices_view_every_column(self):
+        trace = Trace.empty(5, 2)
+        row = trace[3]
+        assert row.k == 3 and row.g.shape == (2,) and len(row.branch) == 2
+        row.gamma_after[1] = 7.0  # a view: writes reach the trace
+        assert trace.gamma_after[3, 1] == 7.0
+        tail = trace[2:]
+        assert len(tail) == 3 and tail[0].k == 2
+        assert [r.k for r in trace] == [0, 1, 2, 3, 4]  # iteration by index
+
+    def test_step_fills_row_k_and_returns_none(self):
+        opt = GradaGrad([0.0, 0.0], HyperParams(rho=2.0))
+        trace = Trace.empty(3, 2)
+        assert opt.step([1.0, 2.0], trace) is None
+        assert opt.step([1.0, 1.0], trace) is None
+        np.testing.assert_array_equal(trace.g[:2], [[1.0, 2.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(trace.gamma_after[1], opt.gamma)
+        assert branch_names(trace[0]) == ["init", "init"]
+        assert np.all(np.isnan(trace.g[2]))  # not stepped yet
+
+    def test_scalar_trace_is_one_wide(self):
+        opt = ScalarGradaGrad([0.0, 0.0, 0.0])
+        trace = Trace.empty(2, opt.gamma.size)
+        opt.step([1.0, 2.0, 2.0], trace)
+        assert trace.g.shape == (2, 1) and trace.g[0, 0] == 3.0
+
+    @pytest.mark.parametrize("make", [
+        lambda: GradaGrad(np.ones(4), HyperParams(rho=2.0, beta=0.5, d_inf=3.0)),
+        lambda: ScalarGradaGrad(np.ones(4), HyperParams(rho=2.0, r_fixed=None)),
+    ])
+    def test_tracing_does_not_change_the_run(self, make):
+        rng = np.random.default_rng(21)
+        grads = [rng.normal(0.5, 1.0, 4) for _ in range(60)]
+        traced, untraced = make(), make()
+        trace = Trace.empty(60, traced.gamma.size)
+        for g in grads:
+            traced.step(g, trace)
+            untraced.step(g)
+        np.testing.assert_array_equal(traced.x, untraced.x)
+        np.testing.assert_array_equal(traced.gamma, untraced.gamma)
+        np.testing.assert_array_equal(traced.alpha, untraced.alpha)

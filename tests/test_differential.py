@@ -5,7 +5,8 @@ values whose products are inexact (1.7, 3.3) next to exact ones (0, 1, 2),
 theory and practical initialization, momentum, box projection, a binding
 cap, zero gradient entries, and all three scalar clip settings. Scale jumps
 in the gradient stream make the adaptive clip bind. Every value must match
-bit for bit, NaN where the reference has NaN.
+bit for bit, NaN where the reference has NaN; branch codes must name the
+reference's branch strings.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from gradagrad import Domain, GradaGrad, HyperParams, ScalarGradaGrad
+from conftest import branch_names, traced_run
 from gradagrad.core import _gradagrad_update
 from reference_core import ReferenceGradaGrad, ReferenceScalarGradaGrad
 
@@ -55,10 +57,10 @@ def _assert_bit_identical(a, b, where):
     assert np.array_equal(np.signbit(a), np.signbit(b)), where  # 0.0 vs -0.0
 
 
-def _assert_same_run(new, ref, new_traces, ref_traces):
-    for tn, tr in zip(new_traces, ref_traces, strict=True):
+def _assert_same_run(new, ref, new_trace, ref_traces):
+    for tn, tr in zip(new_trace, ref_traces, strict=True):
         assert tn.k == tr.k
-        assert tn.branch == tr.branch, tn.k
+        assert branch_names(tn) == tr.branch, tn.k
         for field in TRACE_FIELDS:
             _assert_bit_identical(getattr(tn, field), getattr(tr, field), (tn.k, field))
     _assert_bit_identical(new.x, ref.x, "x")
@@ -78,7 +80,7 @@ def test_diagonal_matches_reference(rho, mode, beta, domain, d_inf):
     x0 = np.random.default_rng(seed).uniform(-0.9, 0.9, DIM)
     new, ref = GradaGrad(x0, params, box), ReferenceGradaGrad(x0, params, box)
     grads = _gradients(seed, DIM, STEPS)
-    _assert_same_run(new, ref, [new.step(g) for g in grads], [ref.step(g) for g in grads])
+    _assert_same_run(new, ref, traced_run(new, grads), [ref.step(g) for g in grads])
     for field in ("z", "m_prev", "gamma", "alpha"):
         _assert_bit_identical(getattr(new, field), getattr(ref, field), field)
 
@@ -93,7 +95,7 @@ def test_scalar_matches_reference(rho, r_fixed):
     x0 = np.random.default_rng(seed).uniform(-0.9, 0.9, DIM)
     new, ref = ScalarGradaGrad(x0, params), ReferenceScalarGradaGrad(x0, params)
     grads = _gradients(seed, DIM, STEPS)
-    _assert_same_run(new, ref, [new.step(g) for g in grads], [ref.step(g) for g in grads])
+    _assert_same_run(new, ref, traced_run(new, grads), [ref.step(g) for g in grads])
     _assert_bit_identical(new.g_prev, ref.g_prev, "g_prev")
     assert (new.gamma[0], new.alpha[0]) == (ref.coord.gamma, ref.coord.alpha)
 

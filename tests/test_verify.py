@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +11,7 @@ from gradagrad import (
     HyperParams,
     LogisticRegression,
     Quadratic,
-    StepTrace,
+    Trace,
     alpha_identity_sides,
     check_adagrad_equivalence,
     check_alpha_identity_rho1,
@@ -26,78 +25,55 @@ from gradagrad import (
     normalize_labels,
     record_run,
 )
-from conftest import BITS
+from conftest import BITS, copy_trace, first_branch, traced_run
+from gradagrad.core import BRANCH_NEGATIVE, BRANCH_POSITIVE
 
 
-def _copy_trace(tr):
-    return dataclasses.replace(
-        tr,
-        g=tr.g.copy(),
-        v_raw=tr.v_raw.copy(),
-        v_clipped=tr.v_clipped.copy(),
-        branch=list(tr.branch),
-        r=tr.r.copy(),
-        gamma_after=tr.gamma_after.copy(),
-        alpha_after=tr.alpha_after.copy(),
-        a_after=tr.a_after.copy(),
-    )
-
-
-def _first_negative(traces):
-    for t, tr in enumerate(traces):
-        for i, branch in enumerate(tr.branch):
-            if branch == "negative":
-                return t, i
-    raise AssertionError("fuzz run produced no negative branch")
+def _first_negative(trace):
+    return first_branch(trace, BRANCH_NEGATIVE)
 
 
 class TestErrnegativity:
     def test_fuzz_run_passes(self):
-        _, traces = make_fuzz_run(steps=600, seed=1)
-        report = check_errnegativity(traces)
+        _, trace = make_fuzz_run(steps=600, seed=1)
+        report = check_errnegativity(trace)
         assert report.passed
         assert "negative-branch" in report.details
 
     def test_equality_case_from_clip_example(self):
         # hand-built pair: alpha=0.2, gamma 1 -> 2 after absorbing v_clipped=-0.6;
         # the clip binds, so the inequality holds with equality
-        before = StepTrace(
-            k=0, g=np.array([math.sqrt(0.2)]), v_raw=np.array([0.2]),
-            v_clipped=np.array([0.2]), branch=["init"], r=np.array([math.nan]),
-            gamma_after=np.array([1.0]), alpha_after=np.array([0.2]),
-            a_after=np.array([math.sqrt(0.2)]),
+        pair = Trace(
+            k=np.array([0, 1]), g=np.array([[math.sqrt(0.2)], [1.0]]),
+            v_raw=np.array([[0.2], [-1.0]]), v_clipped=np.array([[0.2], [-0.6]]),
+            branch=np.array([[0], [BRANCH_NEGATIVE]], dtype=np.int8),
+            r=np.array([[math.nan], [3.0]]), gamma_after=np.array([[1.0], [2.0]]),
+            alpha_after=np.array([[0.2], [0.2]]),
+            a_after=np.array([[math.sqrt(0.2)], [math.sqrt(0.2) / 2.0]]),
         )
-        after = StepTrace(
-            k=1, g=np.array([1.0]), v_raw=np.array([-1.0]),
-            v_clipped=np.array([-0.6]), branch=["negative"], r=np.array([3.0]),
-            gamma_after=np.array([2.0]), alpha_after=np.array([0.2]),
-            a_after=np.array([math.sqrt(0.2) / 2.0]),
-        )
-        report = check_errnegativity([before, after])
+        report = check_errnegativity(pair)
         assert report.passed
         assert abs(report.worst_violation) <= 1e-12
 
     def test_vacuous_pass_without_negative_branches(self):
         opt = GradaGrad([1.0, 1.0], HyperParams(rho=0.0))
-        traces = [opt.step([1.0, -1.0]) for _ in range(20)]
-        report = check_errnegativity(traces)
+        report = check_errnegativity(traced_run(opt, [[1.0, -1.0]] * 20))
         assert report.passed and report.worst_violation == 0.0
 
     def test_inflated_gamma_fails(self):
-        _, traces = make_fuzz_run(steps=600, seed=1)
-        t, i = _first_negative(traces)
-        corrupted = [_copy_trace(tr) for tr in traces]
-        corrupted[t].gamma_after[i] *= 2.0
-        corrupted[t].a_after[i] = (
-            math.sqrt(corrupted[t].alpha_after[i]) / corrupted[t].gamma_after[i]
-        )
-        assert not check_errnegativity(corrupted).passed
+        _, trace = make_fuzz_run(steps=600, seed=1)
+        t, i = _first_negative(trace)
+        corrupted = copy_trace(trace)
+        corrupted.gamma_after[t, i] *= 2.0
+        corrupted.a_after[t, i] = math.sqrt(corrupted.alpha_after[t, i]) / corrupted.gamma_after[t, i]
+        report = check_errnegativity(corrupted)
+        assert not report.passed and report.location == (t, i)
 
     def test_requires_full_run(self):
-        _, traces = make_fuzz_run(steps=200, seed=1)
-        t, _ = _first_negative(traces)
+        _, trace = make_fuzz_run(steps=200, seed=1)
+        t, _ = _first_negative(trace)
         with pytest.raises(ValueError, match="step 0"):
-            check_errnegativity(traces[t:])
+            check_errnegativity(trace[t:])
 
 
 class TestAlphaIdentity:
@@ -213,62 +189,58 @@ class TestConvergenceTrend:
 
 class TestMonotoneAndCap:
     def test_fuzz_run_passes(self):
-        _, traces = make_fuzz_run(steps=600, seed=4, d_inf=30.0)
-        report = check_monotone_and_cap(traces, d_inf=30.0, gamma0=1.0)
+        _, trace = make_fuzz_run(steps=600, seed=4, d_inf=30.0)
+        report = check_monotone_and_cap(trace, d_inf=30.0, gamma0=1.0)
         assert report.passed
 
     def test_decreased_alpha_fails(self):
-        _, traces = make_fuzz_run(steps=300, seed=4)
-        corrupted = [_copy_trace(tr) for tr in traces]
-        corrupted[100].alpha_after[0] = corrupted[99].alpha_after[0] - 1.0
+        _, trace = make_fuzz_run(steps=300, seed=4)
+        corrupted = copy_trace(trace)
+        corrupted.alpha_after[100, 0] = corrupted.alpha_after[99, 0] - 1.0
         report = check_monotone_and_cap(corrupted, d_inf=50.0)
         assert not report.passed
 
     def test_gamma_change_on_positive_branch_fails(self):
-        _, traces = make_fuzz_run(steps=300, seed=4)
-        corrupted = [_copy_trace(tr) for tr in traces]
-        for t in range(1, len(corrupted)):
-            for i, branch in enumerate(corrupted[t].branch):
-                if branch == "positive":
-                    corrupted[t].gamma_after[i] += 0.5
-                    report = check_monotone_and_cap(corrupted, d_inf=50.0)
-                    assert not report.passed
-                    assert "positive branch" in report.details
-                    return
-        raise AssertionError("no positive branch found")
+        _, trace = make_fuzz_run(steps=300, seed=4)
+        corrupted = copy_trace(trace)
+        t, i = first_branch(trace, BRANCH_POSITIVE)
+        corrupted.gamma_after[t, i] += 0.5
+        report = check_monotone_and_cap(corrupted, d_inf=50.0)
+        assert not report.passed
+        assert report.details.startswith(f"gamma changed on a positive branch at k={t} i={i}")
 
     def test_cap_violation_detected(self):
-        _, traces = make_fuzz_run(steps=300, seed=4, d_inf=30.0)
-        report = check_monotone_and_cap(traces, d_inf=1.0)
+        _, trace = make_fuzz_run(steps=300, seed=4, d_inf=30.0)
+        report = check_monotone_and_cap(trace, d_inf=1.0)
         assert not report.passed  # gamma exceeded the pretend cap
 
 
 class TestReparamInvariance:
     def test_fuzz_run_passes(self):
-        _, traces = make_fuzz_run(steps=600, seed=6)
-        report = check_reparam_invariance(traces, d_inf=50.0)
+        _, trace = make_fuzz_run(steps=600, seed=6)
+        report = check_reparam_invariance(trace, d_inf=50.0)
         assert report.passed
         assert "uncapped negative steps" in report.details
 
     def test_capped_steps_are_excluded(self):
         # with a low cap many negative steps bind it; the identity only
         # applies to the uncapped ones and the run still passes
-        _, traces = make_fuzz_run(steps=600, seed=6, d_inf=3.0)
-        report = check_reparam_invariance(traces, d_inf=3.0)
+        _, trace = make_fuzz_run(steps=600, seed=6, d_inf=3.0)
+        report = check_reparam_invariance(trace, d_inf=3.0)
         assert report.passed
 
     def test_cap_binding_self_detected_without_d_inf(self):
-        _, traces = make_fuzz_run(steps=600, seed=6, d_inf=3.0)
-        report = check_reparam_invariance(traces)
+        _, trace = make_fuzz_run(steps=600, seed=6, d_inf=3.0)
+        report = check_reparam_invariance(trace)
         assert report.passed
-        with_cap = check_reparam_invariance(traces, d_inf=3.0)
+        with_cap = check_reparam_invariance(trace, d_inf=3.0)
         assert report.details == with_cap.details  # same steps excluded
 
     def test_corrupted_gamma_fails(self):
-        _, traces = make_fuzz_run(steps=600, seed=6)
-        t, i = _first_negative(traces)
-        corrupted = [_copy_trace(tr) for tr in traces]
-        corrupted[t].gamma_after[i] *= 1.0 + 1e-6
+        _, trace = make_fuzz_run(steps=600, seed=6)
+        t, i = _first_negative(trace)
+        corrupted = copy_trace(trace)
+        corrupted.gamma_after[t, i] *= 1.0 + 1e-6
         assert not check_reparam_invariance(corrupted, d_inf=50.0).passed
 
 
@@ -285,9 +257,10 @@ class TestMomentumIdentities:
         opt = GradaGrad(np.ones(2), HyperParams(rho=2.0, beta=0.0))
         run = record_run(opt, problem.grad_full, steps=50)
         assert check_momentum_identities(run).passed
-        for k, tr in enumerate(run.traces):
-            expected_g = problem.grad_full(run.xs[k])
-            np.testing.assert_allclose(run.ms[k], expected_g, rtol=1e-12, atol=1e-300)
+        assert run.x.shape == (51, 2) and run.m.shape == (50, 2) and len(run.trace) == 50
+        for k in range(50):
+            expected_g = problem.grad_full(run.x[k])
+            np.testing.assert_allclose(run.m[k], expected_g, rtol=1e-12, atol=1e-300)
 
     def test_projected_run_keeps_identities(self):
         from gradagrad import Domain
