@@ -16,7 +16,6 @@ from .data import (
     Dataset,
     LibsvmParseError,
     MinibatchStream,
-    SparseExample,
     load_dataset,
     minibatch_iter,
     normalize_labels,

@@ -17,13 +17,14 @@ import itertools
 import math
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
 from . import verify
 from .core import BRANCHES, FLOAT_COLUMNS, SGD, Adam, AdaGrad, GradaGrad, HyperParams, ScalarGradaGrad, Trace
-from .data import LibsvmParseError, load_dataset, normalize_labels
+from .data import load_dataset, normalize_labels
 from .problems import AbsValue, LogisticRegression, Quadratic
 
 RUN_HEADER = [
@@ -63,15 +64,10 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, header, rows):
-    if path is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -138,13 +134,10 @@ def _build_hyperparams(args) -> HyperParams:
             r_fixed = float(args.r)
         except ValueError:
             raise ConfigError(f"--r must be a number or 'adaptive', got {args.r!r}") from None
-    try:
-        return HyperParams(
-            gamma0=args.gamma0, rho=args.rho, beta=args.beta,
-            g_inf=args.g_inf, d_inf=args.d_inf, r_fixed=r_fixed, mode=args.mode,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return HyperParams(
+        gamma0=args.gamma0, rho=args.rho, beta=args.beta,
+        g_inf=args.g_inf, d_inf=args.d_inf, r_fixed=r_fixed, mode=args.mode,
+    )
 
 
 def _build_optimizer(args, x0):
@@ -153,15 +146,12 @@ def _build_optimizer(args, x0):
         return GradaGrad(x0, _build_hyperparams(args))
     if args.optimizer == "gradagrad-scalar":
         return ScalarGradaGrad(x0, _build_hyperparams(args))
-    try:
-        if args.optimizer == "adagrad":
-            return AdaGrad(x0, gamma=args.gamma0)
-        if args.optimizer == "sgd":
-            return SGD(x0, lr=args.gamma0)
-        if args.optimizer == "adam":
-            return Adam(x0, lr=args.gamma0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if args.optimizer == "adagrad":
+        return AdaGrad(x0, gamma=args.gamma0)
+    if args.optimizer == "sgd":
+        return SGD(x0, lr=args.gamma0)
+    if args.optimizer == "adam":
+        return Adam(x0, lr=args.gamma0)
     raise ConfigError(f"unknown optimizer {args.optimizer!r}")  # pragma: no cover
 
 
@@ -177,6 +167,13 @@ def _resolve_steps(args, n_batches):
     if args.steps < 1:
         raise ConfigError("--steps must be >= 1")
     return args.steps
+
+
+def _build_run(args):
+    """(problem, x0, n_batches, steps, eval_every): a run but its optimizer and seed."""
+    problem, x0, n_batches = _build_problem(args)
+    steps = _resolve_steps(args, n_batches)
+    return problem, x0, n_batches, steps, args.eval_every or n_batches or 100
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +216,13 @@ def _execute_run(problem, opt, steps, eval_every, n_batches, state, traced):
 
 
 def cmd_run(args) -> int:
-    problem, x0, n_batches = _build_problem(args)
-    steps = _resolve_steps(args, n_batches)
+    problem, x0, n_batches, steps, eval_every = _build_run(args)
     opt = _build_optimizer(args, x0)
     if args.trace:
         if args.optimizer not in TRACE_OPTIMIZERS:
             raise ConfigError(f"--trace requires one of {TRACE_OPTIMIZERS}")
         if args.out is None:
             raise ConfigError("--trace requires --out (the trace path derives from it)")
-    eval_every = args.eval_every or (n_batches if n_batches else 100)
     state = problem.init_state(args.seed)
     rows, trace, wall = _execute_run(
         problem, opt, steps, eval_every, n_batches, state, traced=args.trace
@@ -292,6 +287,8 @@ def cmd_grid(args) -> int:
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
 
+    # no grid parameter affects the problem, and each optimizer copies x0
+    problem, x0, n_batches, steps, eval_every = _build_run(args)
     table = []
     metric_kind = None
     for vi, value in enumerate(sorted(values)):
@@ -299,10 +296,7 @@ def cmd_grid(args) -> int:
         setattr(run_args, param, value)
         scores = []
         for si in range(args.seeds):
-            problem, x0, n_batches = _build_problem(run_args)
-            steps = _resolve_steps(run_args, n_batches)
             opt = _build_optimizer(run_args, x0)
-            eval_every = run_args.eval_every or (n_batches if n_batches else 100)
             run_seed = int(np.random.SeedSequence([args.seed, vi, si]).generate_state(1, np.uint64)[0])
             state = problem.init_state(run_seed)
             rows, _, _ = _execute_run(problem, opt, steps, eval_every, n_batches, state, False)
@@ -454,13 +448,15 @@ def _check_run_record(path, d_inf):
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: non-numeric step or gamma_max") from None
             if prev_step is not None and step <= prev_step:
-                worst = max(worst, 1.0)
-                location = (step, 0)
+                worst = max(worst, 1.0)  # an earlier NaN stays the worst, at its location
+                location = location if math.isnan(worst) else (step, 0)
                 details.append(f"step {step} does not increase past {prev_step}")
             prev_step = step
             if d_inf is not None and gamma_max is not None:
+                # a finite gamma_max under d_inf = inf gives over = -inf/inf = NaN: no
+                # violation; a NaN gamma_max fails, located at the first one
                 over = (gamma_max - d_inf) / d_inf
-                if over > worst:
+                if over > worst or (math.isnan(gamma_max) and not math.isnan(worst)):
                     worst = over
                     location = (step, 0)
     cap_note = f", gamma_max <= {d_inf:g}" if d_inf is not None else ""
@@ -622,17 +618,8 @@ def main(argv=None) -> int:
             argv = [argv[0]] + _load_config_flags(args.config) + argv[1:]
             args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LibsvmParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # contract violations from bad flag combinations surface here
+    except (ConfigError, ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        # ValueError covers LibsvmParseError and contract violations from bad flag combinations
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

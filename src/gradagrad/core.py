@@ -36,7 +36,7 @@ BRANCHES = ("init", "capped", "positive", "negative")
 
 @dataclass
 class HyperParams:
-    """Tunables shared by the GradaGrad steppers.
+    """Tunables shared by the GradaGrad steppers; all finite, but d_inf may be +inf.
 
     gamma0   initial step-size numerator, > 0
     rho      adaptivity constant weighting the consecutive-gradient inner
@@ -62,6 +62,10 @@ class HyperParams:
     mode: str = "practical"
 
     def __post_init__(self):
+        for name in ("gamma0", "rho", "beta", "g_inf", "d_inf", "r_fixed"):
+            value = getattr(self, name)  # NaN passes every comparison below, so reject it first
+            if value is not None and not (math.isfinite(value) or (name == "d_inf" and value == math.inf)):
+                raise ValueError(f"{name} must be finite{' (or +inf)' if name == 'd_inf' else ''}, got {value}")
         if self.gamma0 <= 0:
             raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
         if self.rho < 0:
@@ -398,8 +402,8 @@ class AdaGrad(Optimizer):
 
     def __init__(self, x0, gamma: float = 1.0):
         super().__init__(x0)
-        if gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {gamma}")
         self.gamma = float(gamma)
         self.sum_sq = np.zeros(self.dim, dtype=float)
 
@@ -433,8 +437,8 @@ class SGD(Optimizer):
 
     def __init__(self, x0, lr: float = 0.01):
         super().__init__(x0)
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
+        if not 0 < lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {lr}")
         self.lr = float(lr)
 
     def step(self, g) -> None:
@@ -451,12 +455,12 @@ class Adam(Optimizer):
     def __init__(self, x0, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         super().__init__(x0)
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
+        if not 0 < lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {lr}")
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError(f"betas must be in [0, 1), got ({beta1}, {beta2})")
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
+        if not 0 < eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {eps}")
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)

@@ -3,9 +3,12 @@
 Format: one example per line, `label idx:val idx:val ...` with 1-based,
 strictly increasing feature indices. Missing indices are implicit zeros.
 Blank lines and lines starting with '#' are skipped.
+
+A Dataset is one CSR matrix of numpy arrays (labels, indptr, indices, values);
+densifying, label normalization and serialization work on whole arrays.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,35 +23,37 @@ class LibsvmParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass
-class SparseExample:
-    label: float
-    features: list[tuple[int, float]]  # (index, value), indices strictly increasing
-
-
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    examples: list[SparseExample]
+    """n labelled sparse examples in CSR form; == compares the arrays by value."""
+
+    labels: np.ndarray  # (n,) float
+    indptr: np.ndarray  # (n+1,) int, row j spans indptr[j]:indptr[j+1]
+    indices: np.ndarray  # (nnz,) int, 1-based, strictly increasing within a row
+    values: np.ndarray  # (nnz,) float
     dim: int
     label_map: dict[float, float] = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.labels)
 
-    def labels(self) -> np.ndarray:
-        return np.array([ex.label for ex in self.examples], dtype=float)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.dim, self.label_map) == (other.dim, other.label_map) and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in ("labels", "indptr", "indices", "values"))
 
     def to_dense(self) -> np.ndarray:
         """Dense (n_examples, dim) matrix; absent indices are zeros."""
-        out = np.zeros((len(self.examples), self.dim))
-        for row, ex in enumerate(self.examples):
-            for idx, val in ex.features:
-                out[row, idx - 1] = val
+        out = np.zeros((len(self), self.dim))
+        rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
+        out[rows, self.indices - 1] = self.values
         return out
 
 
-def parse_libsvm_line(line: str, lineno: int | None = None) -> SparseExample:
-    """Parse one `label idx:val ...` line; raises LibsvmParseError on bad input."""
+def parse_libsvm_line(line: str, lineno: int | None = None) -> tuple[float, list[int], list[float]]:
+    """Parse one `label idx:val ...` line into (label, indices, values);
+    raises LibsvmParseError on bad input."""
     tokens = line.split()
     if not tokens:
         raise LibsvmParseError("empty line", lineno)
@@ -56,7 +61,7 @@ def parse_libsvm_line(line: str, lineno: int | None = None) -> SparseExample:
         label = float(tokens[0])
     except ValueError:
         raise LibsvmParseError(f"label is not numeric: {tokens[0]!r}", lineno) from None
-    features = []
+    indices, values = [], []
     prev_idx = 0
     for token in tokens[1:]:
         idx_s, sep, val_s = token.partition(":")
@@ -71,22 +76,30 @@ def parse_libsvm_line(line: str, lineno: int | None = None) -> SparseExample:
             raise LibsvmParseError(
                 f"feature index {idx} not strictly increasing (previous {prev_idx})", lineno
             )
-        features.append((idx, val))
+        if idx >= 2 ** 63:  # indices are stored as int64
+            raise LibsvmParseError(f"feature index {idx} exceeds {2 ** 63 - 1}", lineno)
+        indices.append(idx)
+        values.append(val)
         prev_idx = idx
-    return SparseExample(label=label, features=features)
+    return label, indices, values
 
 
 def load_dataset(path) -> Dataset:
     """Load a LIBSVM file; labels are kept verbatim (see normalize_labels)."""
-    examples = []
+    labels, indptr, indices, values = [], [0], [], []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, raw in enumerate(f, start=1):
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            examples.append(parse_libsvm_line(stripped, lineno))
-    dim = max((idx for ex in examples for idx, _ in ex.features), default=0)
-    return Dataset(examples=examples, dim=dim)
+            label, idx, val = parse_libsvm_line(stripped, lineno)
+            labels.append(label)
+            indices += idx
+            values += val
+            indptr.append(len(indices))
+    indices = np.array(indices, dtype=np.int64)
+    return Dataset(np.array(labels, dtype=float), np.array(indptr, dtype=np.int64), indices,
+                   np.array(values, dtype=float), dim=int(indices.max(initial=0)))
 
 
 def normalize_labels(dataset: Dataset, rule: dict[float, float] | None = None) -> Dataset:
@@ -96,10 +109,11 @@ def normalize_labels(dataset: Dataset, rule: dict[float, float] | None = None) -
     maps to {-1, +1}; {1, 2} maps to {+1, -1}; three or more classes map
     one-vs-rest with the most frequent class as +1 (frequency ties broken
     toward the smallest label). Anything else is an error naming the
-    distinct labels seen.
+    distinct labels seen. The feature arrays are shared with the input,
+    which is left unchanged.
     """
-    labels = [ex.label for ex in dataset.examples]
-    distinct = sorted(set(labels))
+    distinct, inverse, counts = np.unique(dataset.labels, return_inverse=True, return_counts=True)
+    distinct = distinct.tolist()
     if rule is None:
         if set(distinct) <= {-1.0, 1.0}:
             mapping = {lab: lab for lab in distinct}
@@ -108,10 +122,7 @@ def normalize_labels(dataset: Dataset, rule: dict[float, float] | None = None) -
         elif set(distinct) == {1.0, 2.0}:
             mapping = {1.0: 1.0, 2.0: -1.0}
         elif len(distinct) >= 3:
-            counts = {lab: 0 for lab in distinct}
-            for lab in labels:
-                counts[lab] += 1
-            top = max(distinct, key=lambda lab: (counts[lab], -lab))
+            top = distinct[int(np.argmax(counts))]  # the first of the most frequent, in sorted order
             mapping = {lab: (1.0 if lab == top else -1.0) for lab in distinct}
         else:
             raise ValueError(
@@ -124,20 +135,18 @@ def normalize_labels(dataset: Dataset, rule: dict[float, float] | None = None) -
         if not set(rule.values()) <= {-1.0, 1.0}:
             raise ValueError("label mapping values must be -1 or +1")
         mapping = {lab: float(rule[lab]) for lab in distinct}
-    mapped = [
-        SparseExample(label=mapping[ex.label], features=list(ex.features))
-        for ex in dataset.examples
-    ]
-    return Dataset(examples=mapped, dim=dataset.dim, label_map=dict(mapping))
+    mapped = np.array([mapping[lab] for lab in distinct], dtype=float)[inverse]
+    return replace(dataset, labels=mapped, label_map=mapping)
 
 
 def serialize_dataset(dataset: Dataset) -> str:
-    """LIBSVM text for the dataset; floats use repr so a re-parse is lossless."""
-    lines = []
-    for ex in dataset.examples:
-        parts = [repr(float(ex.label))] + [f"{idx}:{float(val)!r}" for idx, val in ex.features]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
+    """LIBSVM text for the dataset, formatted column by column; floats use
+    repr so a re-parse is lossless."""
+    pairs = [f" {i}:{v!r}" for i, v in zip(dataset.indices.tolist(), dataset.values.tolist())]
+    heads = ["\n" + repr(label) for label in dataset.labels.tolist()]
+    # each line's label goes before its first pair
+    tokens = np.insert(np.array(pairs, dtype=object), dataset.indptr[:-1], heads)
+    return "".join(tokens)[1:] + "\n" if len(dataset) else ""
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -170,11 +179,12 @@ class MinibatchStream:
         self.batch_size = batch_size
         self.seed = seed
         self.epoch = 0
-        self._pending: list[np.ndarray] = []
+        self._batches = iter(())  # the rest of the current epoch
 
     def next_batch(self) -> np.ndarray:
-        if not self._pending:
-            epoch_seed = np.random.SeedSequence([int(self.seed), self.epoch])
-            self._pending = minibatch_iter(self.n, self.batch_size, epoch_seed)
-            self.epoch += 1
-        return self._pending.pop(0)
+        for batch in self._batches:
+            return batch
+        epoch_seed = np.random.SeedSequence([int(self.seed), self.epoch])
+        self._batches = iter(minibatch_iter(self.n, self.batch_size, epoch_seed))
+        self.epoch += 1
+        return next(self._batches)

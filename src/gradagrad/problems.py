@@ -104,14 +104,13 @@ class LogisticRegression(Problem):
     def __init__(self, dataset: Dataset, batch_size: int):
         if len(dataset) == 0:
             raise ValueError("dataset is empty")
-        labels = dataset.labels()
-        bad = sorted(set(labels) - {-1.0, 1.0})
+        bad = sorted(set(dataset.labels.tolist()) - {-1.0, 1.0})
         if bad:
             raise ValueError(f"labels must be -1 or +1 after normalization, found {bad}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.X = dataset.to_dense()
-        self.y = labels
+        self.y = dataset.labels
         self.batch_size = int(batch_size)
         self.dim = dataset.dim
         self.n = len(dataset)

@@ -3,12 +3,24 @@ from pathlib import Path
 
 import numpy as np
 
-from gradagrad import GradaGrad, HyperParams, Trace
+from gradagrad import Dataset, GradaGrad, HyperParams, Trace
 from gradagrad.core import BRANCHES
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 BLOBS = DATASETS / "blobs.libsvm"
 BITS = DATASETS / "bits.libsvm"
+
+
+def csr_dataset(rows, dim) -> Dataset:
+    """A Dataset of (label, [(index, value), ...]) rows, built as CSR arrays."""
+    pairs = [pair for _, features in rows for pair in features]
+    return Dataset(
+        labels=np.array([label for label, _ in rows], dtype=float),
+        indptr=np.cumsum([0] + [len(features) for _, features in rows], dtype=np.int64),
+        indices=np.array([idx for idx, _ in pairs], dtype=np.int64),
+        values=np.array([val for _, val in pairs], dtype=float),
+        dim=dim,
+    )
 
 
 def make_fuzz_run(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import BITS, BLOBS
-from gradagrad import cli
+from gradagrad import cli, load_dataset
 
 
 def run_cli(argv):
@@ -151,6 +151,14 @@ class TestConfigErrors:
     def test_bad_hyperparams(self):
         assert run_cli(["run", "--problem", "abs", "--steps", "5", "--gamma0", "-1"]) == 2
 
+    @pytest.mark.parametrize("optimizer", ["gradagrad", "adagrad", "sgd"])
+    def test_nan_gamma0_is_usage_error(self, tmp_path, capsys, optimizer):
+        out = tmp_path / "r.csv"
+        args = ["run", "--problem", "abs", "--steps", "5", "--optimizer", optimizer, "--out", str(out)]
+        assert run_cli([*args, "--gamma0", "nan"]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_r_value(self):
         assert run_cli([
             "run", "--problem", "abs", "--optimizer", "gradagrad-scalar",
@@ -238,6 +246,16 @@ class TestGrid:
         ]) == 0
         rows = read_rows(out)
         assert all(r[2] == "accuracy" for r in rows[1:])
+
+    def test_dataset_parsed_once(self, tmp_path, monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda path: loads.append(path) or load_dataset(path))
+        assert run_cli([
+            "grid", "--problem", "logistic", "--dataset", str(BITS), "--epochs", "1",
+            "--optimizer", "adagrad", "--grid-values", "0.5,1,2", "--seeds", "2",
+            "--out", str(tmp_path / "grid.csv"),
+        ]) == 0
+        assert loads == [str(BITS)]
 
     def test_empty_grid(self):
         assert run_cli([
@@ -389,6 +407,30 @@ class TestCheck:
         assert f"{out}:4: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("d_inf", ["3", "inf"])
+    @pytest.mark.parametrize("repeat_last_step", [False, True])
+    def test_nan_gamma_max_fails_record_check(self, tmp_path, repeat_last_step, d_inf):
+        out, report = tmp_path / "r.csv", tmp_path / "report.csv"
+        assert run_cli([
+            "run", "--problem", "quadratic", "--dim", "2", "--steps", "400", "--out", str(out),
+        ]) == 0
+        rows = read_rows(out)
+        rows[3][5] = "nan"
+        if repeat_last_step:  # a later, finite violation keeps the NaN's location
+            rows.append(list(rows[-1]))
+        self._write_rows(out, rows)
+        assert run_cli(["check", str(out), "--d-inf", d_inf, "--out", str(report)]) == 1
+        name, passed, worst, step, coord, _ = read_rows(report)[1]
+        assert (name, passed, worst, step, coord) == ("run_record", "false", "", rows[3][0], "0")
+
+    def test_record_under_infinite_cap_passes(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run_cli([
+            "run", "--problem", "quadratic", "--dim", "2", "--steps", "400",
+            "--d-inf", "inf", "--out", str(out),
+        ]) == 0
+        assert run_cli(["check", str(out), "--d-inf", "inf"]) == 0
+
     def test_named_subset(self, tmp_path):
         trace = _make_trace(tmp_path)
         assert run_cli(["check", str(trace), "--checks", "reparam,monotone"]) == 0
@@ -499,3 +541,36 @@ def test_trace_check_and_dump_bytes_match_golden(tmp_path, capsys, name):
         capsys.readouterr()
         assert run_cli(["trace-dump", str(trace), "--head", str(head)]) == 0
         assert sha(capsys.readouterr().out.encode()) == dump_digest
+
+
+# SHA-256 of the run record, trace and grid CSVs on the bundled LIBSVM
+# fixtures, recorded before datasets became CSR arrays and before grid
+# loaded its dataset once; neither change may alter an output byte.
+LOGISTIC_GOLDEN = {
+    "bits": ("1e815445f50d508cc0c59a1b8065ebcaa0741eb1684b7147f465a87e0aa1efa3",
+             "9e979156246dfb5418808c4a57cffbd2d06a198ea5a6353aea86e88f9aabd6db",
+             "4c42982bcc489d0f149ca491d3c3dcaa7f024d2c69dcdbd995707cb9d3766bc8"),
+    "blobs": ("44fa241b360559bcbe955a6ca4649dbb8b1363ae9896ece11f47fb6cd630757b",
+              "3dfa4d7960282c189d8504daee18f9ca0f4db2e8ed3bb31338b61e064bd3593b",
+              "a0e5db4486f6af5132cc3759d4b12db5f886169587e88830a44fa4a4813cee66"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOGISTIC_GOLDEN))
+def test_logistic_run_and_grid_bytes_match_golden(tmp_path, name):
+    import hashlib
+
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    dataset = str(BLOBS if name == "blobs" else BITS)
+    run, grid = tmp_path / f"{name}.csv", tmp_path / f"{name}_grid.csv"
+    assert run_cli([
+        "run", "--problem", "logistic", "--dataset", dataset, "--epochs", "2", "--batch-size", "50",
+        "--seed", "5", "--trace", "--out", str(run),
+    ]) == 0
+    assert run_cli([
+        "grid", "--problem", "logistic", "--dataset", dataset, "--optimizer", "adagrad", "--epochs", "2",
+        "--batch-size", "64", "--seeds", "2", "--grid-values", "0.25,1,4", "--seed", "7", "--out", str(grid),
+    ]) == 0
+    assert (sha(run), sha(tmp_path / f"{name}.trace.csv"), sha(grid)) == LOGISTIC_GOLDEN[name]

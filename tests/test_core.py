@@ -34,11 +34,26 @@ class TestHyperParams:
             dict(d_inf=0.0),
             dict(r_fixed=-1.0),
             dict(mode="other"),
+            dict(gamma0=math.nan),
+            dict(rho=math.nan),
+            dict(beta=math.nan),
+            dict(g_inf=math.nan),
+            dict(d_inf=math.nan),
+            dict(r_fixed=math.nan),
+            dict(gamma0=math.inf),
+            dict(rho=math.inf),
+            dict(g_inf=math.inf),
+            dict(r_fixed=math.inf),
+            dict(d_inf=-math.inf),
+            dict(gamma0=-math.inf),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             HyperParams(**kwargs)
+
+    def test_infinite_cap_allowed(self):
+        assert HyperParams(d_inf=math.inf).d_inf == math.inf
 
     def test_theory_mode_needs_reachable_cap(self):
         with pytest.raises(ValueError):
@@ -427,6 +442,18 @@ class TestBaselines:
         opt = Adam([0.0], lr=0.1)
         opt.step([g])
         assert abs(opt.x[0]) == pytest.approx(0.1, rel=1e-5)
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    @pytest.mark.parametrize("make", [
+        lambda v: AdaGrad([0.0], gamma=v),
+        lambda v: SGD([0.0], lr=v),
+        lambda v: Adam([0.0], lr=v),
+        lambda v: Adam([0.0], eps=v),
+    ], ids=["adagrad-gamma", "sgd-lr", "adam-lr", "adam-eps"])
+    def test_rejects_nonpositive_or_nonfinite_rates(self, make, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make(value)
 
 
 class TestAveragedIterate:

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import BITS, BLOBS
+from conftest import BITS, BLOBS, csr_dataset
 from gradagrad import (
     AbsValue,
-    Dataset,
     LogisticRegression,
     Quadratic,
-    SparseExample,
     load_dataset,
     minibatch_iter,
     normalize_labels,
@@ -80,13 +78,8 @@ class TestQuadratic:
 
 
 def _tiny_dataset():
-    return Dataset(
-        examples=[
-            SparseExample(1.0, [(1, 2.0), (2, -1.0)]),
-            SparseExample(-1.0, [(2, 1.5)]),
-            SparseExample(1.0, [(1, -0.5), (3, 1.0)]),
-        ],
-        dim=3,
+    return csr_dataset(
+        [(1.0, [(1, 2.0), (2, -1.0)]), (-1.0, [(2, 1.5)]), (1.0, [(1, -0.5), (3, 1.0)])], dim=3
     )
 
 
@@ -99,7 +92,7 @@ class TestLogisticRegression:
         # sigma(0) = 1/2, so each sample contributes -y_j x_j / 2
         ds = _tiny_dataset()
         problem = LogisticRegression(ds, batch_size=3)
-        X, y = ds.to_dense(), ds.labels()
+        X, y = ds.to_dense(), ds.labels
         expected = -(X * y[:, None]).mean(axis=0) / 2.0
         np.testing.assert_allclose(problem.grad_full(np.zeros(3)), expected, rtol=1e-12)
 
@@ -147,8 +140,8 @@ class TestLogisticRegression:
 
     def test_rejects_empty_or_unnormalized(self):
         with pytest.raises(ValueError, match="empty"):
-            LogisticRegression(Dataset(examples=[], dim=0), batch_size=1)
-        bad = Dataset(examples=[SparseExample(2.0, [(1, 1.0)])], dim=1)
+            LogisticRegression(csr_dataset([], dim=0), batch_size=1)
+        bad = csr_dataset([(2.0, [(1, 1.0)])], dim=1)
         with pytest.raises(ValueError, match="labels"):
             LogisticRegression(bad, batch_size=1)
         with pytest.raises(ValueError, match="batch_size"):
