@@ -112,6 +112,8 @@ def _build_problem(args):
 
     if args.x0 is not None:
         vals = _parse_floats(args.x0)
+        if not all(map(math.isfinite, vals)):
+            raise ConfigError(f"--x0 must be finite, got {args.x0!r}")
         if len(vals) == 1:
             x0 = np.full(problem.dim, vals[0])
         elif len(vals) == problem.dim:
@@ -189,11 +191,7 @@ def _eval_row(step, n_batches, problem, opt):
         step // n_batches if n_batches else None,
         loss,
         problem.accuracy(opt.x),
-        stats.get("gamma_mean"),
-        stats.get("gamma_max"),
-        stats.get("alpha_mean"),
-        stats.get("alpha_max"),
-        stats.get("ainv_mean"),
+        *(stats.get(name) for name in RUN_HEADER[4:9]),
         subopt,
     ]
 
@@ -209,8 +207,7 @@ def _execute_run(problem, opt, steps, eval_every, n_batches, state, traced):
         g = problem.grad_sample(opt.x, state)
         opt.step(g, *trace_arg)
         if k % eval_every == 0 or k == steps:
-            if rows[-1][0] != k:
-                rows.append(_eval_row(k, n_batches, problem, opt))
+            rows.append(_eval_row(k, n_batches, problem, opt))
     wall = time.perf_counter() - t0
     return rows, trace, wall
 
@@ -448,8 +445,8 @@ def _check_run_record(path, d_inf):
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: non-numeric step or gamma_max") from None
             if prev_step is not None and step <= prev_step:
-                worst = max(worst, 1.0)  # an earlier NaN stays the worst, at its location
-                location = location if math.isnan(worst) else (step, 0)
+                if 1.0 > worst:  # the first of the largest violations; an earlier NaN stays
+                    worst, location = 1.0, (step, 0)
                 details.append(f"step {step} does not increase past {prev_step}")
             prev_step = step
             if d_inf is not None and gamma_max is not None:

@@ -13,7 +13,9 @@ it to every gamma/alpha pair at once. Both variants call it: GradaGrad
 adaptive r) on length-d arrays, and ScalarGradaGrad (one gamma/alpha pair
 scaling the whole gradient, fixed or adaptive r) on length-1 arrays. Each
 variant only forms v and the clip ratio t. AdaGrad, SGD and Adam baselines
-share the same single-step interface, step(g).
+share the same single-step interface, step(g). GradaGrad, ScalarGradaGrad
+and AdaGrad keep the step sizes gamma / sqrt(alpha) their last step applied
+as ainv, and one stats() reads the run record's columns from that state.
 
 A run's trace is one columnar Trace of (steps, width) arrays, with width d
 for the diagonal stepper and 1 for the scalar one. The GradaGrad steppers
@@ -231,8 +233,16 @@ class Optimizer:
         return self._x_sum / (self.k + 1)
 
     def stats(self) -> dict:
-        """Step-size statistics for run records; keys absent where undefined."""
-        return {}
+        """Step-size statistics for run records, read from the gamma, alpha
+        and ainv state of the adaptive steppers; ainv_mean is None until some
+        alpha > 0. SGD and Adam override this with their own keys."""
+        return {
+            "gamma_mean": float(np.mean(self.gamma)),
+            "gamma_max": float(np.max(self.gamma)),
+            "alpha_mean": float(np.mean(self.alpha)),
+            "alpha_max": float(np.max(self.alpha)),
+            "ainv_mean": float(np.mean(self.ainv)) if np.any(self.alpha > 0) else None,
+        }
 
     def _check_grad(self, g) -> np.ndarray:
         g = np.asarray(g, dtype=float)
@@ -267,6 +277,7 @@ class ScalarGradaGrad(Optimizer):
         self.params = params if params is not None else HyperParams()
         self.gamma = np.array([self.params.gamma0], dtype=float)
         self.alpha = np.zeros(1)
+        self.ainv = np.zeros(1)
         self.g_prev = np.zeros_like(self.x)
 
     def step(self, g, trace: Trace | None = None) -> None:
@@ -279,9 +290,11 @@ class ScalarGradaGrad(Optimizer):
         v_clip, r = _gradagrad_update(v, t, self.gamma, self.alpha, p.r_fixed, math.inf)
         gamma, alpha = float(self.gamma[0]), float(self.alpha[0])
         if alpha > 0:
-            x_new = self.x - (gamma / math.sqrt(alpha)) * g
+            self.ainv[0] = gamma / math.sqrt(alpha)
+            x_new = self.x - self.ainv[0] * g
             a = math.sqrt(alpha) / gamma
         else:
+            self.ainv[0] = 0.0
             x_new = self.x.copy()
             a = 0.0
         if trace is not None:
@@ -292,16 +305,6 @@ class ScalarGradaGrad(Optimizer):
             )
         self.g_prev = g.copy()
         self._commit(x_new)
-
-    def stats(self) -> dict:
-        gamma, alpha = float(self.gamma[0]), float(self.alpha[0])
-        return {
-            "gamma_mean": gamma,
-            "gamma_max": gamma,
-            "alpha_mean": alpha,
-            "alpha_max": alpha,
-            "ainv_mean": gamma / math.sqrt(alpha) if alpha > 0 else None,
-        }
 
 
 class GradaGrad(Optimizer):
@@ -338,6 +341,7 @@ class GradaGrad(Optimizer):
         self.m_prev = np.zeros_like(self.x)
         self.gamma = np.full(self.dim, self.params.gamma0, dtype=float)
         self.alpha = np.zeros(self.dim, dtype=float)
+        self.ainv = np.zeros(self.dim, dtype=float)
 
     def step(self, g, trace: Trace | None = None) -> None:
         g = self._check_grad(g)
@@ -356,7 +360,7 @@ class GradaGrad(Optimizer):
         v_clip, r = _gradagrad_update(v_raw, t, self.gamma, self.alpha, None, p.d_inf)
 
         a = np.zeros(d)
-        ainv = np.zeros(d)  # unbootstrapped coordinates take a zero step
+        self.ainv = ainv = np.zeros(d)  # unbootstrapped coordinates take a zero step
         live = self.alpha > 0
         root = np.sqrt(self.alpha[live])
         a[live] = root / self.gamma[live]
@@ -376,25 +380,10 @@ class GradaGrad(Optimizer):
         self.m_prev = m
         self._commit(x_new)
 
-    def stats(self) -> dict:
-        live = self.alpha > 0
-        if self.k > 0 and np.any(live):
-            ainv = np.zeros(self.dim)
-            ainv[live] = self.gamma[live] / np.sqrt(self.alpha[live])
-            ainv_mean = float(np.mean(ainv))
-        else:
-            ainv_mean = None
-        return {
-            "gamma_mean": float(np.mean(self.gamma)),
-            "gamma_max": float(np.max(self.gamma)),
-            "alpha_mean": float(np.mean(self.alpha)),
-            "alpha_max": float(np.max(self.alpha)),
-            "ainv_mean": ainv_mean,
-        }
-
 
 class AdaGrad(Optimizer):
-    """Diagonal AdaGrad: x_i -= gamma / sqrt(sum_t g_{i,t}^2) * g_i.
+    """Diagonal AdaGrad: x_i -= gamma / sqrt(alpha_i) * g_i, with alpha_i =
+    sum_t g_{i,t}^2 (GradaGrad's accumulator at rho = 0).
 
     No epsilon is added to the denominator; coordinates whose accumulated
     sum is zero take a zero step instead.
@@ -405,31 +394,16 @@ class AdaGrad(Optimizer):
         if not 0 < gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {gamma}")
         self.gamma = float(gamma)
-        self.sum_sq = np.zeros(self.dim, dtype=float)
+        self.alpha = np.zeros(self.dim, dtype=float)
+        self.ainv = np.zeros(self.dim, dtype=float)
 
     def step(self, g) -> None:
         g = self._check_grad(g)
-        self.sum_sq += g * g
-        ainv = np.zeros(self.dim)
-        live = self.sum_sq > 0
-        ainv[live] = self.gamma / np.sqrt(self.sum_sq[live])
-        self._commit(self.x - ainv * g)
-
-    def stats(self) -> dict:
-        live = self.sum_sq > 0
-        if self.k > 0 and np.any(live):
-            ainv = np.zeros(self.dim)
-            ainv[live] = self.gamma / np.sqrt(self.sum_sq[live])
-            ainv_mean = float(np.mean(ainv))
-        else:
-            ainv_mean = None
-        return {
-            "gamma_mean": self.gamma,
-            "gamma_max": self.gamma,
-            "alpha_mean": float(np.mean(self.sum_sq)),
-            "alpha_max": float(np.max(self.sum_sq)),
-            "ainv_mean": ainv_mean,
-        }
+        self.alpha += g * g
+        self.ainv = np.zeros(self.dim)
+        live = self.alpha > 0
+        self.ainv[live] = self.gamma / np.sqrt(self.alpha[live])
+        self._commit(self.x - self.ainv * g)
 
 
 class SGD(Optimizer):

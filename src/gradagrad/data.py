@@ -8,6 +8,7 @@ A Dataset is one CSR matrix of numpy arrays (labels, indptr, indices, values);
 densifying, label normalization and serialization work on whole arrays.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,6 +62,8 @@ def parse_libsvm_line(line: str, lineno: int | None = None) -> tuple[float, list
         label = float(tokens[0])
     except ValueError:
         raise LibsvmParseError(f"label is not numeric: {tokens[0]!r}", lineno) from None
+    if not math.isfinite(label):
+        raise LibsvmParseError(f"label is not finite: {tokens[0]!r}", lineno)
     indices, values = [], []
     prev_idx = 0
     for token in tokens[1:]:
@@ -72,6 +75,8 @@ def parse_libsvm_line(line: str, lineno: int | None = None) -> tuple[float, list
             val = float(val_s)
         except ValueError:
             raise LibsvmParseError(f"non-numeric feature pair: {token!r}", lineno) from None
+        if not math.isfinite(val):
+            raise LibsvmParseError(f"non-finite feature value: {token!r}", lineno)
         if idx <= prev_idx:
             raise LibsvmParseError(
                 f"feature index {idx} not strictly increasing (previous {prev_idx})", lineno

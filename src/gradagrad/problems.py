@@ -69,10 +69,10 @@ class Quadratic(Problem):
 
     def __init__(self, diag, noise_std: float = 0.0):
         diag = np.atleast_1d(np.asarray(diag, dtype=float))
-        if np.any(diag <= 0):
-            raise ValueError("all diagonal entries must be positive")
-        if noise_std < 0:
-            raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
+        if not np.all((diag > 0) & (diag < np.inf)):  # NaN fails both
+            raise ValueError("all diagonal entries must be positive and finite")
+        if not 0 <= noise_std < np.inf:
+            raise ValueError(f"noise_std must be nonnegative and finite, got {noise_std}")
         self.diag = diag
         self.noise_std = float(noise_std)
         self.dim = diag.size
@@ -122,12 +122,9 @@ class LogisticRegression(Problem):
         Xb = self.X[rows]
         yb = self.y[rows]
         margins = yb * (Xb @ w)
-        # sigma(-m) = 1 / (1 + e^m), computed stably for large |m|
-        weights = np.where(
-            margins >= 0,
-            np.exp(-np.clip(margins, 0, None)) / (1.0 + np.exp(-np.clip(margins, 0, None))),
-            1.0 / (1.0 + np.exp(np.clip(margins, None, 0))),
-        )
+        # sigma(-m) = 1 / (1 + e^m) = e^-m / (1 + e^-m), from one e^-|m| that never overflows
+        e = np.exp(-np.abs(margins))
+        weights = np.where(margins >= 0, e, 1.0) / (1.0 + e)
         return -(Xb * (yb * weights)[:, None]).mean(axis=0)
 
     def grad_sample(self, w, state: MinibatchStream) -> np.ndarray:

@@ -66,14 +66,14 @@ def _report(name, worst, tol, location, details=""):
     )
 
 
-def check_errnegativity(trace: Trace, rho: float | None = None) -> CheckReport:
+def check_errnegativity(trace: Trace) -> CheckReport:
     """Restricted-increase inequality on every negative-branch step:
 
         g^2 / A_{k+1} - rho * g * m_prev / A_k <= 0
 
     evaluated from trace values alone: rho * g * m_prev = g^2 - v_raw, so
-    the rho argument is informational only. Meaningful for traces produced
-    with the adaptive clip; a fixed clip r need not satisfy the inequality.
+    rho need not be known. Meaningful for traces produced with the adaptive
+    clip; a fixed clip r need not satisfy the inequality.
     Vacuously passes when no negative branch occurred.
     """
     neg = _negative_after_first(trace)

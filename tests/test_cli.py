@@ -159,6 +159,26 @@ class TestConfigErrors:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--noise-std", "nan"), ("--noise-std", "inf"), ("--diag", "nan,1"), ("--x0", "nan"), ("--x0", "1,inf"),
+    ])
+    def test_non_finite_problem_input_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "r.csv"
+        args = ["run", "--problem", "quadratic", "--dim", "2", "--steps", "5", "--out", str(out)]
+        assert run_cli([*args, flag, value]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,line", [("1 1:nan\n-1 2:1\n", 1), ("1 1:1\ninf 2:1\n", 2)])
+    def test_non_finite_libsvm_value_reports_line(self, tmp_path, capsys, text, line):
+        bad, out = tmp_path / "bad.libsvm", tmp_path / "r.csv"
+        bad.write_text(text)
+        assert run_cli([
+            "run", "--problem", "logistic", "--dataset", str(bad), "--steps", "3", "--out", str(out),
+        ]) == 2
+        assert f"line {line}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_r_value(self):
         assert run_cli([
             "run", "--problem", "abs", "--optimizer", "gradagrad-scalar",
@@ -423,6 +443,26 @@ class TestCheck:
         name, passed, worst, step, coord, _ = read_rows(report)[1]
         assert (name, passed, worst, step, coord) == ("run_record", "false", "", rows[3][0], "0")
 
+    @pytest.mark.parametrize("cap_violation", [False, True])
+    def test_record_check_reports_first_worst_violation(self, tmp_path, cap_violation):
+        out, report = tmp_path / "r.csv", tmp_path / "report.csv"
+        assert run_cli([
+            "run", "--problem", "quadratic", "--dim", "2", "--steps", "400", "--out", str(out),
+        ]) == 0
+        rows = read_rows(out)  # steps 0, 100, 200, 300, 400 on rows 1-5
+        if cap_violation:  # (30 - 3) / 3 = 9 at step 200 outweighs a repeated step 400
+            rows[3][5] = "30"
+            worst, step = "9.0", "200"
+        else:  # two repeated steps of equal weight: the first one is reported
+            rows.insert(3, list(rows[2]))
+            worst, step = "1.0", "100"
+        rows.append(list(rows[-1]))
+        self._write_rows(out, rows)
+        assert run_cli(["check", str(out), "--d-inf", "3", "--out", str(report)]) == 1
+        name, passed, *location, details = read_rows(report)[1]
+        assert (name, passed, *location) == ("run_record", "false", worst, step, "0")
+        assert details.startswith("step 400" if cap_violation else f"step {step}")
+
     def test_record_under_infinite_cap_passes(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run_cli([
@@ -574,3 +614,36 @@ def test_logistic_run_and_grid_bytes_match_golden(tmp_path, name):
         "--batch-size", "64", "--seeds", "2", "--grid-values", "0.25,1,4", "--seed", "7", "--out", str(grid),
     ]) == 0
     assert (sha(run), sha(tmp_path / f"{name}.trace.csv"), sha(grid)) == LOGISTIC_GOLDEN[name]
+
+
+# SHA-256 of short run records of every optimizer on a noisy quadratic
+# (subopt column) and on the bits fixture (epoch and accuracy columns),
+# recorded before the steppers kept the step sizes they applied as state;
+# the record's step-size columns must not change.
+RECORD_PROBLEMS = {
+    "quadratic": ["--problem", "quadratic", "--dim", "3", "--noise-std", "0.5", "--x0", "3",
+                  "--steps", "300", "--seed", "3", "--eval-every", "10"],
+    "logistic": ["--problem", "logistic", "--dataset", str(BITS), "--epochs", "2", "--batch-size", "50",
+                 "--seed", "5"],
+}
+RECORD_GOLDEN = {
+    ("adagrad", "quadratic"): "bf4781235529eaed9ed55169a79b5a776ebbec430e5e2f2a235c4b19e852b214",
+    ("adagrad", "logistic"): "b8a73edfefeebdd2098e3b9990093a5313363b69f02f930ad9145f33130c33d1",
+    ("adam", "quadratic"): "367843706cf988182dfa58da919fff96894577770c2e28cdfaff9b59c581bff7",
+    ("adam", "logistic"): "f0b3742ec86120584836ab971191e8fff68976f34997f27c91351620a8bf0e59",
+    ("gradagrad", "quadratic"): "2e89d9370da4a86b3e4747d5b1ca5cf3df4bfb7c1fa957bc1f2be9edf4ddc91e",
+    ("gradagrad", "logistic"): "1e815445f50d508cc0c59a1b8065ebcaa0741eb1684b7147f465a87e0aa1efa3",
+    ("gradagrad-scalar", "quadratic"): "b35cacd921625c8a139d9966dd2992016a1044c4e01fa2ea7c98d1670dda1af6",
+    ("gradagrad-scalar", "logistic"): "9a9842e37c4ea723f5ea812c57b998fa5623ffc2351155d7af07a4264aacd7db",
+    ("sgd", "quadratic"): "6ebef757b33dbd6db2955bf839a7125ce45d71aefc723b6f472cd4283a979d1b",
+    ("sgd", "logistic"): "ff8b4960889c8ccd06a075ef5a269592ad573054b27eb22ef3be7e468e419480",
+}
+
+
+@pytest.mark.parametrize("optimizer,problem", sorted(RECORD_GOLDEN))
+def test_run_record_bytes_match_golden(tmp_path, optimizer, problem):
+    import hashlib
+
+    out = tmp_path / "r.csv"
+    assert run_cli(["run", *RECORD_PROBLEMS[problem], "--optimizer", optimizer, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORD_GOLDEN[optimizer, problem]

@@ -418,7 +418,8 @@ class TestBaselines:
         opt = AdaGrad([0.0], gamma=1.0)
         opt.step([3.0])
         opt.step([4.0])
-        assert opt.sum_sq[0] == 25.0  # denominator sqrt(25) = 5
+        assert opt.alpha[0] == 25.0  # denominator sqrt(25) = 5
+        assert opt.ainv[0] == 1.0 / 5.0  # the step size the second step applied
 
     def test_adagrad_zero_gradient_never_moves(self):
         opt = AdaGrad([1.5, -2.0])

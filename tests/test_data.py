@@ -52,6 +52,9 @@ class TestParseLine:
     def test_error_carries_line_number(self):
         with pytest.raises(LibsvmParseError, match="line 17"):
             parse_libsvm_line("1 3:1 2:1", lineno=17)
+        for line in ("nan 1:1", "-inf 1:1", "1 1:nan", "1 1:1 2:inf"):
+            with pytest.raises(LibsvmParseError, match="line 17: .*finite"):
+                parse_libsvm_line(line, lineno=17)
         try:
             parse_libsvm_line("bad", lineno=17)
         except LibsvmParseError as exc:

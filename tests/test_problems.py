@@ -51,6 +51,12 @@ class TestQuadratic:
             Quadratic([1.0, 0.0])
         with pytest.raises(ValueError):
             Quadratic([1.0], noise_std=-1.0)
+        for diag in ([float("nan"), 1.0], [1.0, float("inf")]):
+            with pytest.raises(ValueError, match="finite"):
+                Quadratic(diag)
+        for noise_std in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                Quadratic([1.0], noise_std=noise_std)
 
     def test_noise_std_monte_carlo(self):
         # empirical std of the sampled gradient over 1e5 draws within 3%
