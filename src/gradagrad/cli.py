@@ -142,19 +142,23 @@ def _build_hyperparams(args) -> HyperParams:
     )
 
 
-def _build_optimizer(args, x0):
+def _build_optimizer(runs, x0):
+    """One optimizer stepping a replica from x0 for each namespace in runs,
+    in lockstep; each replica's hyperparameters come from its namespace."""
+    name = runs[0].optimizer
+    x0 = np.tile(x0, (len(runs), 1))
+    if name in ("gradagrad", "gradagrad-scalar"):
+        params = [_build_hyperparams(run) for run in runs]
+        return (GradaGrad if name == "gradagrad" else ScalarGradaGrad)(x0, params if len(params) > 1 else params[0])
     # --gamma0 doubles as the learning rate for the sgd/adam baselines
-    if args.optimizer == "gradagrad":
-        return GradaGrad(x0, _build_hyperparams(args))
-    if args.optimizer == "gradagrad-scalar":
-        return ScalarGradaGrad(x0, _build_hyperparams(args))
-    if args.optimizer == "adagrad":
-        return AdaGrad(x0, gamma=args.gamma0)
-    if args.optimizer == "sgd":
-        return SGD(x0, lr=args.gamma0)
-    if args.optimizer == "adam":
-        return Adam(x0, lr=args.gamma0)
-    raise ConfigError(f"unknown optimizer {args.optimizer!r}")  # pragma: no cover
+    rates = [run.gamma0 for run in runs]
+    if name == "adagrad":
+        return AdaGrad(x0, gamma=rates)
+    if name == "sgd":
+        return SGD(x0, lr=rates)
+    if name == "adam":
+        return Adam(x0, lr=rates)
+    raise ConfigError(f"unknown optimizer {name!r}")  # pragma: no cover
 
 
 def _resolve_steps(args, n_batches):
@@ -196,33 +200,34 @@ def _eval_row(step, n_batches, problem, opt):
     ]
 
 
-def _execute_run(problem, opt, steps, eval_every, n_batches, state, traced):
-    """Returns (record rows, trace or None, wall seconds); only the GradaGrad
-    steppers can be traced."""
-    rows = [_eval_row(0, n_batches, problem, opt)]
-    trace = Trace.empty(steps, opt.gamma.size) if traced else None
+def _execute_run(problem, opt, steps, eval_every, states, on_eval, trace=None):
+    """Step all of opt's replicas `steps` times in lockstep, each from its own
+    seed-state in states, and call on_eval(k) at k = 0, every eval_every
+    steps and the last step; fill trace if given (only the GradaGrad
+    steppers can be traced). Returns the wall seconds of the steps."""
     trace_arg = () if trace is None else (trace,)
+    on_eval(0)
     t0 = time.perf_counter()
     for k in range(1, steps + 1):
-        g = problem.grad_sample(opt.x, state)
-        opt.step(g, *trace_arg)
+        opt.step(problem.grad_sample(opt.x, states), *trace_arg)
         if k % eval_every == 0 or k == steps:
-            rows.append(_eval_row(k, n_batches, problem, opt))
-    wall = time.perf_counter() - t0
-    return rows, trace, wall
+            on_eval(k)
+    return time.perf_counter() - t0
 
 
 def cmd_run(args) -> int:
     problem, x0, n_batches, steps, eval_every = _build_run(args)
-    opt = _build_optimizer(args, x0)
+    opt = _build_optimizer([args], x0)
     if args.trace:
         if args.optimizer not in TRACE_OPTIMIZERS:
             raise ConfigError(f"--trace requires one of {TRACE_OPTIMIZERS}")
         if args.out is None:
             raise ConfigError("--trace requires --out (the trace path derives from it)")
-    state = problem.init_state(args.seed)
-    rows, trace, wall = _execute_run(
-        problem, opt, steps, eval_every, n_batches, state, traced=args.trace
+    rows = []
+    trace = Trace.empty(steps, opt.gamma.size) if args.trace else None
+    wall = _execute_run(
+        problem, opt, steps, eval_every, [problem.init_state(args.seed)],
+        lambda k: rows.append(_eval_row(k, n_batches, problem, opt)), trace,
     )
     _write_csv(args.out, RUN_HEADER, [[_fmt(v) for v in row] for row in rows])
     if args.trace:
@@ -262,16 +267,49 @@ def _trace_rows(trace: Trace):
 # ---------------------------------------------------------------------------
 
 GRID_PARAMS = ("gamma0", "rho", "beta", "g_inf", "d_inf")
+# the grid parameters each optimizer reads; g_inf only in theory mode
+GRID_READS = {"gradagrad": GRID_PARAMS, "gradagrad-scalar": ("gamma0", "rho")}
 
 
-def _selection_metric(rows):
-    """(kind, value): mean accuracy over the last <=10 evaluations if the
-    problem reports accuracy, else the final loss."""
-    acc = [row[3] for row in rows if row[3] is not None]
-    if acc:
-        tail = acc[-10:]
-        return "accuracy", float(np.mean(tail))
-    return "loss", float(rows[-1][2])
+def _run_seed(seed, vi, si) -> int:
+    """The seed of the run of grid value vi, replicate si."""
+    return int(np.random.SeedSequence([seed, vi, si]).generate_state(1, np.uint64)[0])
+
+
+def _run_grid(args, param, values):
+    """Run every (value, seed) of a grid as one replica, all in lockstep, and
+    evaluate only what selection reads. Replica vi * seeds + si runs value
+    vi with seed si. Returns (opt, kind, evals): ("accuracy", the (R,)
+    accuracies at each evaluation) if the problem reports accuracy, else
+    ("loss", [the (R,) final losses])."""
+    # no grid parameter affects the problem
+    problem, x0, _, steps, eval_every = _build_run(args)
+    opt = _build_optimizer([argparse.Namespace(**{**vars(args), param: value})
+                            for value in values for _ in range(args.seeds)], x0)
+    states = [problem.init_state(_run_seed(args.seed, vi, si))
+              for vi in range(len(values)) for si in range(args.seeds)]
+    evals = {"accuracy": [], "loss": []}
+
+    def on_eval(k):
+        x = opt.x.reshape(opt.replicas, -1)
+        acc = problem.accuracy(x)
+        if acc is not None:
+            evals["accuracy"].append(acc)
+        elif k == steps:
+            evals["loss"].append(problem.loss_full(x))
+
+    _execute_run(problem, opt, steps, eval_every, states, on_eval)
+    kind = "accuracy" if evals["accuracy"] else "loss"
+    return opt, kind, evals[kind]
+
+
+def _selection_metric(kind, evals) -> list[float]:
+    """One score per replica: its mean accuracy over the last <=10
+    evaluations, or its final loss."""
+    if kind == "accuracy":
+        tail = np.array(evals[-10:])
+        return [float(np.mean(column.tolist())) for column in tail.T]
+    return [float(loss) for loss in evals[-1]]
 
 
 def cmd_grid(args) -> int:
@@ -281,26 +319,20 @@ def cmd_grid(args) -> int:
     param = args.grid_param.replace("-", "_")
     if param not in GRID_PARAMS:
         raise ConfigError(f"--grid-param must be one of {GRID_PARAMS}, got {args.grid_param!r}")
+    read = param in GRID_READS.get(args.optimizer, ("gamma0",))
+    if not read or param == "g_inf" and args.mode == "practical":
+        mode = " in --mode practical" if read else ""
+        raise ConfigError(f"--grid-param {param} is not read by --optimizer {args.optimizer}{mode}")
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
+    if args.trace:
+        raise ConfigError("grid writes no trace; trace one value with run --trace")
 
-    # no grid parameter affects the problem, and each optimizer copies x0
-    problem, x0, n_batches, steps, eval_every = _build_run(args)
-    table = []
-    metric_kind = None
-    for vi, value in enumerate(sorted(values)):
-        run_args = argparse.Namespace(**vars(args))
-        setattr(run_args, param, value)
-        scores = []
-        for si in range(args.seeds):
-            opt = _build_optimizer(run_args, x0)
-            run_seed = int(np.random.SeedSequence([args.seed, vi, si]).generate_state(1, np.uint64)[0])
-            state = problem.init_state(run_seed)
-            rows, _, _ = _execute_run(problem, opt, steps, eval_every, n_batches, state, False)
-            kind, score = _selection_metric(rows)
-            metric_kind = kind
-            scores.append(score)
-        table.append((value, float(np.mean(scores))))
+    values = sorted(values)
+    _, metric_kind, evals = _run_grid(args, param, values)
+    scores = _selection_metric(metric_kind, evals)
+    table = [(value, float(np.mean(scores[vi * args.seeds:(vi + 1) * args.seeds])))
+             for vi, value in enumerate(values)]
 
     best_idx = 0
     for idx in range(1, len(table)):

@@ -17,6 +17,14 @@ share the same single-step interface, step(g). GradaGrad, ScalarGradaGrad
 and AdaGrad keep the step sizes gamma / sqrt(alpha) their last step applied
 as ainv, and one stats() reads the run record's columns from that state.
 
+Every stepper also runs R replicas in lockstep: x0 is then an (R, d) stack,
+the state is one flat (R*d,) vector with replica r in [r*d, (r+1)*d), and
+step(g) takes the R gradients as one flat (R*d,) vector. Each replica may
+have its own hyperparameters (one HyperParams, gamma or lr per replica),
+which the steppers hold as columns repeated over the replica's d entries.
+Since every operation is elementwise (the scalar variant's dot products are
+taken row by row), each replica steps exactly as it would alone.
+
 A run's trace is one columnar Trace of (steps, width) arrays, with width d
 for the diagonal stepper and 1 for the scalar one. The GradaGrad steppers
 take it as step(g, trace) and fill row k in place; untraced steps do no
@@ -27,6 +35,7 @@ in single precision.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -179,8 +188,9 @@ def _gradagrad_update(v, t, gamma, alpha, r_fixed, d_inf):
     largest r for which the per-step gradient error stays nonpositive), and
     absorbed as gamma = min(gamma * sqrt(1 - v / alpha), d_inf); alpha
     stays, and the step size gamma / sqrt(alpha) is that of the implied
-    accumulator alpha - v. gamma and alpha are updated in place; t is read
-    only where v < 0. Returns (v_clipped, r), with r NaN where v >= 0.
+    accumulator alpha - v. d_inf is a number or a column like gamma.
+    gamma and alpha are updated in place; t is read only where v < 0.
+    Returns (v_clipped, r), with r NaN where v >= 0.
 
     Two rounding rules keep runs bit-identical to the per-coordinate
     reference in tests/reference_core.py, and so keep seeded CSVs stable:
@@ -194,7 +204,7 @@ def _gradagrad_update(v, t, gamma, alpha, r_fixed, d_inf):
     alpha_i = alpha[i]
     r_i = np.float_power(t[i], 2.0) - 1.0 if r_fixed is None else r_fixed
     v_clip_i = np.maximum(v[i], -r_i * alpha_i)
-    gamma[i] = np.minimum(gamma[i] * np.sqrt(1.0 - v_clip_i / alpha_i), d_inf)
+    gamma[i] = np.minimum(gamma[i] * np.sqrt(1.0 - v_clip_i / alpha_i), d_inf if np.ndim(d_inf) == 0 else d_inf[i])
     r = np.full(v.shape, math.nan)
     r[i] = r_i
     v_clip = v.copy()
@@ -209,15 +219,20 @@ def _gradagrad_update(v, t, gamma, alpha, r_fixed, d_inf):
 
 class Optimizer:
     """Base single-step optimizer: owns the iterate, the step counter, and
-    the running average over all iterates (x0 included)."""
+    the running average over all iterates (x0 included).
+
+    x0 is one (d,) start point, or an (R, d) stack of R replicas that step
+    in lockstep. Either way x is one flat (R*d,) vector, and dim is R*d.
+    """
 
     def __init__(self, x0):
-        x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-        if x.ndim != 1:
-            raise ValueError(f"x0 must be one-dimensional, got shape {x.shape}")
-        self.x = x
+        x = np.atleast_1d(np.asarray(x0, dtype=float))
+        if x.ndim > 2 or x.ndim == 2 and len(x) == 0:
+            raise ValueError(f"x0 must be a (d,) point or an (R, d) stack with R >= 1, got shape {x.shape}")
+        self.replicas = 1 if x.ndim == 1 else x.shape[0]
+        self.x = x.flatten()
         self.k = 0
-        self._x_sum = x.copy()
+        self._x_sum = self.x.copy()
 
     @property
     def dim(self) -> int:
@@ -235,7 +250,8 @@ class Optimizer:
     def stats(self) -> dict:
         """Step-size statistics for run records, read from the gamma, alpha
         and ainv state of the adaptive steppers; ainv_mean is None until some
-        alpha > 0. SGD and Adam override this with their own keys."""
+        alpha > 0. With R > 1 replicas they pool all of them. SGD and Adam
+        override this with their own keys."""
         return {
             "gamma_mean": float(np.mean(self.gamma)),
             "gamma_max": float(np.max(self.gamma)),
@@ -250,10 +266,38 @@ class Optimizer:
             raise ValueError(f"gradient shape {g.shape} does not match iterate {self.x.shape}")
         return g
 
+    def _per_replica(self, name: str, value) -> np.ndarray:
+        """A rate shared by every replica, or a sequence of one per replica,
+        as an (R,) array; each must be positive and finite."""
+        values = list(value) if np.ndim(value) else [value] * self.replicas
+        if len(values) != self.replicas:
+            raise ValueError(f"{name} needs one value per replica ({self.replicas}), got {len(values)}")
+        for v in values:
+            if not 0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
+        return np.array(values, dtype=float)
+
+    def _column(self, values) -> np.ndarray:
+        """(R,) per-replica values, each repeated over its replica's entries of x."""
+        return np.repeat(values, self.dim // self.replicas)
+
     def _commit(self, x_new: np.ndarray):
         self.x = x_new
         self.k += 1
         self._x_sum += x_new
+
+
+def _replica_params(params: HyperParams | Sequence[HyperParams], replicas: int) -> list[HyperParams]:
+    """One HyperParams per replica, from one shared by all or a sequence of
+    one per replica; the replicas must share mode and r_fixed."""
+    if isinstance(params, HyperParams):
+        return [params] * replicas
+    params = list(params)
+    if len(params) != replicas:
+        raise ValueError(f"params needs one HyperParams per replica ({replicas}), got {len(params)}")
+    if len({(p.mode, p.r_fixed) for p in params}) > 1:
+        raise ValueError("replicas must share mode and r_fixed")
+    return params
 
 
 class ScalarGradaGrad(Optimizer):
@@ -264,43 +308,46 @@ class ScalarGradaGrad(Optimizer):
         v <  0:  v = max(v, -r * alpha);  gamma *= sqrt(1 - v / alpha)
         x <- x - (gamma / sqrt(alpha)) * g
 
-    This is the GradaGrad kernel on a length-1 gamma/alpha pair, with no cap
-    (d_inf = inf) and no init branch. r is params.r_fixed, or t^2 - 1 with
-    t = rho * <g, g_prev> / ||g||^2 when r_fixed is None: ||g||^2 and
-    <g, g_prev> play the roles of g_i^2 and g_i * m_prev_i. A zero gradient
-    before anything has accumulated leaves the state untouched (zero-step
-    rule).
+    This is the GradaGrad kernel on a length-1 gamma/alpha pair (length R
+    for R replicas, one pair each), with no cap (d_inf = inf) and no init
+    branch. r is params.r_fixed, or t^2 - 1 with t = rho * <g, g_prev> /
+    ||g||^2 when r_fixed is None: ||g||^2 and <g, g_prev> play the roles of
+    g_i^2 and g_i * m_prev_i. A zero gradient before anything has
+    accumulated leaves the state untouched (zero-step rule).
     """
 
-    def __init__(self, x0, params: HyperParams | None = None):
+    def __init__(self, x0, params: HyperParams | Sequence[HyperParams] | None = None):
         super().__init__(x0)
         self.params = params if params is not None else HyperParams()
-        self.gamma = np.array([self.params.gamma0], dtype=float)
-        self.alpha = np.zeros(1)
-        self.ainv = np.zeros(1)
+        each = _replica_params(self.params, self.replicas)
+        self._rho = np.array([p.rho for p in each])
+        self._r_fixed = each[0].r_fixed
+        self.gamma = np.array([p.gamma0 for p in each])
+        self.alpha = np.zeros(self.replicas)
+        self.ainv = np.zeros(self.replicas)
         self.g_prev = np.zeros_like(self.x)
 
     def step(self, g, trace: Trace | None = None) -> None:
         g = self._check_grad(g)
-        p = self.params
-        gsq = g @ g
-        cross = g @ self.g_prev
-        v = np.array([gsq - p.rho * cross])
-        t = np.array([p.rho * cross / gsq if v[0] < 0 else math.nan])
-        v_clip, r = _gradagrad_update(v, t, self.gamma, self.alpha, p.r_fixed, math.inf)
-        gamma, alpha = float(self.gamma[0]), float(self.alpha[0])
-        if alpha > 0:
-            self.ainv[0] = gamma / math.sqrt(alpha)
-            x_new = self.x - self.ainv[0] * g
-            a = math.sqrt(alpha) / gamma
-        else:
-            self.ainv[0] = 0.0
-            x_new = self.x.copy()
-            a = 0.0
+        rows = g.reshape(self.replicas, -1)
+        # one dot product per replica: a reduction over the whole stack could round differently
+        gsq = np.array([row @ row for row in rows])
+        cross = np.array([row @ prev for row, prev in zip(rows, self.g_prev.reshape(self.replicas, -1))])
+        v = gsq - self._rho * cross
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(v < 0, self._rho * cross / gsq, math.nan)
+        v_clip, r = _gradagrad_update(v, t, self.gamma, self.alpha, self._r_fixed, math.inf)
+        live = self.alpha > 0  # the others take a zero step
+        root = np.sqrt(self.alpha[live])
+        self.ainv = np.zeros(self.replicas)
+        self.ainv[live] = self.gamma[live] / root
+        x_new = np.where(self._column(live), self.x - self._column(self.ainv) * g, self.x)
         if trace is not None:
+            a = np.zeros(self.replicas)
+            a[live] = root / self.gamma[live]
             trace.record(
-                self.k, g=np.linalg.norm(g), v_raw=v, v_clipped=v_clip,
-                branch=BRANCH_NEGATIVE if v[0] < 0 else BRANCH_POSITIVE, r=r,
+                self.k, g=[np.linalg.norm(row) for row in rows], v_raw=v, v_clipped=v_clip,
+                branch=np.where(v < 0, BRANCH_NEGATIVE, BRANCH_POSITIVE), r=r,
                 gamma_after=self.gamma, alpha_after=self.alpha, a_after=a,
             )
         self.g_prev = g.copy()
@@ -328,36 +375,49 @@ class GradaGrad(Optimizer):
         m <- A * (x_old - x)
 
     m feeds the next step's v. With beta = 0 on an unconstrained domain,
-    z tracks x exactly and m equals g.
+    z tracks x exactly and m equals g. With R replicas, params may hold one
+    HyperParams per replica, and a box domain bounds each replica's d
+    coordinates.
     """
 
-    def __init__(self, x0, params: HyperParams | None = None, domain: Domain | None = None):
+    def __init__(self, x0, params: HyperParams | Sequence[HyperParams] | None = None,
+                 domain: Domain | None = None):
         super().__init__(x0)
         self.params = params if params is not None else HyperParams()
         self.domain = domain if domain is not None else Domain()
-        if self.domain.kind == "box" and self.domain.lower.shape != self.x.shape:
-            raise ValueError("domain bounds must match the iterate dimension")
+        self._domain = self.domain
+        if self.domain.kind == "box":
+            if self.domain.lower.shape != (self.dim // self.replicas,):
+                raise ValueError("domain bounds must match the iterate dimension")
+            self._domain = Domain.box(np.tile(self.domain.lower, self.replicas),
+                                      np.tile(self.domain.upper, self.replicas))
+        each = _replica_params(self.params, self.replicas)
+
+        def column(name):
+            return self._column([getattr(p, name) for p in each])
+
+        self._rho, self._beta, self._d_inf = column("rho"), column("beta"), column("d_inf")
+        self._v_init = np.float_power(column("g_inf"), 2.0) if each[0].mode == "theory" else None  # libm pow, as g_inf ** 2 rounds
         self.z = self.x.copy()
         self.m_prev = np.zeros_like(self.x)
-        self.gamma = np.full(self.dim, self.params.gamma0, dtype=float)
+        self.gamma = column("gamma0")
         self.alpha = np.zeros(self.dim, dtype=float)
         self.ainv = np.zeros(self.dim, dtype=float)
 
     def step(self, g, trace: Trace | None = None) -> None:
         g = self._check_grad(g)
-        p = self.params
         k = self.k
         d = self.dim
         gsq = g * g
         if k == 0:
-            v_raw = np.full(d, p.g_inf ** 2) if p.mode == "theory" else gsq
+            v_raw = self._v_init if self._v_init is not None else gsq
             t = gsq  # unread: init increments are nonnegative
         else:
-            capped = self.gamma >= p.d_inf  # not ==: min() meets the cap up to rounding
-            v_raw = np.where(capped, gsq, gsq - p.rho * g * self.m_prev)
+            capped = self.gamma >= self._d_inf  # not ==: min() meets the cap up to rounding
+            v_raw = np.where(capped, gsq, gsq - self._rho * g * self.m_prev)
             with np.errstate(divide="ignore", invalid="ignore"):
-                t = p.rho * self.m_prev / g
-        v_clip, r = _gradagrad_update(v_raw, t, self.gamma, self.alpha, None, p.d_inf)
+                t = self._rho * self.m_prev / g
+        v_clip, r = _gradagrad_update(v_raw, t, self.gamma, self.alpha, None, self._d_inf)
 
         a = np.zeros(d)
         self.ainv = ainv = np.zeros(d)  # unbootstrapped coordinates take a zero step
@@ -366,8 +426,8 @@ class GradaGrad(Optimizer):
         a[live] = root / self.gamma[live]
         ainv[live] = self.gamma[live] / root
 
-        z_new = project(self.z - ainv * g, self.domain)
-        x_new = p.beta * self.x + (1.0 - p.beta) * z_new
+        z_new = project(self.z - ainv * g, self._domain)
+        x_new = self._beta * self.x + (1.0 - self._beta) * z_new
         m = a * (self.x - x_new)
 
         if trace is not None:
@@ -386,14 +446,14 @@ class AdaGrad(Optimizer):
     sum_t g_{i,t}^2 (GradaGrad's accumulator at rho = 0).
 
     No epsilon is added to the denominator; coordinates whose accumulated
-    sum is zero take a zero step instead.
+    sum is zero take a zero step instead. gamma is one number, or one per
+    replica; self.gamma holds the (R,) values.
     """
 
-    def __init__(self, x0, gamma: float = 1.0):
+    def __init__(self, x0, gamma: float | Sequence[float] = 1.0):
         super().__init__(x0)
-        if not 0 < gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {gamma}")
-        self.gamma = float(gamma)
+        self.gamma = self._per_replica("gamma", gamma)
+        self._gamma = self._column(self.gamma)
         self.alpha = np.zeros(self.dim, dtype=float)
         self.ainv = np.zeros(self.dim, dtype=float)
 
@@ -402,40 +462,41 @@ class AdaGrad(Optimizer):
         self.alpha += g * g
         self.ainv = np.zeros(self.dim)
         live = self.alpha > 0
-        self.ainv[live] = self.gamma / np.sqrt(self.alpha[live])
+        self.ainv[live] = self._gamma[live] / np.sqrt(self.alpha[live])
         self._commit(self.x - self.ainv * g)
 
 
 class SGD(Optimizer):
-    """Plain stochastic gradient descent with a constant step size."""
+    """Plain stochastic gradient descent with a constant step size, one
+    number or one per replica; self.lr holds the (R,) values."""
 
-    def __init__(self, x0, lr: float = 0.01):
+    def __init__(self, x0, lr: float | Sequence[float] = 0.01):
         super().__init__(x0)
-        if not 0 < lr < math.inf:
-            raise ValueError(f"lr must be positive and finite, got {lr}")
-        self.lr = float(lr)
+        self.lr = self._per_replica("lr", lr)
+        self._lr = self._column(self.lr)
 
     def step(self, g) -> None:
         g = self._check_grad(g)
-        self._commit(self.x - self.lr * g)
+        self._commit(self.x - self._lr * g)
 
     def stats(self) -> dict:
-        return {"ainv_mean": self.lr}
+        return {"ainv_mean": float(np.mean(self.lr))}
 
 
 class Adam(Optimizer):
-    """Adam with bias-corrected first and second moments."""
+    """Adam with bias-corrected first and second moments; lr is one number
+    or one per replica (self.lr holds the (R,) values), the betas and eps
+    are shared."""
 
-    def __init__(self, x0, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, x0, lr: float | Sequence[float] = 0.001, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
         super().__init__(x0)
-        if not 0 < lr < math.inf:
-            raise ValueError(f"lr must be positive and finite, got {lr}")
+        self.lr = self._per_replica("lr", lr)
+        self._lr = self._column(self.lr)
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError(f"betas must be in [0, 1), got ({beta1}, {beta2})")
         if not 0 < eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {eps}")
-        self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
@@ -449,10 +510,10 @@ class Adam(Optimizer):
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
         m_hat = self.m / (1.0 - self.beta1 ** t)
         v_hat = self.v / (1.0 - self.beta2 ** t)
-        self._commit(self.x - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        self._commit(self.x - self._lr * m_hat / (np.sqrt(v_hat) + self.eps))
 
     def stats(self) -> dict:
         if self.k == 0:
             return {"ainv_mean": None}
         v_hat = self.v / (1.0 - self.beta2 ** self.k)
-        return {"ainv_mean": float(np.mean(self.lr / (np.sqrt(v_hat) + self.eps)))}
+        return {"ainv_mean": float(np.mean(self._lr / (np.sqrt(v_hat) + self.eps)))}

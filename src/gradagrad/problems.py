@@ -1,14 +1,33 @@
 """Convex test objectives with seeded stochastic gradient oracles.
 
 Every problem exposes an exact full loss, an exact full (sub)gradient, and
-a stochastic gradient oracle that is deterministic given (x, seed-state).
+a stochastic gradient oracle that is deterministic given (x, seed-states).
 Seed-states come from init_state(seed): a numpy Generator for noise
 problems, a MinibatchStream for the dataset problem.
+
+The oracle serves R replicas stepped in lockstep at once: grad_sample takes
+their flat (R*d,) iterate and R seed-states, and returns their flat (R*d,)
+gradients, each replica drawing from its own state (R = 1 for a plain run).
+loss_full and accuracy map one (d,) iterate to a number, and an (R, d)
+stack to an (R,) array, with each replica's value equal to the one it
+would get alone.
 """
+
+import functools
 
 import numpy as np
 
 from .data import Dataset, MinibatchStream
+
+
+def _row_by_row(method):
+    """method of one (d,) iterate, extended to an (R, d) stack one row at a
+    time: a reduction over the whole stack could round differently."""
+    @functools.wraps(method)
+    def each(self, x):
+        x = np.asarray(x, dtype=float)
+        return method(self, x) if x.ndim == 1 else np.array([method(self, row) for row in x])
+    return each
 
 
 class Problem:
@@ -23,8 +42,9 @@ class Problem:
     def grad_full(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def grad_sample(self, x, state) -> np.ndarray:
-        # deterministic problems: the stochastic oracle is the exact gradient
+    def grad_sample(self, x, states) -> np.ndarray:
+        # deterministic problems with an elementwise gradient: the stochastic
+        # oracle is the exact gradient, of the whole stack at once
         return self.grad_full(x)
 
     def init_state(self, seed):
@@ -50,8 +70,9 @@ class AbsValue(Problem):
         self.dim = dim
         self.f_star = 0.0
 
+    @_row_by_row
     def loss_full(self, x) -> float:
-        return float(np.sum(np.abs(np.asarray(x, dtype=float))))
+        return float(np.sum(np.abs(x)))
 
     def grad_full(self, x) -> np.ndarray:
         return np.sign(np.asarray(x, dtype=float))
@@ -69,6 +90,8 @@ class Quadratic(Problem):
 
     def __init__(self, diag, noise_std: float = 0.0):
         diag = np.atleast_1d(np.asarray(diag, dtype=float))
+        if diag.size < 1:
+            raise ValueError(f"dim must be >= 1, got {diag.size}")
         if not np.all((diag > 0) & (diag < np.inf)):  # NaN fails both
             raise ValueError("all diagonal entries must be positive and finite")
         if not 0 <= noise_std < np.inf:
@@ -78,18 +101,18 @@ class Quadratic(Problem):
         self.dim = diag.size
         self.f_star = 0.0
 
+    @_row_by_row
     def loss_full(self, x) -> float:
-        x = np.asarray(x, dtype=float)
         return 0.5 * float(self.diag @ (x * x))
 
     def grad_full(self, x) -> np.ndarray:
         return self.diag * np.asarray(x, dtype=float)
 
-    def grad_sample(self, x, state) -> np.ndarray:
-        g = self.grad_full(x)
-        if self.noise_std == 0.0:
-            return g
-        return g + self.noise_std * state.standard_normal(self.dim)
+    def grad_sample(self, x, states) -> np.ndarray:
+        g = self.diag * np.asarray(x, dtype=float).reshape(len(states), self.dim)
+        if self.noise_std != 0.0:
+            g = g + self.noise_std * np.array([state.standard_normal(self.dim) for state in states])
+        return g.ravel()
 
 
 class LogisticRegression(Problem):
@@ -119,27 +142,31 @@ class LogisticRegression(Problem):
         return MinibatchStream(self.n, self.batch_size, seed)
 
     def _grad_rows(self, w, rows) -> np.ndarray:
+        """The mean gradient of one iterate w (d,) over rows (B,), or of R
+        replicas w (R, d) each over its own rows (R, B)."""
         Xb = self.X[rows]
         yb = self.y[rows]
-        margins = yb * (Xb @ w)
+        # a stacked matmul computes each replica's margins as Xb[r] @ w[r] does; einsum rounds differently
+        margins = yb * (Xb @ w[..., None])[..., 0]
         # sigma(-m) = 1 / (1 + e^m) = e^-m / (1 + e^-m), from one e^-|m| that never overflows
         e = np.exp(-np.abs(margins))
         weights = np.where(margins >= 0, e, 1.0) / (1.0 + e)
-        return -(Xb * (yb * weights)[:, None]).mean(axis=0)
+        return -(Xb * (yb * weights)[..., None]).mean(axis=-2)
 
-    def grad_sample(self, w, state: MinibatchStream) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        return self._grad_rows(w, state.next_batch())
+    def grad_sample(self, w, states: list[MinibatchStream]) -> np.ndarray:
+        rows = np.array([state.next_batch() for state in states])  # lockstep: equal batch sizes
+        w = np.asarray(w, dtype=float).reshape(len(states), self.dim)
+        return self._grad_rows(w, rows).ravel()
 
     def grad_full(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        return self._grad_rows(w, slice(None))
+        return self._grad_rows(np.asarray(w, dtype=float), slice(None))
 
+    @_row_by_row
     def loss_full(self, w) -> float:
-        w = np.asarray(w, dtype=float)
         margins = self.y * (self.X @ w)
         return float(np.mean(np.logaddexp(0.0, -margins)))
 
-    def accuracy(self, w) -> float:
+    def accuracy(self, w) -> float | np.ndarray:
         w = np.asarray(w, dtype=float)
-        return float(np.mean(np.sign(self.X @ w) == self.y))
+        hits = np.sign((self.X @ w[..., None])[..., 0]) == self.y  # per replica, as X @ w[r]
+        return float(np.mean(hits)) if w.ndim == 1 else np.mean(hits, axis=-1)

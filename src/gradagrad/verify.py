@@ -188,7 +188,7 @@ def check_convergence_trend(
         state = problem.init_state(seed0 + s)
         f_small = None
         for _ in range(factor * n_small):
-            opt.step(problem.grad_sample(opt.x, state))
+            opt.step(problem.grad_sample(opt.x, [state]))
             if opt.k == n_small:
                 f_small = problem.loss_full(opt.averaged_iterate())
         errs_small.append(f_small - problem.f_star)

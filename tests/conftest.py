@@ -10,6 +10,32 @@ DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 BLOBS = DATASETS / "blobs.libsvm"
 BITS = DATASETS / "bits.libsvm"
 
+# grid arguments (beyond --seeds and --seed) covering every optimizer on
+# each problem kind and each GradaGrad grid parameter; the logistic batch
+# sizes leave a ragged last batch (500 = 7*64 + 52, 600 = 35*17 + 5)
+GRID_PROBLEMS = {
+    "abs": ["--problem", "abs", "--dim", "2", "--x0", "1,-0.5", "--steps", "40"],
+    "quadratic": ["--problem", "quadratic", "--dim", "3", "--noise-std", "0.5", "--x0", "3",
+                  "--steps", "60", "--eval-every", "7"],
+    "bits": ["--problem", "logistic", "--dataset", str(BITS), "--epochs", "2", "--batch-size", "64"],
+    "blobs": ["--problem", "logistic", "--dataset", str(BLOBS), "--epochs", "3", "--batch-size", "17"],
+}
+GRID_CASES = {
+    f"{optimizer}-{problem}": [*argv, "--optimizer", optimizer, "--grid-values", "0.25,1,4"]
+    for optimizer in ("adagrad", "adam", "gradagrad", "gradagrad-scalar", "sgd")
+    for problem, argv in GRID_PROBLEMS.items()
+}
+_GG_QUADRATIC = [*GRID_PROBLEMS["quadratic"], "--optimizer", "gradagrad"]
+GRID_CASES.update({
+    "gradagrad-rho": [*_GG_QUADRATIC, "--grid-param", "rho", "--grid-values", "0,1,2,3.3"],
+    "gradagrad-beta": [*_GG_QUADRATIC, "--grid-param", "beta", "--grid-values", "0,0.3,0.6"],
+    "gradagrad-g_inf": [*_GG_QUADRATIC, "--mode", "theory", "--grid-param", "g_inf", "--grid-values", "0.5,1,4"],
+    # the cap binds at the first negative step
+    "gradagrad-d_inf": [*_GG_QUADRATIC, "--gamma0", "1.5", "--grid-param", "d_inf", "--grid-values", "1.6,2,3"],
+    "scalar-rho-adaptive": [*GRID_PROBLEMS["quadratic"], "--optimizer", "gradagrad-scalar", "--r", "adaptive",
+                            "--grid-param", "rho", "--grid-values", "0,1,2"],
+})
+
 
 def csr_dataset(rows, dim) -> Dataset:
     """A Dataset of (label, [(index, value), ...]) rows, built as CSR arrays."""

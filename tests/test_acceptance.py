@@ -99,7 +99,7 @@ def test_02_reparam_invariance_and_monotonicity():
     state = problem.init_state(0)
     bench = Trace.empty(300, problem.dim)
     for _ in range(300):
-        opt.step(problem.grad_sample(opt.x, state), bench)
+        opt.step(problem.grad_sample(opt.x, [state]), bench)
     runs.append((bench, 1e10))
 
     checked = 0
@@ -200,7 +200,7 @@ def test_07_untuned_defaults_match_tuned_adagrad():
                 state = problem.init_state(1_000 + s)
                 accs = []
                 for k in range(1, steps + 1):
-                    opt.step(problem.grad_sample(opt.x, state))
+                    opt.step(problem.grad_sample(opt.x, [state]))
                     if k % n_batches == 0:
                         accs.append(problem.accuracy(opt.x))
                 vals.append(np.mean(accs[-10:]))  # last-10-evaluation average

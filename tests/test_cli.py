@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import BITS, BLOBS
+from conftest import BITS, BLOBS, GRID_CASES
 from gradagrad import cli, load_dataset
 
 
@@ -186,6 +186,13 @@ class TestConfigErrors:
         ]) == 2
 
 
+@pytest.mark.parametrize("optimizer", ["gradagrad", "gradagrad-scalar", "adagrad", "sgd", "adam"])
+@pytest.mark.parametrize("shape", [["--dim", "0"], ["--diag", ","]], ids=["dim0", "empty-diag"])
+def test_empty_quadratic_rejected(capsys, optimizer, shape):
+    assert run_cli(["run", "--problem", "quadratic", *shape, "--optimizer", optimizer, "--steps", "3"]) == 2
+    assert "dim must be >= 1, got 0" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -286,6 +293,39 @@ class TestGrid:
         assert run_cli([
             "grid", "--problem", "abs", "--steps", "5", "--grid-param", "lr",
         ]) == 2
+
+    def test_trace_rejected(self, tmp_path, capsys):
+        base = ["grid", "--problem", "abs", "--steps", "5", "--out", str(tmp_path / "g.csv")]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("trace=true\n")
+        for extra in (["--trace"], ["--config", str(cfg)]):
+            assert run_cli([*base, *extra]) == 2
+            assert "grid writes no trace" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("optimizer,param,mode", [
+        *[(opt, param, "theory") for opt in ("adagrad", "sgd", "adam") for param in ("rho", "beta", "g_inf", "d_inf")],
+        *[("gradagrad-scalar", param, "theory") for param in ("beta", "g_inf", "d_inf")],
+        ("gradagrad", "g_inf", "practical"),
+    ])
+    def test_unread_grid_param_rejected(self, capsys, optimizer, param, mode):
+        assert run_cli([
+            "grid", "--problem", "abs", "--steps", "5", "--optimizer", optimizer, "--mode", mode,
+            "--grid-param", param.replace("_", "-"), "--grid-values", "0.5,1",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"--grid-param {param} is not read by --optimizer {optimizer}" in err
+        assert ("--mode practical" in err) == (optimizer == "gradagrad")
+
+    def test_bad_grid_value_message_unchanged(self, capsys):
+        assert run_cli([
+            "grid", "--problem", "abs", "--steps", "5", "--optimizer", "adagrad", "--grid-values", "1,-2,nan",
+        ]) == 2
+        assert "gamma must be positive and finite, got -2.0" in capsys.readouterr().err
+        assert run_cli([
+            "grid", "--problem", "abs", "--steps", "5", "--grid-param", "rho", "--grid-values", "1,-0.5",
+        ]) == 2
+        assert "rho must be nonnegative, got -0.5" in capsys.readouterr().err
 
 
 def _make_trace(tmp_path, extra=()):
@@ -524,7 +564,7 @@ class TestRoundTripThroughCli:
         opt, state = GradaGrad(np.ones(3), HyperParams()), problem.init_state(3)
         trace = Trace.empty(150, 3)
         for _ in range(150):
-            opt.step(problem.grad_sample(opt.x, state), trace)
+            opt.step(problem.grad_sample(opt.x, [state]), trace)
         rows = read_rows(trace_path)
         shuffled = tmp_path / "shuffled.trace.csv"
         order = np.random.default_rng(0).permutation(len(rows) - 1) + 1
@@ -647,3 +687,44 @@ def test_run_record_bytes_match_golden(tmp_path, optimizer, problem):
     out = tmp_path / "r.csv"
     assert run_cli(["run", *RECORD_PROBLEMS[problem], "--optimizer", optimizer, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RECORD_GOLDEN[optimizer, problem]
+
+
+# SHA-256 of the grid CSVs of GRID_CASES with --seeds 2 --seed 11, recorded
+# before grid replicas stepped in lockstep; the lockstep grid must not
+# change a byte.
+GRID_GOLDEN = {
+    "adagrad-abs": "27963301f620f2af33c1664cd57e02f743df6d6b6ae3fc79eaf1e9d5f07c9b85",
+    "adagrad-quadratic": "dd2846b6f53e3dced2fc098e9b5d919090cb44fa774040b416615ee42ffab0ca",
+    "adagrad-bits": "28425d4ead2f64f029468da9d353b11e01f8701a82963d3ee9a5592edb09e40a",
+    "adagrad-blobs": "091001eaabcad9038f8d97c778e6bcdb04ea5f503c42cb00ec3ed046e2ab9615",
+    "adam-abs": "f23d35c06079d5c83a0c775ba1b19a95423981bd97585b5d688077d0744cdb5d",
+    "adam-quadratic": "cf42beb6e18f033f75074ed3ab1a582f9972a0a7658cbbdc3126f1731cd5ec0c",
+    "adam-bits": "46ee5cd5d08dfdb89639ead70fc01d2c80d392d58fbc3b353913e25647791820",
+    "adam-blobs": "c20072cfa9adfef419a9cecd2230d56455a7a83f34764817452d06a7dd9dbc62",
+    "gradagrad-abs": "de060f269cd83a99bb22995c5795edd77b77e62859c3fa5bc921babc30187014",
+    "gradagrad-quadratic": "52d1e07aad85dd00c2202b447c346dc40a8fd55b4f8c20bffcda285a83a65ffa",
+    "gradagrad-bits": "6f6122fa348cf5160f2f950aca9326602569cc46f4310046fb7912b2aa07ba85",
+    "gradagrad-blobs": "fcdb7b0b802f8629ea7ad69822194aa1fb66debbd816e174881b35f523d705d6",
+    "gradagrad-scalar-abs": "baaae72a1143c7bf8f717217cc4986fc6a427890dd964f1704813ea3cfe47628",
+    "gradagrad-scalar-quadratic": "f06007fd5de369046460b3a56ca7ab214f78ed7b04362c61348650b6ddcf0ee7",
+    "gradagrad-scalar-bits": "161322538f6a41294371f0abd34688f7d5f60172d806e1294bd0c78126440084",
+    "gradagrad-scalar-blobs": "683e61762138cd0fba62d0dac1c736d9e9685249eb99847aeed6d1d67be79888",
+    "sgd-abs": "136640f612c9a0885c9d8e2ccc03c90dae048a2348bbba463e9d66539cefa30d",
+    "sgd-quadratic": "77164044f5db2fdafbb0b862fe38515fe8f38f782aaeaa8f1af1f03aa0e524a4",
+    "sgd-bits": "9e83187adc629ad71a644e7ca5a3c2853874ddf92186bf895610970cc723b6eb",
+    "sgd-blobs": "1c0b67ed3f3588f83c2ef9f1c499c5a94e6814b320f8feba924a1a499192e9ca",
+    "gradagrad-rho": "926cd57f3a5019876aae40ad4f9e534ae4ca9cb8600eea3a10988191660b3deb",
+    "gradagrad-beta": "cd7c1920d09a6b5cd27a788052d884594449bd67b8ccf3caefe1f363683a2ad9",
+    "gradagrad-g_inf": "004af1209f0827e973cc541fc1138d7546d2dfdfdc8c9d7dc83af9a02a61f102",
+    "gradagrad-d_inf": "a390b48116e1fdb392c3821ba2704447afeb103112381d760883e365d3d5818b",
+    "scalar-rho-adaptive": "7f65952ecda3b60bfc64b7e7155fc2cc235fecfa8a86f41982b1cd61e406b72b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_GOLDEN))
+def test_grid_bytes_match_golden(tmp_path, name):
+    import hashlib
+
+    out = tmp_path / "grid.csv"
+    assert run_cli(["grid", *GRID_CASES[name], "--seeds", "2", "--seed", "11", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_GOLDEN[name]

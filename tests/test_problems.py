@@ -28,7 +28,7 @@ class TestAbsValue:
     def test_deterministic_oracle(self):
         problem = AbsValue(2)
         rng = problem.init_state(0)
-        np.testing.assert_array_equal(problem.grad_sample([1.0, -1.0], rng), [1.0, -1.0])
+        np.testing.assert_array_equal(problem.grad_sample([1.0, -1.0], [rng]), [1.0, -1.0])
 
     def test_smooth_at(self):
         problem = AbsValue(1)
@@ -58,20 +58,24 @@ class TestQuadratic:
             with pytest.raises(ValueError, match="finite"):
                 Quadratic([1.0], noise_std=noise_std)
 
+    def test_rejects_empty_diag(self):
+        with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
+            Quadratic([])
+
     def test_noise_std_monte_carlo(self):
         # empirical std of the sampled gradient over 1e5 draws within 3%
         sigma = 0.7
         problem = Quadratic([1.0], noise_std=sigma)
         rng = problem.init_state(0)
         x = np.array([2.0])
-        draws = np.array([problem.grad_sample(x, rng)[0] for _ in range(100_000)])
+        draws = np.array([problem.grad_sample(x, [rng])[0] for _ in range(100_000)])
         assert abs(draws.std() - sigma) / sigma < 0.03
         assert draws.mean() == pytest.approx(2.0, abs=0.02)
 
     def test_noise_deterministic_given_state(self):
         problem = Quadratic([1.0, 1.0], noise_std=1.0)
-        a = [problem.grad_sample([1.0, 1.0], problem.init_state(5)) for _ in range(1)]
-        b = [problem.grad_sample([1.0, 1.0], problem.init_state(5)) for _ in range(1)]
+        a = [problem.grad_sample([1.0, 1.0], [problem.init_state(5)]) for _ in range(1)]
+        b = [problem.grad_sample([1.0, 1.0], [problem.init_state(5)]) for _ in range(1)]
         np.testing.assert_array_equal(a[0], b[0])
 
     def test_convex_midpoint(self):
@@ -115,11 +119,11 @@ class TestLogisticRegression:
     def test_grad_sample_walks_epoch_batches(self):
         problem = LogisticRegression(_tiny_dataset(), batch_size=2)
         state = problem.init_state(7)
-        g1 = problem.grad_sample(np.zeros(3), state)
-        g2 = problem.grad_sample(np.zeros(3), state)
+        g1 = problem.grad_sample(np.zeros(3), [state])
+        g2 = problem.grad_sample(np.zeros(3), [state])
         state2 = problem.init_state(7)
-        np.testing.assert_array_equal(g1, problem.grad_sample(np.zeros(3), state2))
-        np.testing.assert_array_equal(g2, problem.grad_sample(np.zeros(3), state2))
+        np.testing.assert_array_equal(g1, problem.grad_sample(np.zeros(3), [state2]))
+        np.testing.assert_array_equal(g2, problem.grad_sample(np.zeros(3), [state2]))
 
     def test_accuracy_range_and_loss_nonnegative(self):
         ds = normalize_labels(load_dataset(BLOBS))
