@@ -10,6 +10,7 @@ from .core import (
     Optimizer,
     ScalarGradaGrad,
     Trace,
+    drive,
     project,
 )
 from .data import (

@@ -16,14 +16,13 @@ import csv
 import itertools
 import math
 import sys
-import time
 from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
 from . import verify
-from .core import BRANCHES, FLOAT_COLUMNS, SGD, Adam, AdaGrad, GradaGrad, HyperParams, ScalarGradaGrad, Trace
+from .core import BRANCHES, FLOAT_COLUMNS, SGD, Adam, AdaGrad, GradaGrad, HyperParams, ScalarGradaGrad, Trace, drive
 from .data import load_dataset, normalize_labels
 from .problems import AbsValue, LogisticRegression, Quadratic
 
@@ -179,7 +178,10 @@ def _build_run(args):
     """(problem, x0, n_batches, steps, eval_every): a run but its optimizer and seed."""
     problem, x0, n_batches = _build_problem(args)
     steps = _resolve_steps(args, n_batches)
-    return problem, x0, n_batches, steps, args.eval_every or n_batches or 100
+    eval_every = args.eval_every if args.eval_every is not None else n_batches or 100
+    if eval_every < 1:
+        raise ConfigError(f"--eval-every must be >= 1, got {eval_every}")
+    return problem, x0, n_batches, steps, eval_every
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +202,6 @@ def _eval_row(step, n_batches, problem, opt):
     ]
 
 
-def _execute_run(problem, opt, steps, eval_every, states, on_eval, trace=None):
-    """Step all of opt's replicas `steps` times in lockstep, each from its own
-    seed-state in states, and call on_eval(k) at k = 0, every eval_every
-    steps and the last step; fill trace if given (only the GradaGrad
-    steppers can be traced). Returns the wall seconds of the steps."""
-    trace_arg = () if trace is None else (trace,)
-    on_eval(0)
-    t0 = time.perf_counter()
-    for k in range(1, steps + 1):
-        opt.step(problem.grad_sample(opt.x, states), *trace_arg)
-        if k % eval_every == 0 or k == steps:
-            on_eval(k)
-    return time.perf_counter() - t0
-
-
 def cmd_run(args) -> int:
     problem, x0, n_batches, steps, eval_every = _build_run(args)
     opt = _build_optimizer([args], x0)
@@ -225,17 +212,16 @@ def cmd_run(args) -> int:
             raise ConfigError("--trace requires --out (the trace path derives from it)")
     rows = []
     trace = Trace.empty(steps, opt.gamma.size) if args.trace else None
-    wall = _execute_run(
-        problem, opt, steps, eval_every, [problem.init_state(args.seed)],
-        lambda k: rows.append(_eval_row(k, n_batches, problem, opt)), trace,
-    )
+    states = [problem.init_state(args.seed)]
+    wall = drive(opt, lambda x: problem.grad_sample(x, states), steps,
+                 lambda k: rows.append(_eval_row(k, n_batches, problem, opt)), eval_every, trace)
     _write_csv(args.out, RUN_HEADER, [[_fmt(v) for v in row] for row in rows])
     if args.trace:
         trace_path = Path(args.out).with_suffix(".trace.csv")
         _write_csv(trace_path, TRACE_HEADER, _trace_rows(trace))
         print(f"trace written to {trace_path}", file=sys.stderr)
     final_loss = rows[-1][2]
-    avg_loss = problem.loss_full(opt.averaged_iterate()) if opt.k > 0 else final_loss
+    avg_loss = problem.loss_full(opt.averaged_iterate())
     print(
         f"run complete: steps={steps} final_loss={final_loss!r} "
         f"averaged_iterate_loss={avg_loss!r} wall={wall:.3f}s",
@@ -298,7 +284,7 @@ def _run_grid(args, param, values):
         elif k == steps:
             evals["loss"].append(problem.loss_full(x))
 
-    _execute_run(problem, opt, steps, eval_every, states, on_eval)
+    drive(opt, lambda x: problem.grad_sample(x, states), steps, on_eval, eval_every)
     kind = "accuracy" if evals["accuracy"] else "loss"
     return opt, kind, evals[kind]
 
@@ -334,14 +320,8 @@ def cmd_grid(args) -> int:
     table = [(value, float(np.mean(scores[vi * args.seeds:(vi + 1) * args.seeds])))
              for vi, value in enumerate(values)]
 
-    best_idx = 0
-    for idx in range(1, len(table)):
-        if metric_kind == "accuracy":
-            better = table[idx][1] > table[best_idx][1]
-        else:
-            better = table[idx][1] < table[best_idx][1]
-        if better:  # exact ties keep the earlier (smaller) value
-            best_idx = idx
+    # max/min replace the best only on a strict >/<: exact ties keep the earlier (smaller) value
+    best_idx = (max if metric_kind == "accuracy" else min)(range(len(table)), key=lambda idx: table[idx][1])
 
     out_rows = [
         [args.grid_param, _fmt(value), metric_kind, _fmt(score), _fmt(idx == best_idx)]

@@ -13,9 +13,10 @@ it to every gamma/alpha pair at once. Both variants call it: GradaGrad
 adaptive r) on length-d arrays, and ScalarGradaGrad (one gamma/alpha pair
 scaling the whole gradient, fixed or adaptive r) on length-1 arrays. Each
 variant only forms v and the clip ratio t. AdaGrad, SGD and Adam baselines
-share the same single-step interface, step(g). GradaGrad, ScalarGradaGrad
-and AdaGrad keep the step sizes gamma / sqrt(alpha) their last step applied
-as ainv, and one stats() reads the run record's columns from that state.
+share the single-step interface step(g), which drive() runs on an oracle.
+GradaGrad, ScalarGradaGrad and AdaGrad keep the step sizes gamma /
+sqrt(alpha) their last step applied as ainv, and one stats() reads the run
+record's columns from that state.
 
 Every stepper also runs R replicas in lockstep: x0 is then an (R, d) stack,
 the state is one flat (R*d,) vector with replica r in [r*d, (r+1)*d), and
@@ -35,6 +36,7 @@ in single precision.
 """
 
 import math
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
@@ -517,3 +519,23 @@ class Adam(Optimizer):
             return {"ainv_mean": None}
         v_hat = self.v / (1.0 - self.beta2 ** self.k)
         return {"ainv_mean": float(np.mean(self._lr / (np.sqrt(v_hat) + self.eps)))}
+
+
+def drive(opt: Optimizer, grad, steps: int, on_eval=None, eval_every: int = 1,
+          trace: Trace | None = None) -> float:
+    """Step opt `steps` times on grad, which maps the flat iterate opt.x to
+    the flat gradient, and call on_eval(k) after k of these steps at k = 0,
+    every eval_every steps and the last step. Fill trace if given (only the
+    GradaGrad steppers take one). Returns the wall seconds of the steps and
+    of the evaluations after k = 0."""
+    if eval_every < 1:
+        raise ValueError(f"eval_every must be >= 1, got {eval_every}")
+    trace_arg = () if trace is None else (trace,)
+    on_eval = on_eval or (lambda k: None)
+    on_eval(0)
+    t0 = time.perf_counter()
+    for k in range(1, steps + 1):
+        opt.step(grad(opt.x), *trace_arg)
+        if k % eval_every == 0 or k == steps:
+            on_eval(k)
+    return time.perf_counter() - t0

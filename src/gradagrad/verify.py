@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BRANCH_NEGATIVE, BRANCHES, AdaGrad, GradaGrad, HyperParams, Trace
+from .core import BRANCH_NEGATIVE, BRANCHES, AdaGrad, GradaGrad, HyperParams, Trace, drive
 
 TOL_IDENTITY = 1e-12
 TOL_MOMENTUM = 1e-10
@@ -174,27 +174,28 @@ def check_convergence_trend(
 ) -> CheckReport:
     """Averaged-iterate error ratio e(factor*n) / e(n) over seeded runs.
 
-    The 1/sqrt(n) rate predicts a ratio of 1/sqrt(factor); the default
-    threshold 0.75 at factor 4 leaves room for constants and transients.
-    The threshold is recorded in the report. Runs that are already
-    converged at n (error below 1e-14) pass vacuously.
+    The runs are the replicas of optimizer_factory(an (n_seeds, d) stack of
+    x0); replica s draws from problem.init_state(seed0 + s). The 1/sqrt(n)
+    rate predicts a ratio of 1/sqrt(factor); the default threshold 0.75 at
+    factor 4 leaves room for constants and transients. The threshold is
+    recorded in the report. Runs that are already converged at n (error
+    below 1e-14) pass vacuously.
     """
     if problem.f_star is None:
         raise ValueError("trend check needs a problem with known optimal value")
-    errs_small = []
-    errs_big = []
-    for s in range(n_seeds):
-        opt = optimizer_factory(np.asarray(x0, dtype=float))
-        state = problem.init_state(seed0 + s)
-        f_small = None
-        for _ in range(factor * n_small):
-            opt.step(problem.grad_sample(opt.x, [state]))
-            if opt.k == n_small:
-                f_small = problem.loss_full(opt.averaged_iterate())
-        errs_small.append(f_small - problem.f_star)
-        errs_big.append(problem.loss_full(opt.averaged_iterate()) - problem.f_star)
-    e_small = float(np.mean(errs_small))
-    e_big = float(np.mean(errs_big))
+    if n_small < 1 or n_seeds < 1 or factor < 2:
+        raise ValueError("need n_small >= 1, n_seeds >= 1 and factor >= 2, "
+                         f"got n_small={n_small}, n_seeds={n_seeds}, factor={factor}")
+    opt = optimizer_factory(np.tile(np.asarray(x0, dtype=float), (n_seeds, 1)))
+    states = [problem.init_state(seed0 + s) for s in range(n_seeds)]
+    errs = {}  # k -> the (n_seeds,) suboptimalities of the averaged iterates after k steps
+
+    def on_eval(k):
+        if k in (n_small, factor * n_small):
+            errs[k] = problem.loss_full(opt.averaged_iterate().reshape(n_seeds, -1)) - problem.f_star
+
+    drive(opt, lambda x: problem.grad_sample(x, states), factor * n_small, on_eval, n_small)
+    e_small, e_big = (float(np.mean(errs[k])) for k in (n_small, factor * n_small))
     if e_small < 1e-14:
         return CheckReport(
             name="convergence_trend",
@@ -290,12 +291,13 @@ def record_run(opt: GradaGrad, grad_fn, steps: int) -> RunHistory:
     """Step a diagonal optimizer `steps` times, recording everything the
     identity checks need. grad_fn maps the current iterate to a gradient."""
     trace = Trace.empty(opt.k + steps, opt.dim)  # the stepper writes row opt.k
-    x, z, m = np.empty((steps + 1, opt.dim)), np.empty((steps + 1, opt.dim)), np.empty((steps, opt.dim))
-    x[0], z[0] = opt.x, opt.z
-    for t in range(steps):
-        opt.step(grad_fn(opt.x), trace)
-        x[t + 1], z[t + 1], m[t] = opt.x, opt.z, opt.m_prev
-    return RunHistory(x=x, z=z, m=m, trace=trace[opt.k - steps:], beta=opt.params.beta)
+    x, z, m = (np.empty((steps + 1, opt.dim)) for _ in range(3))  # row k: the state after k steps
+
+    def on_eval(k):
+        x[k], z[k], m[k] = opt.x, opt.z, opt.m_prev
+
+    drive(opt, grad_fn, steps, on_eval, trace=trace)
+    return RunHistory(x=x, z=z, m=m[1:], trace=trace[opt.k - steps:], beta=opt.params.beta)
 
 
 def check_momentum_identities(run: RunHistory) -> CheckReport:

@@ -29,6 +29,7 @@ from gradagrad import (
     check_monotone_and_cap,
     check_reparam_invariance,
     cli,
+    drive,
     load_dataset,
     normalize_labels,
 )
@@ -96,10 +97,9 @@ def test_02_reparam_invariance_and_monotonicity():
     ds = normalize_labels(load_dataset(BITS))
     problem = LogisticRegression(ds, batch_size=50)
     opt = GradaGrad(np.zeros(problem.dim), HyperParams(gamma0=1.0, rho=2.0))
-    state = problem.init_state(0)
+    states = [problem.init_state(0)]
     bench = Trace.empty(300, problem.dim)
-    for _ in range(300):
-        opt.step(problem.grad_sample(opt.x, [state]), bench)
+    drive(opt, lambda x: problem.grad_sample(x, states), 300, trace=bench)
     runs.append((bench, 1e10))
 
     checked = 0
@@ -193,23 +193,24 @@ def test_07_untuned_defaults_match_tuned_adagrad():
         n_batches = math.ceil(problem.n / batch)
         steps = epochs * n_batches
 
-        def final_accuracy(make_opt):
-            vals = []
-            for s in range(n_seeds):
-                opt = make_opt(np.zeros(problem.dim))
-                state = problem.init_state(1_000 + s)
-                accs = []
-                for k in range(1, steps + 1):
-                    opt.step(problem.grad_sample(opt.x, [state]))
-                    if k % n_batches == 0:
-                        accs.append(problem.accuracy(opt.x))
-                vals.append(np.mean(accs[-10:]))  # last-10-evaluation average
-            return float(np.mean(vals))
+        def final_accuracies(opt, seeds):
+            """One score per replica: its mean accuracy over the last 10
+            evaluations, one every epoch; replica r draws from seeds[r]."""
+            states = [problem.init_state(seed) for seed in seeds]
+            accs = []
+            drive(opt, lambda x: problem.grad_sample(x, states), steps,
+                  lambda k: accs.append(problem.accuracy(opt.x.reshape(opt.replicas, -1))), n_batches)
+            # one column at a time: a mean over axis 0 sums in another order
+            return [np.mean(column.tolist()) for column in np.array(accs[-10:]).T]
 
-        gg_acc = final_accuracy(lambda x0: GradaGrad(x0, HyperParams(gamma0=1.0, rho=2.0)))
-        ag_best = max(
-            final_accuracy(lambda x0, g=gamma: AdaGrad(x0, gamma=g)) for gamma in grid
+        seeds = [1_000 + s for s in range(n_seeds)]
+        x0 = np.zeros((n_seeds, problem.dim))
+        gg_acc = float(np.mean(final_accuracies(GradaGrad(x0, HyperParams(gamma0=1.0, rho=2.0)), seeds)))
+        ag_scores = final_accuracies(
+            AdaGrad(np.zeros((len(grid) * n_seeds, problem.dim)), gamma=np.repeat(grid, n_seeds)),
+            seeds * len(grid),
         )
+        ag_best = max(float(np.mean(ag_scores[i:i + n_seeds])) for i in range(0, len(ag_scores), n_seeds))
         margins.append((path.name, gg_acc, ag_best))
         assert gg_acc >= ag_best - 0.02, (
             f"{path.name}: untuned {gg_acc:.4f} vs tuned adagrad {ag_best:.4f}"

@@ -186,6 +186,16 @@ class TestConfigErrors:
         ]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_eval_every_below_one_rejected(tmp_path, capsys, command, value):
+    out = tmp_path / "out.csv"
+    argv = [command, "--problem", "abs", "--steps", "7", "--eval-every", value, "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert f"--eval-every must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("optimizer", ["gradagrad", "gradagrad-scalar", "adagrad", "sgd", "adam"])
 @pytest.mark.parametrize("shape", [["--dim", "0"], ["--diag", ","]], ids=["dim0", "empty-diag"])
 def test_empty_quadratic_rejected(capsys, optimizer, shape):

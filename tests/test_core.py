@@ -13,6 +13,7 @@ from gradagrad import (
     HyperParams,
     ScalarGradaGrad,
     Trace,
+    drive,
     project,
 )
 from gradagrad.core import BRANCH_NEGATIVE, FLOAT_COLUMNS
@@ -478,6 +479,32 @@ class TestAveragedIterate:
     def test_requires_a_step(self):
         with pytest.raises(ValueError):
             SGD([0.0]).averaged_iterate()
+
+
+class TestDrive:
+    @pytest.mark.parametrize("steps,eval_every,expected", [
+        (7, 3, [0, 3, 6, 7]), (6, 3, [0, 3, 6]), (2, 5, [0, 2]), (3, 1, [0, 1, 2, 3]), (0, 1, [0]),
+    ])
+    def test_eval_cadence(self, steps, eval_every, expected):
+        opt = SGD([0.0], lr=1.0)
+        seen = []
+        drive(opt, lambda x: np.array([-1.0]), steps, lambda k: seen.append((k, opt.k, float(opt.x[0]))), eval_every)
+        assert seen == [(k, k, float(k)) for k in expected]
+
+    def test_steps_each_replica_on_its_gradient_and_fills_the_trace(self):
+        opt = GradaGrad(np.zeros((2, 3)))
+        trace = Trace.empty(4, opt.dim)
+        wall = drive(opt, lambda x: x - np.repeat([1.0, -2.0], 3), 4, trace=trace)
+        assert opt.k == 4 and wall >= 0.0
+        assert np.all(trace.branch[0] == 0) and np.isfinite(trace.gamma_after).all()
+        assert np.all(opt.x[:3] > 0) and np.all(opt.x[3:] < 0)
+
+    @pytest.mark.parametrize("eval_every", [0, -3])
+    def test_rejects_eval_every_below_one(self, eval_every):
+        opt = SGD([0.0])
+        with pytest.raises(ValueError, match="eval_every must be >= 1"):
+            drive(opt, lambda x: x, 5, eval_every=eval_every)
+        assert opt.k == 0
 
 
 class TestInvariantsFuzz:

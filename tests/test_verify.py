@@ -186,6 +186,22 @@ class TestConvergenceTrend:
         with pytest.raises(ValueError):
             check_convergence_trend(problem, lambda x0: GradaGrad(x0), x0=np.ones(1), n_small=10)
 
+    @pytest.mark.parametrize("bad", [{"n_small": 0}, {"n_seeds": 0}, {"factor": 1}])
+    def test_rejects_degenerate_runs(self, bad):
+        args = {"n_small": 10, "n_seeds": 2, "factor": 4, **bad}
+        with pytest.raises(ValueError, match="n_small >= 1, n_seeds >= 1 and factor >= 2"):
+            check_convergence_trend(Quadratic([1.0]), lambda x0: GradaGrad(x0), x0=np.ones(1), **args)
+
+    def test_factory_gets_one_replica_per_seed(self):
+        shapes = []
+
+        def factory(x0):
+            shapes.append(x0.shape)
+            return GradaGrad(x0)
+
+        check_convergence_trend(Quadratic([1.0, 2.0], noise_std=0.1), factory, x0=np.ones(2), n_small=5, n_seeds=3)
+        assert shapes == [(3, 2)]
+
 
 class TestMonotoneAndCap:
     def test_fuzz_run_passes(self):
