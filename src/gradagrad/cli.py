@@ -35,7 +35,14 @@ TRACE_CHUNK_ROWS = 1024  # trace CSV rows held as strings at once
 CHECK_HEADER = ["name", "passed", "worst_violation", "step", "coord", "details"]
 
 TRACE_OPTIMIZERS = ("gradagrad", "gradagrad-scalar")
-CHECK_NAMES = ("errnegativity", "monotone", "reparam")
+# the trace checks by name; each looks its verify function up when called, so that
+# wrappers patched onto verify apply
+TRACE_CHECKS = {
+    "errnegativity": lambda trace, d_inf: verify.check_errnegativity(trace),
+    "monotone": lambda trace, d_inf: verify.check_monotone_and_cap(trace, d_inf=d_inf),
+    "reparam": lambda trace, d_inf: verify.check_reparam_invariance(trace, d_inf=d_inf),
+}
+CHECK_NAMES = tuple(TRACE_CHECKS)
 DEFAULT_GRID = "0.015625,0.03125,0.0625,0.125,0.25,0.5,1,2,4"
 
 # config-file keys accepted for run/grid (key=value, flag spelling without --)
@@ -293,9 +300,9 @@ def _selection_metric(kind, evals) -> list[float]:
     """One score per replica: its mean accuracy over the last <=10
     evaluations, or its final loss."""
     if kind == "accuracy":
-        tail = np.array(evals[-10:])
-        return [float(np.mean(column.tolist())) for column in tail.T]
-    return [float(loss) for loss in evals[-1]]
+        # a last-axis mean of contiguous rows rounds as each replica's alone; a mean down axis 0 does not
+        return np.ascontiguousarray(np.transpose(evals[-10:])).mean(axis=-1).tolist()
+    return evals[-1].tolist()
 
 
 def cmd_grid(args) -> int:
@@ -316,9 +323,8 @@ def cmd_grid(args) -> int:
 
     values = sorted(values)
     _, metric_kind, evals = _run_grid(args, param, values)
-    scores = _selection_metric(metric_kind, evals)
-    table = [(value, float(np.mean(scores[vi * args.seeds:(vi + 1) * args.seeds])))
-             for vi, value in enumerate(values)]
+    scores = np.reshape(_selection_metric(metric_kind, evals), (len(values), args.seeds)).mean(axis=-1)
+    table = list(zip(values, scores.tolist()))
 
     # max/min replace the best only on a strict >/<: exact ties keep the earlier (smaller) value
     best_idx = (max if metric_kind == "accuracy" else min)(range(len(table)), key=lambda idx: table[idx][1])
@@ -402,12 +408,20 @@ def read_trace_csv(path) -> Trace:
     parts = parts or [_parse_trace_rows(path, [], 2)]  # a header and no rows
     codes, (k, i), floats = (np.concatenate(p, axis=-1) for p in zip(*parts))
 
-    # the first bad step: a gap in 0, 1, 2, ..., or not one row per coordinate
+    # a trace holds d rows per step, so every coordinate is below the row count
+    far = np.flatnonzero(i >= len(i))
+    if far.size:
+        raise ConfigError(f"{path}:{2 + far[0]}: coordinate {i[far[0]]} is out of range; "
+                          f"a trace of {len(i)} rows has coordinates below {len(i)}")
+    # the first bad step: a gap in 0, 1, 2, ..., or not one row per coordinate. The steps before
+    # it hold d rows each, so it is among the first n // d + 1: the count table is O(n)
     d = max(0, 1 + int(i.max(initial=-1)))
     steps, row_step = np.unique(k, return_inverse=True)
-    counts = np.bincount(row_step * (d + 1) + np.where(i < 0, d, i), minlength=len(steps) * (d + 1))
-    counts = counts.reshape(len(steps), d + 1)  # column d counts negative coordinates
-    bad = (steps != np.arange(len(steps))) | (counts[:, :d] != 1).any(axis=1) | (counts[:, d] > 0)
+    m = min(len(steps), len(i) // max(d, 1) + 1)
+    head = row_step < m
+    counts = np.bincount(row_step[head] * (d + 1) + np.where(i < 0, d, i)[head], minlength=m * (d + 1))
+    counts = counts.reshape(m, d + 1)  # column d counts negative coordinates
+    bad = (steps[:m] != np.arange(m)) | (counts[:, :d] != 1).any(axis=1) | (counts[:, d] > 0)
     if bad.any():
         s = int(np.argmax(bad))
         if steps[s] != s:
@@ -422,20 +436,6 @@ def read_trace_csv(path) -> Trace:
     order = np.argsort(row_step * d + i)  # (k, i) order, a permutation now
     columns = floats[:, order].reshape(len(FLOAT_COLUMNS), len(steps), d)
     return Trace(k=steps, branch=codes[order].reshape(len(steps), d), **dict(zip(FLOAT_COLUMNS, columns)))
-
-
-def _run_checks(trace, names, d_inf):
-    reports = []
-    for name in names:
-        if name == "errnegativity":
-            reports.append(verify.check_errnegativity(trace))
-        elif name == "monotone":
-            reports.append(verify.check_monotone_and_cap(trace, d_inf=d_inf))
-        elif name == "reparam":
-            reports.append(verify.check_reparam_invariance(trace, d_inf=d_inf))
-        else:
-            raise ConfigError(f"unknown check {name!r}; choose from {CHECK_NAMES} or 'all'")
-    return reports
 
 
 def _check_run_record(path, d_inf):
@@ -491,7 +491,11 @@ def cmd_check(args) -> int:
             raise ConfigError("run record files support only the 'record' check")
         reports = [_check_run_record(args.trace, args.d_inf)]
     else:
-        reports = _run_checks(read_trace_csv(args.trace), names, args.d_inf)
+        unknown = [name for name in names if name not in TRACE_CHECKS]
+        if unknown:
+            raise ConfigError(f"unknown check {unknown[0]!r}; choose from {CHECK_NAMES} or 'all'")
+        trace = read_trace_csv(args.trace)
+        reports = [TRACE_CHECKS[name](trace, args.d_inf) for name in names]
     rows = []
     for rep in reports:
         step, coord = rep.location if rep.location is not None else (None, None)

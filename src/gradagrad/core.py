@@ -23,8 +23,8 @@ the state is one flat (R*d,) vector with replica r in [r*d, (r+1)*d), and
 step(g) takes the R gradients as one flat (R*d,) vector. Each replica may
 have its own hyperparameters (one HyperParams, gamma or lr per replica),
 which the steppers hold as columns repeated over the replica's d entries.
-Since every operation is elementwise (the scalar variant's dot products are
-taken row by row), each replica steps exactly as it would alone.
+Every operation is elementwise or a stacked matmul of one row per replica,
+so each replica steps exactly as it would alone.
 
 A run's trace is one columnar Trace of (steps, width) arrays, with width d
 for the diagonal stepper and 1 for the scalar one. The GradaGrad steppers
@@ -331,10 +331,10 @@ class ScalarGradaGrad(Optimizer):
 
     def step(self, g, trace: Trace | None = None) -> None:
         g = self._check_grad(g)
-        rows = g.reshape(self.replicas, -1)
-        # one dot product per replica: a reduction over the whole stack could round differently
-        gsq = np.array([row @ row for row in rows])
-        cross = np.array([row @ prev for row, prev in zip(rows, self.g_prev.reshape(self.replicas, -1))])
+        # stacked (1, d) @ (d, 1) matmuls round as each replica's row @ row; einsum does not
+        rows = g.reshape(self.replicas, 1, -1)
+        gsq = (rows @ g.reshape(self.replicas, -1, 1))[:, 0, 0]
+        cross = (rows @ self.g_prev.reshape(self.replicas, -1, 1))[:, 0, 0]
         v = gsq - self._rho * cross
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(v < 0, self._rho * cross / gsq, math.nan)
@@ -347,8 +347,8 @@ class ScalarGradaGrad(Optimizer):
         if trace is not None:
             a = np.zeros(self.replicas)
             a[live] = root / self.gamma[live]
-            trace.record(
-                self.k, g=[np.linalg.norm(row) for row in rows], v_raw=v, v_clipped=v_clip,
+            trace.record(  # g: the norm, as np.linalg.norm takes it
+                self.k, g=np.sqrt(gsq), v_raw=v, v_clipped=v_clip,
                 branch=np.where(v < 0, BRANCH_NEGATIVE, BRANCH_POSITIVE), r=r,
                 gamma_after=self.gamma, alpha_after=self.alpha, a_after=a,
             )

@@ -13,21 +13,15 @@ stack to an (R,) array, with each replica's value equal to the one it
 would get alone.
 """
 
-import functools
-
 import numpy as np
 
 from .data import Dataset, MinibatchStream
 
 
-def _row_by_row(method):
-    """method of one (d,) iterate, extended to an (R, d) stack one row at a
-    time: a reduction over the whole stack could round differently."""
-    @functools.wraps(method)
-    def each(self, x):
-        x = np.asarray(x, dtype=float)
-        return method(self, x) if x.ndim == 1 else np.array([method(self, row) for row in x])
-    return each
+def _one_or_stack(values: np.ndarray) -> float | np.ndarray:
+    """A last-axis reduction's result: a Python float for one iterate (which
+    repr prints as a plain number), the (R,) array for a stack."""
+    return float(values) if values.ndim == 0 else values
 
 
 class Problem:
@@ -70,9 +64,8 @@ class AbsValue(Problem):
         self.dim = dim
         self.f_star = 0.0
 
-    @_row_by_row
-    def loss_full(self, x) -> float:
-        return float(np.sum(np.abs(x)))
+    def loss_full(self, x) -> float | np.ndarray:
+        return _one_or_stack(np.sum(np.abs(np.asarray(x, dtype=float)), axis=-1))
 
     def grad_full(self, x) -> np.ndarray:
         return np.sign(np.asarray(x, dtype=float))
@@ -101,9 +94,10 @@ class Quadratic(Problem):
         self.dim = diag.size
         self.f_star = 0.0
 
-    @_row_by_row
-    def loss_full(self, x) -> float:
-        return 0.5 * float(self.diag @ (x * x))
+    def loss_full(self, x) -> float | np.ndarray:
+        x = np.asarray(x, dtype=float)
+        # stacked (1, d) @ (d, 1) matmuls round as each row's diag @ (x * x); the gemv does not
+        return _one_or_stack(0.5 * ((x * x)[..., None, :] @ self.diag[:, None])[..., 0, 0])
 
     def grad_full(self, x) -> np.ndarray:
         return self.diag * np.asarray(x, dtype=float)
@@ -161,12 +155,11 @@ class LogisticRegression(Problem):
     def grad_full(self, w) -> np.ndarray:
         return self._grad_rows(np.asarray(w, dtype=float), slice(None))
 
-    @_row_by_row
-    def loss_full(self, w) -> float:
-        margins = self.y * (self.X @ w)
-        return float(np.mean(np.logaddexp(0.0, -margins)))
+    def loss_full(self, w) -> float | np.ndarray:
+        margins = self.y * (self.X @ np.asarray(w, dtype=float)[..., None])[..., 0]  # as in accuracy
+        return _one_or_stack(np.mean(np.logaddexp(0.0, -margins), axis=-1))
 
     def accuracy(self, w) -> float | np.ndarray:
         w = np.asarray(w, dtype=float)
         hits = np.sign((self.X @ w[..., None])[..., 0]) == self.y  # per replica, as X @ w[r]
-        return float(np.mean(hits)) if w.ndim == 1 else np.mean(hits, axis=-1)
+        return _one_or_stack(np.mean(hits, axis=-1))

@@ -278,13 +278,14 @@ def check_reparam_invariance(trace: Trace, d_inf: float | None = None) -> CheckR
 @dataclass
 class RunHistory:
     """Full history of a diagonal run: iterates x and auxiliary iterates z
-    from x0 on, (steps + 1, d); directions m, (steps, d); and the trace."""
+    from x0 on, (steps + 1, d); directions m, (steps, d); the trace; and
+    beta, (d,), the momentum each entry of x stepped with."""
 
     x: np.ndarray
     z: np.ndarray
     m: np.ndarray
     trace: Trace
-    beta: float
+    beta: np.ndarray
 
 
 def record_run(opt: GradaGrad, grad_fn, steps: int) -> RunHistory:
@@ -297,7 +298,7 @@ def record_run(opt: GradaGrad, grad_fn, steps: int) -> RunHistory:
         x[k], z[k], m[k] = opt.x, opt.z, opt.m_prev
 
     drive(opt, grad_fn, steps, on_eval, trace=trace)
-    return RunHistory(x=x, z=z, m=m[1:], trace=trace[opt.k - steps:], beta=opt.params.beta)
+    return RunHistory(x=x, z=z, m=m[1:], trace=trace[opt.k - steps:], beta=opt._beta)
 
 
 def check_momentum_identities(run: RunHistory) -> CheckReport:

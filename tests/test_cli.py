@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,6 +410,45 @@ class TestCheck:
     @staticmethod
     def _write_rows(path, rows):
         path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+
+    @staticmethod
+    def _one_row_steps(path, coords):
+        """A trace of one row per step, row k at coordinate coords[k]."""
+        rows = [cli.TRACE_HEADER] + [[str(k), str(i), "1.0", "1.0", "1.0", "positive", "", "1.0", "1.0", "1.0"]
+                                     for k, i in enumerate(coords)]
+        TestCheck._write_rows(path, rows)
+
+    @pytest.mark.parametrize("rows,line", [(2, 3), (1200, 1101)])  # the reader parses 1024 rows at a time
+    @pytest.mark.parametrize("command", ["check", "trace-dump"])
+    def test_coordinate_past_the_row_count_is_config_error(self, tmp_path, capsys, command, rows, line):
+        trace = tmp_path / "t.trace.csv"
+        coords = [0] * rows
+        coords[line - 2] = 100000000000  # a steps x (1 + max i) count table would take 745 GiB or more
+        self._one_row_steps(trace, coords)
+        assert run_cli([command, str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert f"{trace}:{line}: coordinate 100000000000 is out of range; a trace of {rows} rows" in err
+        assert "Traceback" not in err
+
+    def test_count_table_stays_linear_in_rows(self, tmp_path):
+        # 3000 one-row steps with a last coordinate just below the row count: a
+        # steps x (1 + max i) count table would take 72 MB
+        trace = tmp_path / "t.trace.csv"
+        self._one_row_steps(trace, [0] * 2999 + [2999])
+        tracemalloc.start()
+        try:
+            with pytest.raises(cli.ConfigError, match="step 0 lacks rows for coordinates \\[1, 2, 3, 4, 5\\]"):
+                cli.read_trace_csv(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+    def test_unknown_check_name_wins_over_a_malformed_trace(self, tmp_path, capsys):
+        trace = tmp_path / "t.trace.csv"
+        self._one_row_steps(trace, [0, 5])
+        assert run_cli(["check", str(trace), "--checks", "monotone,telescoping"]) == 2
+        assert "unknown check 'telescoping'; choose from" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", [11, 1101])  # the reader parses 1024 rows at a time
     def test_unknown_branch_label_is_config_error(self, tmp_path, capsys, line):

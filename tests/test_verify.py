@@ -289,3 +289,13 @@ class TestMomentumIdentities:
         )
         run = record_run(opt, lambda x: rng.normal(1.0, 0.3, 2), steps=150)
         assert check_momentum_identities(run).passed
+
+    def test_replicas_with_their_own_beta(self):
+        params = [HyperParams(beta=0.5), HyperParams(beta=0.0)]
+        run = record_run(GradaGrad(np.ones((2, 3)), params), lambda x: 2 * x, 40)
+        np.testing.assert_array_equal(run.beta, [0.5, 0.5, 0.5, 0.0, 0.0, 0.0])
+        assert check_momentum_identities(run).passed
+        for r, p in enumerate(params):
+            alone = record_run(GradaGrad(np.ones(3), p), lambda x: 2 * x, 40)
+            for name in ("x", "z", "m"):
+                np.testing.assert_array_equal(getattr(run, name)[:, 3 * r:3 * r + 3], getattr(alone, name))
