@@ -96,15 +96,17 @@ def _parse_seed(text: str) -> int:
 
 def _build_problem(args):
     """Returns (problem, x0, batches_per_epoch_or_None)."""
+    dim = args.dim if args.dim is not None else 1
     if args.problem == "abs":
-        dim = args.dim if args.dim is not None else 1
         problem = AbsValue(dim)
         x0_default = np.ones(dim)
     elif args.problem == "quadratic":
         if args.diag is not None:
             diag = np.array(_parse_floats(args.diag))
+        elif dim < 1:  # AbsValue's message; np.ones(dim) would raise numpy's own
+            raise ConfigError(f"dim must be >= 1, got {dim}")
         else:
-            diag = np.ones(args.dim if args.dim is not None else 1)
+            diag = np.ones(dim)
         problem = Quadratic(diag, noise_std=args.noise_std)
         x0_default = np.ones(problem.dim)
     elif args.problem == "logistic":
@@ -364,138 +366,123 @@ def _parse(text: np.ndarray, dtype):
         return int(np.argmin(np.vectorize(parses, otypes=[bool])(text).all(axis=0)))
 
 
-def _parse_trace_rows(path, rows, first_line):
-    """Branch codes, k, i and the float columns of a run of trace CSV rows;
-    a ConfigError names the line of the first bad row."""
-    errors = []  # (row index, message), the first bad row of each kind
-    short = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) != len(TRACE_HEADER))
-    if short.size:
-        errors.append((short[0], f"expected {len(TRACE_HEADER)} fields"))
-        rows = rows[: short[0]]
-    text = np.array(rows, dtype=object).reshape(len(rows), len(TRACE_HEADER)).T
+def _read_csv(path, header, parse) -> list:
+    """The arrays parse(text) returns for each run of up to TRACE_CHUNK_ROWS
+    rows after a CSV's header, which must be header, each joined over the
+    runs along its last axis. text is a run's (columns, rows) object array
+    of fields, and parse returns (arrays, errors), errors a list of (row
+    index, message). A ConfigError names the line of the first bad row: one
+    with the wrong field count, or one of parse's errors (on a tie, the
+    field count, then parse's order)."""
+
+    def parsed(rows, line):
+        short = next((n for n, row in enumerate(rows) if len(row) != len(header)), len(rows))
+        errors = [(short, f"expected {len(header)} fields")] if short < len(rows) else []
+        rows = rows[:short]
+        result, more = parse(np.array(rows, dtype=object).reshape(len(rows), len(header)).T)
+        if errors or more:
+            row, message = min(errors + more, key=lambda e: e[0])  # ties keep the order above
+            raise ConfigError(f"{path}:{line + row}: {message}")
+        return result
+
+    kind = "trace" if header == TRACE_HEADER else "run record"
+    with open(path, "r", newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        found = next(reader, None)
+        if found is None:
+            raise ConfigError(f"{path}: empty {kind} file")
+        if found != header:
+            missing = [c for c in header if c not in found]
+            raise ConfigError(
+                f"{path}: bad {kind} header, missing columns {missing}" if missing
+                else f"{path}: bad {kind} header {found}"
+            )
+        chunks = iter(lambda: list(itertools.islice(reader, TRACE_CHUNK_ROWS)), [])
+        results = [parsed(rows, 2 + n * TRACE_CHUNK_ROWS) for n, rows in enumerate(chunks)]
+    return [np.concatenate(arrays, axis=-1) for arrays in zip(*results or [parsed([], 2)])]
+
+
+def _trace_fields(text):
+    """Branch codes, k and i, and the float columns of trace fields; errors as _read_csv reads them."""
     ints, floats = _parse(text[:2], int), _parse(text[[2, 3, 4, 6, 7, 8, 9]], float)
-    errors += [(bad, "non-numeric field") for bad in (ints, floats) if isinstance(bad, int)]
-    codes = np.full(len(rows), -1, dtype=np.int8)
+    errors = [(bad, "non-numeric field") for bad in (ints, floats) if isinstance(bad, int)]
+    codes = np.full(text.shape[1], -1, dtype=np.int8)
     for code, name in enumerate(BRANCHES):
         codes[text[5] == name] = code
     if (codes < 0).any():
         row = int(np.argmin(codes))
         errors.append((row, f"unknown branch {text[5][row]!r}; expected one of {list(BRANCHES)}"))
-    if errors:
-        row, message = min(errors, key=lambda e: e[0])  # ties keep the order above
-        raise ConfigError(f"{path}:{first_line + row}: {message}")
-    return codes, ints, floats
+    return (codes, ints, floats), errors
 
 
 def read_trace_csv(path) -> Trace:
     """Parse a trace CSV column by column, TRACE_CHUNK_ROWS rows at a time.
-    Rows may come in any order, but every step 0..n-1 must hold exactly one
-    row per coordinate 0..d-1."""
-    with open(path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty trace file") from None
-        if header != TRACE_HEADER:
-            missing = [c for c in TRACE_HEADER if c not in header]
-            raise ConfigError(
-                f"{path}: bad trace header, missing columns {missing}" if missing
-                else f"{path}: bad trace header {header}"
-            )
-        chunks = iter(lambda: list(itertools.islice(reader, TRACE_CHUNK_ROWS)), [])
-        parts = [_parse_trace_rows(path, rows, 2 + n * TRACE_CHUNK_ROWS) for n, rows in enumerate(chunks)]
-    parts = parts or [_parse_trace_rows(path, [], 2)]  # a header and no rows
-    codes, (k, i), floats = (np.concatenate(p, axis=-1) for p in zip(*parts))
+    Rows come in the order a run writes them: if step 0 has d rows, row n
+    (from 0) holds step n // d and coordinate n % d. A row out of place, or
+    a last step of fewer than d rows, is a ConfigError naming its line."""
+    codes, (k, i), floats = _read_csv(path, TRACE_HEADER, _trace_fields)
+    d = int(np.argmax(k != 0)) if k.any() else len(k)  # the rows of step 0
+    step, coord = np.divmod(np.arange(len(k)), max(d, 1))
+    (bad,) = np.nonzero((k != step) | (i != coord))
+    if bad.size:
+        n = bad[0]
+        raise ConfigError(f"{path}:{2 + n}: expected step {step[n]}, coordinate {coord[n]}, "
+                          f"got step {k[n]}, coordinate {i[n]}; a trace's rows run in (k, i) order")
+    if len(k) and i[-1] != d - 1:
+        raise ConfigError(f"{path}:{1 + len(k)}: the trace ends in step {k[-1]} after coordinate {i[-1]}; "
+                          f"every step has one row per coordinate 0..{d - 1}")
+    steps = len(k) // d if d else 0
+    columns = floats.reshape(len(FLOAT_COLUMNS), steps, d)
+    return Trace(k=np.arange(steps), branch=codes.reshape(steps, d), **dict(zip(FLOAT_COLUMNS, columns)))
 
-    # a trace holds d rows per step, so every coordinate is below the row count
-    far = np.flatnonzero(i >= len(i))
-    if far.size:
-        raise ConfigError(f"{path}:{2 + far[0]}: coordinate {i[far[0]]} is out of range; "
-                          f"a trace of {len(i)} rows has coordinates below {len(i)}")
-    # the first bad step: a gap in 0, 1, 2, ..., or not one row per coordinate. The steps before
-    # it hold d rows each, so it is among the first n // d + 1: the count table is O(n)
-    d = max(0, 1 + int(i.max(initial=-1)))
-    steps, row_step = np.unique(k, return_inverse=True)
-    m = min(len(steps), len(i) // max(d, 1) + 1)
-    head = row_step < m
-    counts = np.bincount(row_step[head] * (d + 1) + np.where(i < 0, d, i)[head], minlength=m * (d + 1))
-    counts = counts.reshape(m, d + 1)  # column d counts negative coordinates
-    bad = (steps[:m] != np.arange(m)) | (counts[:, :d] != 1).any(axis=1) | (counts[:, d] > 0)
-    if bad.any():
-        s = int(np.argmax(bad))
-        if steps[s] != s:
-            raise ConfigError(f"{path}: step {s} is missing; steps must run 0, 1, 2, ...")
-        missing = np.flatnonzero(counts[s, :d] == 0).tolist()
-        raise ConfigError(
-            f"{path}: step {s} "
-            + (f"lacks rows for coordinates {missing[:5]}" if missing
-               else "has duplicate or negative coordinates")
-            + f"; every step needs one row per coordinate 0..{d - 1}"
-        )
-    order = np.argsort(row_step * d + i)  # (k, i) order, a permutation now
-    columns = floats[:, order].reshape(len(FLOAT_COLUMNS), len(steps), d)
-    return Trace(k=steps, branch=codes[order].reshape(len(steps), d), **dict(zip(FLOAT_COLUMNS, columns)))
+
+def _record_fields(text):
+    """The step and gamma_max columns of run-record fields, an empty
+    gamma_max as -inf, which no cap check fails; errors as _read_csv reads them."""
+    step, gamma_max = _parse(text[:1], int), _parse(np.where(text[5:6] == "", "-inf", text[5:6]), float)
+    return (step, gamma_max), [(bad, "non-numeric step or gamma_max") for bad in (step, gamma_max)
+                               if isinstance(bad, int)]
 
 
 def _check_run_record(path, d_inf):
     """Schema-level check of a run record: steps strictly increase and every
-    recorded gamma stays at or below the cap."""
-    worst = 0.0
-    location = None
-    details = []
-    with open(path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        next(reader)
-        prev_step = None
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(RUN_HEADER):
-                raise ConfigError(f"{path}:{lineno}: expected {len(RUN_HEADER)} fields")
-            try:
-                step = int(row[0])
-                gamma_max = float(row[5]) if row[5] else None
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: non-numeric step or gamma_max") from None
-            if prev_step is not None and step <= prev_step:
-                if 1.0 > worst:  # the first of the largest violations; an earlier NaN stays
-                    worst, location = 1.0, (step, 0)
-                details.append(f"step {step} does not increase past {prev_step}")
-            prev_step = step
-            if d_inf is not None and gamma_max is not None:
-                # a finite gamma_max under d_inf = inf gives over = -inf/inf = NaN: no
-                # violation; a NaN gamma_max fails, located at the first one
-                over = (gamma_max - d_inf) / d_inf
-                if over > worst or (math.isnan(gamma_max) and not math.isnan(worst)):
-                    worst = over
-                    location = (step, 0)
+    recorded gamma stays at or below the cap. An empty gamma_max is not
+    checked, a NaN one fails, and under d_inf = inf no other one does."""
+    (step,), (gamma_max,) = _read_csv(path, RUN_HEADER, _record_fields)
+    viol = np.zeros(len(step))
+    viol[1:] = step[1:] <= step[:-1]  # 1.0 where a step does not increase
+    details = [f"step {step[n]} does not increase past {step[n - 1]}" for n in np.flatnonzero(viol)[:3]]
+    if d_inf is not None:
+        over = (gamma_max - d_inf) / d_inf if d_inf < math.inf else np.where(np.isnan(gamma_max), np.nan, 0.0)
+        viol = np.maximum(viol, over)
+    worst, location = verify._worst(viol[:, None], True, step)
     cap_note = f", gamma_max <= {d_inf:g}" if d_inf is not None else ""
     return verify.CheckReport(
         name="run_record",
         passed=worst <= 0.0,
         worst_violation=worst,
         location=location,
-        details="; ".join(details[:3]) or f"steps strictly increasing{cap_note}",
+        details="; ".join(details) or f"steps strictly increasing{cap_note}",
     )
 
 
 def cmd_check(args) -> int:
+    if args.d_inf is not None and not args.d_inf > 0:  # NaN fails too; inf is allowed, a cap that never binds
+        raise ConfigError(f"--d-inf must be positive, got {args.d_inf}")
     with open(args.trace, "r", newline="", encoding="utf-8") as f:
-        header = next(csv.reader(f), None)
-    names = list(CHECK_NAMES) if args.checks == "all" else [
+        record = next(csv.reader(f), None) == RUN_HEADER
+    checks = {"record": _check_run_record} if record else TRACE_CHECKS
+    names = list(checks) if args.checks == "all" else [
         tok.strip() for tok in args.checks.split(",") if tok.strip()
     ]
     if not names:
         raise ConfigError("no checks requested")
-    if header == RUN_HEADER:
-        if args.checks not in ("all", "record"):
-            raise ConfigError("run record files support only the 'record' check")
-        reports = [_check_run_record(args.trace, args.d_inf)]
-    else:
-        unknown = [name for name in names if name not in TRACE_CHECKS]
-        if unknown:
-            raise ConfigError(f"unknown check {unknown[0]!r}; choose from {CHECK_NAMES} or 'all'")
-        trace = read_trace_csv(args.trace)
-        reports = [TRACE_CHECKS[name](trace, args.d_inf) for name in names]
+    unknown = [name for name in names if name not in checks]
+    if unknown:
+        raise ConfigError("run record files support only the 'record' check" if record
+                          else f"unknown check {unknown[0]!r}; choose from {CHECK_NAMES} or 'all'")
+    source = args.trace if record else read_trace_csv(args.trace)
+    reports = [checks[name](source, args.d_inf) for name in names]
     rows = []
     for rep in reports:
         step, coord = rep.location if rep.location is not None else (None, None)

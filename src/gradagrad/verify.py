@@ -230,7 +230,7 @@ def check_monotone_and_cap(
         (alpha_prev - alpha) / np.maximum(1.0, abs(alpha_prev)),
         (gamma_prev - gamma) / np.maximum(1.0, abs(gamma_prev)),
     )
-    if d_inf is not None:
+    if d_inf is not None and d_inf < np.inf:  # an infinite cap never binds
         viol = np.maximum(viol, (gamma - d_inf) / d_inf)
     neg = trace.branch == BRANCH_NEGATIVE
     change = np.where(neg, alpha - alpha_prev, gamma - gamma_prev)  # must be 0

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -204,6 +205,15 @@ def test_empty_quadratic_rejected(capsys, optimizer, shape):
     assert "dim must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "grid"])
+@pytest.mark.parametrize("problem", ["abs", "quadratic"])
+def test_negative_dim_rejected(capsys, command, problem):
+    assert run_cli([command, "--problem", problem, "--dim", "-1", "--steps", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "error: dim must be >= 1, got -1" in err
+    assert "Traceback" not in err
+
+
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -395,7 +405,7 @@ class TestCheck:
         for command in ("check", "trace-dump"):
             assert run_cli([command, str(trace)]) == 2
             err = capsys.readouterr().err
-            assert "step 40 lacks rows for coordinates [1]" in err
+            assert f"{trace}:{2 + 40 * 3 + 1}: expected step 40, coordinate 1, got step 40, coordinate 2" in err
             assert "Traceback" not in err
 
     def test_missing_step_is_config_error(self, tmp_path, capsys):
@@ -404,7 +414,16 @@ class TestCheck:
         for command in ("check", "trace-dump"):
             assert run_cli([command, str(trace)]) == 2
             err = capsys.readouterr().err
-            assert "step 40 is missing" in err
+            assert f"{trace}:{2 + 40 * 3}: expected step 40, coordinate 0, got step 41, coordinate 0" in err
+            assert "Traceback" not in err
+
+    def test_short_last_step_is_config_error(self, tmp_path, capsys):
+        trace = _make_trace(tmp_path)
+        self._drop_rows(trace, "149,2,")
+        for command in ("check", "trace-dump"):
+            assert run_cli([command, str(trace)]) == 2
+            err = capsys.readouterr().err
+            assert f"{trace}:{1 + 150 * 3 - 1}: the trace ends in step 149 after coordinate 1" in err
             assert "Traceback" not in err
 
     @staticmethod
@@ -412,10 +431,12 @@ class TestCheck:
         path.write_text("\n".join(",".join(r) for r in rows) + "\n")
 
     @staticmethod
-    def _one_row_steps(path, coords):
-        """A trace of one row per step, row k at coordinate coords[k]."""
+    def _one_row_steps(path, coords, steps=None):
+        """A trace of one row per step, row n at step steps[n] (n by default)
+        and coordinate coords[n]."""
+        steps = range(len(coords)) if steps is None else steps
         rows = [cli.TRACE_HEADER] + [[str(k), str(i), "1.0", "1.0", "1.0", "positive", "", "1.0", "1.0", "1.0"]
-                                     for k, i in enumerate(coords)]
+                                     for k, i in zip(steps, coords)]
         TestCheck._write_rows(path, rows)
 
     @pytest.mark.parametrize("rows,line", [(2, 3), (1200, 1101)])  # the reader parses 1024 rows at a time
@@ -427,22 +448,29 @@ class TestCheck:
         self._one_row_steps(trace, coords)
         assert run_cli([command, str(trace)]) == 2
         err = capsys.readouterr().err
-        assert f"{trace}:{line}: coordinate 100000000000 is out of range; a trace of {rows} rows" in err
+        assert f"{trace}:{line}: expected step {line - 2}, coordinate 0, got step {line - 2}, " \
+               "coordinate 100000000000" in err
         assert "Traceback" not in err
 
-    def test_count_table_stays_linear_in_rows(self, tmp_path):
-        # 3000 one-row steps with a last coordinate just below the row count: a
-        # steps x (1 + max i) count table would take 72 MB
-        trace = tmp_path / "t.trace.csv"
-        self._one_row_steps(trace, [0] * 2999 + [2999])
-        tracemalloc.start()
-        try:
-            with pytest.raises(cli.ConfigError, match="step 0 lacks rows for coordinates \\[1, 2, 3, 4, 5\\]"):
-                cli.read_trace_csv(trace)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
+    def test_reading_a_far_step_or_coordinate_stays_linear_in_rows(self, tmp_path, capsys):
+        # 3000 one-row steps, the last at step or coordinate 1e11: a table sized
+        # by the largest step or coordinate would take gigabytes
+        trace, far = tmp_path / "t.trace.csv", 100000000000
+        for (steps, coords, got), command in itertools.product([
+            (None, [0] * 2999 + [far], f"step 2999, coordinate {far}"),
+            ([*range(2999), far], [0] * 3000, f"step {far}, coordinate 0"),
+        ], ["check", "trace-dump"]):
+            self._one_row_steps(trace, coords, steps)
+            tracemalloc.start()
+            try:
+                assert run_cli([command, str(trace)]) == 2
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 20e6
+            err = capsys.readouterr().err
+            assert f"{trace}:3001: expected step 2999, coordinate 0, got {got};" in err
+            assert "Traceback" not in err
 
     def test_unknown_check_name_wins_over_a_malformed_trace(self, tmp_path, capsys):
         trace = tmp_path / "t.trace.csv"
@@ -561,6 +589,26 @@ class TestCheck:
         ]) == 0
         assert run_cli(["check", str(out), "--d-inf", "inf"]) == 0
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("kind", ["record", "trace"])
+    def test_d_inf_must_be_positive(self, tmp_path, capsys, kind, value):
+        path = _make_trace(tmp_path)
+        path = tmp_path / "t.csv" if kind == "record" else path
+        assert run_cli(["check", str(path), "--d-inf", value]) == 2
+        err = capsys.readouterr().err
+        assert f"--d-inf must be positive, got {float(value)}" in err
+        assert "Traceback" not in err
+
+    def test_trace_under_infinite_cap_passes(self, tmp_path):
+        trace = _make_trace(tmp_path, ["--d-inf", "inf"])
+        assert run_cli(["check", str(trace), "--d-inf", "inf"]) == 0
+
+    def test_record_check_names_are_stripped(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run_cli(["run", "--problem", "quadratic", "--dim", "2", "--steps", "40", "--out", str(out)]) == 0
+        assert run_cli(["check", str(out), "--checks", " record "]) == 0
+        assert run_cli(["check", str(out), "--checks", "record,"]) == 0
+
     def test_named_subset(self, tmp_path):
         trace = _make_trace(tmp_path)
         assert run_cli(["check", str(trace), "--checks", "reparam,monotone"]) == 0
@@ -603,7 +651,7 @@ class TestRoundTripThroughCli:
         assert ks == sorted(ks)
         assert np.isnan(trace[0].r[0])  # init branch has no clip parameter
 
-    def test_read_matches_the_run_and_ignores_row_order(self, tmp_path):
+    def test_read_matches_the_run_and_rejects_shuffled_rows(self, tmp_path, capsys):
         import dataclasses
 
         from gradagrad import GradaGrad, HyperParams, Quadratic, Trace
@@ -615,15 +663,22 @@ class TestRoundTripThroughCli:
         trace = Trace.empty(150, 3)
         for _ in range(150):
             opt.step(problem.grad_sample(opt.x, [state]), trace)
+        read = read_trace_csv(trace_path)
+        for f in dataclasses.fields(Trace):
+            a, b = getattr(read, f.name), getattr(trace, f.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), f.name
+        # a shuffled trace is malformed at its first row out of (k, i) order
         rows = read_rows(trace_path)
         shuffled = tmp_path / "shuffled.trace.csv"
         order = np.random.default_rng(0).permutation(len(rows) - 1) + 1
         shuffled.write_text("\n".join(",".join(rows[j]) for j in [0, *order]) + "\n")
-        for path in (trace_path, shuffled):
-            read = read_trace_csv(path)
-            for f in dataclasses.fields(Trace):
-                a, b = getattr(read, f.name), getattr(trace, f.name)
-                assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), f.name
+        k, i = rows[order[0]][:2]
+        assert (k, i) != ("0", "0")
+        for command in ("check", "trace-dump"):
+            assert run_cli([command, str(shuffled)]) == 2
+            err = capsys.readouterr().err
+            assert f"{shuffled}:2: expected step 0, coordinate 0, got step {k}, coordinate {i};" in err
+            assert "Traceback" not in err
 
 
 # SHA-256 of output bytes recorded before traces became columnar; the trace,
