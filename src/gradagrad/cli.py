@@ -13,6 +13,7 @@ appears in the stderr summary.
 
 import argparse
 import csv
+import functools
 import itertools
 import math
 import sys
@@ -227,7 +228,7 @@ def cmd_run(args) -> int:
     _write_csv(args.out, RUN_HEADER, [[_fmt(v) for v in row] for row in rows])
     if args.trace:
         trace_path = Path(args.out).with_suffix(".trace.csv")
-        _write_csv(trace_path, TRACE_HEADER, _trace_rows(trace))
+        _write_trace_csv(trace_path, trace)
         print(f"trace written to {trace_path}", file=sys.stderr)
     final_loss = rows[-1][2]
     avg_loss = problem.loss_full(opt.averaged_iterate())
@@ -239,22 +240,35 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _trace_columns(trace: Trace, fmt) -> list[list]:
-    """The trace CSV columns, row-major over (step, coordinate); fmt formats a float column."""
+def _trace_columns(trace: Trace, fmt) -> list[list[str]]:
+    """The trace CSV columns as strings, row-major over (step, coordinate);
+    fmt maps the (7, rows) array of FLOAT_COLUMNS to one list of strings each."""
     steps, d = trace.branch.shape
-    cols = [np.repeat(trace.k, d).tolist(), list(range(d)) * steps]
-    cols += [fmt(getattr(trace, name).ravel().tolist()) for name in FLOAT_COLUMNS]
-    cols.insert(5, np.take(BRANCHES, trace.branch.ravel()).tolist())
+    # object arrays repeat one string per step and per branch, not a copy per row
+    k = np.array(list(map(str, trace.k.tolist())), dtype=object)
+    cols = [np.repeat(k, d).tolist(), list(map(str, range(d))) * steps,
+            *fmt(np.stack([getattr(trace, name).ravel() for name in FLOAT_COLUMNS]))]
+    cols.insert(5, np.take(np.array(BRANCHES, dtype=object), trace.branch.ravel()).tolist())
     return cols
 
 
-def _trace_rows(trace: Trace):
-    """The trace CSV rows, formatted column by column as _fmt formats a
-    value, about TRACE_CHUNK_ROWS rows at a time."""
+def _repr_fields(floats: np.ndarray) -> list[list[str]]:
+    """floats formatted as _fmt formats a float, with one repr per distinct
+    64-bit pattern: -0.0 stays apart from 0.0, and every NaN is empty."""
+    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+    text = np.array(["" if v != v else repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse.reshape(floats.shape)].tolist()
+
+
+def _write_trace_csv(path, trace: Trace):
+    """Write a trace CSV, its values formatted as _fmt formats them, with one
+    write per run of about TRACE_CHUNK_ROWS rows."""
     steps = max(1, TRACE_CHUNK_ROWS // max(1, trace.branch.shape[1]))
-    for start in range(0, len(trace), steps):
-        chunk = trace[start:start + steps]
-        yield from zip(*_trace_columns(chunk, lambda values: ["" if v != v else repr(v) for v in values]))
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(",".join(TRACE_HEADER) + "\n")
+        for start in range(0, len(trace), steps):
+            rows = zip(*_trace_columns(trace[start:start + steps], _repr_fields))
+            f.write("\n".join([*map(",".join, rows), ""]))
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +380,13 @@ def _parse(text: np.ndarray, dtype):
         return int(np.argmin(np.vectorize(parses, otypes=[bool])(text).all(axis=0)))
 
 
+def _read_lines(f, n) -> list[list[str]]:
+    """The fields of the next n lines of f (fewer at its end), in the CSV
+    dialect this program writes: unquoted fields, "\\n", "\\r\\n" or "\\r"
+    line ends. f must be opened with newline=""."""
+    return [line.rstrip("\r\n").split(",") for line in itertools.islice(f, n)]
+
+
 def _read_csv(path, header, parse) -> list:
     """The arrays parse(text) returns for each run of up to TRACE_CHUNK_ROWS
     rows after a CSV's header, which must be header, each joined over the
@@ -376,10 +397,12 @@ def _read_csv(path, header, parse) -> list:
     field count, then parse's order)."""
 
     def parsed(rows, line):
-        short = next((n for n, row in enumerate(rows) if len(row) != len(header)), len(rows))
+        (wrong,) = np.nonzero(np.fromiter(map(len, rows), int, len(rows)) != len(header))
+        short = int(wrong[0]) if wrong.size else len(rows)
         errors = [(short, f"expected {len(header)} fields")] if short < len(rows) else []
         rows = rows[:short]
-        result, more = parse(np.array(rows, dtype=object).reshape(len(rows), len(header)).T)
+        fields = np.fromiter(itertools.chain.from_iterable(rows), object, len(rows) * len(header))
+        result, more = parse(fields.reshape(len(rows), len(header)).T)
         if errors or more:
             row, message = min(errors + more, key=lambda e: e[0])  # ties keep the order above
             raise ConfigError(f"{path}:{line + row}: {message}")
@@ -387,17 +410,17 @@ def _read_csv(path, header, parse) -> list:
 
     kind = "trace" if header == TRACE_HEADER else "run record"
     with open(path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        found = next(reader, None)
-        if found is None:
+        first = _read_lines(f, 1)
+        if not first:
             raise ConfigError(f"{path}: empty {kind} file")
+        found = first[0]
         if found != header:
             missing = [c for c in header if c not in found]
             raise ConfigError(
                 f"{path}: bad {kind} header, missing columns {missing}" if missing
                 else f"{path}: bad {kind} header {found}"
             )
-        chunks = iter(lambda: list(itertools.islice(reader, TRACE_CHUNK_ROWS)), [])
+        chunks = iter(lambda: _read_lines(f, TRACE_CHUNK_ROWS), [])
         results = [parsed(rows, 2 + n * TRACE_CHUNK_ROWS) for n, rows in enumerate(chunks)]
     return [np.concatenate(arrays, axis=-1) for arrays in zip(*results or [parsed([], 2)])]
 
@@ -470,7 +493,7 @@ def cmd_check(args) -> int:
     if args.d_inf is not None and not args.d_inf > 0:  # NaN fails too; inf is allowed, a cap that never binds
         raise ConfigError(f"--d-inf must be positive, got {args.d_inf}")
     with open(args.trace, "r", newline="", encoding="utf-8") as f:
-        record = next(csv.reader(f), None) == RUN_HEADER
+        record = _read_lines(f, 1) == [RUN_HEADER]
     checks = {"record": _check_run_record} if record else TRACE_CHECKS
     names = list(checks) if args.checks == "all" else [
         tok.strip() for tok in args.checks.split(",") if tok.strip()
@@ -508,9 +531,10 @@ def cmd_trace_dump(args) -> int:
     print("  ".join(TRACE_HEADER))
     n = max(0, min(args.head, steps * d))
     if n:
-        cols = _trace_columns(trace[: -(-n // d)], lambda values: [format(v, ".6g") for v in values])
+        cols = _trace_columns(trace[: -(-n // d)],
+                              lambda floats: [[format(v, ".6g") for v in col] for col in floats.tolist()])
         cols[6] = ["" if r == "nan" else r for r in cols[6]]  # no clip ran
-        print("\n".join(["  ".join(map(str, row)) for row in zip(*cols)][:n]))
+        print("\n".join(["  ".join(row) for row in zip(*cols)][:n]))
     return 0
 
 
@@ -545,7 +569,9 @@ def _add_run_flags(p):
     p.add_argument("--config", help="key=value config file; flags override file values")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gradagrad",
         description="Non-monotone adaptive gradient benchmark harness",
@@ -554,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one configured run")
     _add_run_flags(p_run)
-    p_run.set_defaults(func=cmd_run)
 
     p_grid = sub.add_parser("grid", help="grid-search one parameter over seeded runs")
     _add_run_flags(p_grid)
@@ -562,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--grid-values", default=DEFAULT_GRID,
                         help="comma-separated values (default: powers of 2)")
     p_grid.add_argument("--seeds", type=int, default=10, help="replicates per grid point")
-    p_grid.set_defaults(func=cmd_grid)
 
     p_check = sub.add_parser("check", help="run invariant checks on a run-record or step-trace CSV")
     p_check.add_argument("trace")
@@ -573,12 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="gamma cap to assert; by default cap binding is "
                               "self-detected from the trace and no cap bound is asserted")
     p_check.add_argument("--out", help="check report CSV path (stdout when omitted)")
-    p_check.set_defaults(func=cmd_check)
 
     p_dump = sub.add_parser("trace-dump", help="summarize a step-trace CSV")
     p_dump.add_argument("trace")
     p_dump.add_argument("--head", type=int, default=10, help="records to print")
-    p_dump.set_defaults(func=cmd_trace_dump)
 
     return parser
 
@@ -617,7 +639,8 @@ def main(argv=None) -> int:
             # command line keeps the last word
             argv = [argv[0]] + _load_config_flags(args.config) + argv[1:]
             args = parser.parse_args(argv)
-        return args.func(args)
+        # looked up per call, not held by the cached parser, so a patched cmd_* applies
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ConfigError, ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         # ValueError covers LibsvmParseError and contract violations from bad flag combinations
         print(f"error: {exc}", file=sys.stderr)

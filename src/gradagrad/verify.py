@@ -19,6 +19,10 @@ from .core import BRANCH_NEGATIVE, BRANCHES, AdaGrad, GradaGrad, HyperParams, Tr
 TOL_IDENTITY = 1e-12
 TOL_MOMENTUM = 1e-10
 TOL_FINITE_DIFF = 1e-5
+# a trace check evaluates its identity on every value of a trace, an edited
+# one's inf or 1e300 too; the NaN or inf that gives fails the check, so the
+# floating-point warnings would only repeat the report
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
 
 
 @dataclass
@@ -77,8 +81,8 @@ def check_errnegativity(trace: Trace) -> CheckReport:
     Vacuously passes when no negative branch occurred.
     """
     neg = _negative_after_first(trace)
-    g_sq = np.float_power(trace.g[1:], 2.0)  # pow, not g * g: rounds as tests/reference_verify.py
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
+        g_sq = np.float_power(trace.g[1:], 2.0)  # pow, not g * g: rounds as tests/reference_verify.py
         term_new = g_sq / trace.a_after[1:]
         term_old = (g_sq - trace.v_raw[1:]) / trace.a_after[:-1]
         scaled = (term_new - term_old) / np.maximum(1.0, np.maximum(abs(term_new), abs(term_old)))
@@ -226,14 +230,15 @@ def check_monotone_and_cap(
     first = gamma[:1] if gamma0 is None else np.full_like(gamma[:1], gamma0)
     gamma_prev = np.concatenate([first, gamma[:-1]])
     alpha_prev = np.concatenate([np.zeros_like(alpha[:1]), alpha[:-1]])
-    viol = np.maximum(
-        (alpha_prev - alpha) / np.maximum(1.0, abs(alpha_prev)),
-        (gamma_prev - gamma) / np.maximum(1.0, abs(gamma_prev)),
-    )
-    if d_inf is not None and d_inf < np.inf:  # an infinite cap never binds
-        viol = np.maximum(viol, (gamma - d_inf) / d_inf)
     neg = trace.branch == BRANCH_NEGATIVE
-    change = np.where(neg, alpha - alpha_prev, gamma - gamma_prev)  # must be 0
+    with np.errstate(**_QUIET):
+        viol = np.maximum(
+            (alpha_prev - alpha) / np.maximum(1.0, abs(alpha_prev)),
+            (gamma_prev - gamma) / np.maximum(1.0, abs(gamma_prev)),
+        )
+        if d_inf is not None and d_inf < np.inf:  # an infinite cap never binds
+            viol = np.maximum(viol, (gamma - d_inf) / d_inf)
+        change = np.where(neg, alpha - alpha_prev, gamma - gamma_prev)  # must be 0
     moved = np.where(neg, alpha != alpha_prev, gamma != gamma_prev)
     viol = np.where(moved, np.maximum(viol, abs(change)), viol)
     worst, location = _worst(viol, True, trace.k)
@@ -261,7 +266,7 @@ def check_reparam_invariance(trace: Trace, d_inf: float | None = None) -> CheckR
     gamma_prev, gamma = trace.gamma_after[:-1], trace.gamma_after[1:]
     alpha = trace.alpha_after[1:]  # unchanged on the negative branch
     v = trace.v_clipped[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         if d_inf is not None:
             capped = gamma >= d_inf  # the cap bound; the identity is intentionally broken
         else:

@@ -247,6 +247,49 @@ class TestConfigFile:
         assert (tmp_path / "o.trace.csv").exists()
 
 
+def test_repeated_calls_share_one_parser_and_leak_nothing(tmp_path, monkeypatch, capsys):
+    """main builds its parser once per process: no flag or config value of
+    one call may reach a later one, so each command of a mixed sequence must
+    give what it gives on a freshly built parser."""
+    quadratic = ["--problem", "quadratic", "--dim", "3", "--noise-std", "0.5", "--x0", "3", "--steps", "40"]
+    commands = [
+        ["run", *quadratic, "--gamma0", "1.5", "--d-inf", "2", "--trace", "--out", "a.csv"],
+        ["run", *quadratic, "--out", "b.csv"],
+        ["run", "--config", "run.cfg", "--problem", "quadratic", "--steps", "40", "--out", "c.csv"],
+        ["run", *quadratic, "--out", "d.csv"],
+        ["check", "a.trace.csv", "--d-inf", "2", "--checks", "monotone"],
+        ["check", "a.trace.csv"],
+        ["check", "b.csv", "--d-inf", "3"],
+        ["check", "d.csv"],
+        ["trace-dump", "a.trace.csv", "--head", "2"],
+        ["trace-dump", "c.trace.csv"],
+    ]
+
+    def run_all(directory, fresh):
+        directory.mkdir()
+        (directory / "run.cfg").write_text("gamma0 = 0.5\nseed = 7\ntrace = true\ndim = 4\nd-inf = 2\n")
+        monkeypatch.chdir(directory)
+        results = []
+        for argv in commands:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = run_cli(argv)
+            out, err = capsys.readouterr()
+            results.append((code, out, err.split(" wall=")[0]))
+        return results, {path.name: path.read_bytes() for path in sorted(directory.glob("*.csv"))}
+
+    parser = cli.build_parser()
+    shared = run_all(tmp_path / "shared", fresh=False)
+    assert cli.build_parser() is parser
+    assert shared == run_all(tmp_path / "fresh", fresh=True)
+    results, files = shared
+    assert [code for code, _, _ in results] == [0] * len(commands)
+    assert "b.trace.csv" not in files and files["b.csv"] == files["d.csv"]
+    # the subcommand's function is looked up when it runs, so a patched one applies
+    monkeypatch.setattr(cli, "cmd_trace_dump", lambda args: 7)
+    assert run_cli(["trace-dump", "a.trace.csv"]) == 7
+
+
 class TestGrid:
     def test_table_and_winner(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -490,6 +533,47 @@ class TestCheck:
             err = capsys.readouterr().err
             assert f"{trace}:{line}: unknown branch 'bogus'" in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line", [1, 4])
+    def test_a_huge_field_is_a_config_error(self, tmp_path, capsys, line):
+        # 200,000 characters: over csv.reader's 131,072-character field limit
+        trace, record = _make_trace(tmp_path), tmp_path / "t.csv"
+        for path, column in ((trace, 2), (record, 0)):
+            rows = read_rows(path)
+            rows[line - 1][column] = "x" * 200_000
+            self._write_rows(path, rows)
+        if line == 1:  # the header: g is missing, and the record reads as a trace
+            expected = [(["check", str(trace)], f"{trace}: bad trace header, missing columns ['g']"),
+                        (["trace-dump", str(trace)], f"{trace}: bad trace header, missing columns ['g']"),
+                        (["check", str(record), "--checks", "record"], "unknown check 'record'"),
+                        (["check", str(record)], f"{record}: bad trace header, missing columns ['k', 'i',")]
+        else:
+            expected = [(["check", str(trace)], f"{trace}:4: non-numeric field"),
+                        (["trace-dump", str(trace)], f"{trace}:4: non-numeric field"),
+                        (["check", str(record), "--checks", "record"], f"{record}:4: non-numeric step or gamma_max"),
+                        (["check", str(record)], f"{record}:4: non-numeric step or gamma_max")]
+        for argv, message in expected:
+            assert run_cli(argv) == 2
+            err = capsys.readouterr().err
+            assert message in err
+            assert "Traceback" not in err
+
+    def test_an_infinite_alpha_fails_monotone_without_a_warning(self, tmp_path, capsys):
+        # the suite turns warnings into errors, so a RuntimeWarning from a check raises here
+        trace = _make_trace(tmp_path)
+        rows = read_rows(trace)
+        line = 1 + 19 * 3 + 2
+        assert rows[line][:2] == ["19", "2"]
+        rows[line][8] = "inf"  # alpha at k=19 i=2; at k=20 alpha decreases from it by inf / inf
+        self._write_rows(trace, rows)
+        report_csv = tmp_path / "checks.csv"
+        for checks in ("monotone", "all"):
+            assert run_cli(["check", str(trace), "--checks", checks, "--out", str(report_csv)]) == 1
+            report = {row[0]: row for row in read_rows(report_csv)[1:]}
+            assert report["monotone_and_cap"][:5] == ["monotone_and_cap", "false", "", "20", "2"]
+            err = capsys.readouterr().err
+            assert "monotone_and_cap: FAIL (worst=nan)" in err
+            assert "Warning" not in err
 
     def test_nan_gamma_and_empty_alpha_fail_monotone(self, tmp_path, capsys):
         trace = _make_trace(tmp_path)

@@ -260,6 +260,18 @@ class TestReparamInvariance:
         assert not check_reparam_invariance(corrupted, d_inf=50.0).passed
 
 
+@pytest.mark.parametrize("column", ["g", "v_raw", "v_clipped", "gamma_after", "alpha_after", "a_after"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, 1e300, -1e300, 5e-324])
+def test_extreme_trace_values_raise_no_warning(column, value):
+    # the suite turns warnings into errors: a check must report such a trace, not warn
+    _, trace = make_fuzz_run(dim=3, steps=60, d_inf=3.0)
+    getattr(trace, column)[20, 1], getattr(trace, column)[21, 1] = value, -value
+    for cap in (None, 3.0):
+        for report in (check_monotone_and_cap(trace, d_inf=cap), check_reparam_invariance(trace, d_inf=cap),
+                       check_errnegativity(trace)):
+            assert math.isfinite(report.worst_violation) or not report.passed
+
+
 class TestMomentumIdentities:
     def test_with_momentum(self):
         rng = np.random.default_rng(8)
