@@ -35,7 +35,17 @@ TRACE_HEADER = ["k", "i", "g", "v_raw", "v_clipped", "branch", "r", "gamma", "al
 TRACE_CHUNK_ROWS = 1024  # trace CSV rows held as strings at once
 CHECK_HEADER = ["name", "passed", "worst_violation", "step", "coord", "details"]
 
-TRACE_OPTIMIZERS = ("gradagrad", "gradagrad-scalar")
+GRID_PARAMS = ("gamma0", "rho", "beta", "g_inf", "d_inf")
+# each --optimizer's class and the grid parameters it reads (g_inf only in
+# theory mode); the GradaGrad steppers, those that read rho, take HyperParams
+# and write traces, and the baselines take --gamma0 as their rate
+OPTIMIZERS = {
+    "gradagrad": (GradaGrad, GRID_PARAMS),
+    "gradagrad-scalar": (ScalarGradaGrad, ("gamma0", "rho")),
+    "adagrad": (AdaGrad, ("gamma0",)),
+    "sgd": (SGD, ("gamma0",)),
+    "adam": (Adam, ("gamma0",)),
+}
 # the trace checks by name; each looks its verify function up when called, so that
 # wrappers patched onto verify apply
 TRACE_CHECKS = {
@@ -45,14 +55,6 @@ TRACE_CHECKS = {
 }
 CHECK_NAMES = tuple(TRACE_CHECKS)
 DEFAULT_GRID = "0.015625,0.03125,0.0625,0.125,0.25,0.5,1,2,4"
-
-# config-file keys accepted for run/grid (key=value, flag spelling without --)
-CONFIG_KEYS = {
-    "problem", "dataset", "dim", "diag", "noise-std", "x0", "optimizer",
-    "gamma0", "rho", "beta", "g-inf", "d-inf", "r", "mode", "steps", "epochs",
-    "batch-size", "seed", "eval-every", "trace", "out",
-    "grid-param", "grid-values", "seeds",
-}
 
 
 class ConfigError(Exception):
@@ -74,7 +76,7 @@ def _write_csv(path, header, rows):
     with nullcontext(sys.stdout) if path is None else open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(map(_fmt, row) for row in rows)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -116,8 +118,8 @@ def _build_problem(args):
         dataset = normalize_labels(load_dataset(args.dataset))
         problem = LogisticRegression(dataset, batch_size=args.batch_size)
         x0_default = np.zeros(problem.dim)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ConfigError(f"unknown problem {args.problem!r}")
+    else:  # argparse choices guard every other value
+        raise ConfigError("--problem is required, as a flag or as a --config key")
 
     if args.x0 is not None:
         vals = _parse_floats(args.x0)
@@ -154,20 +156,9 @@ def _build_hyperparams(args) -> HyperParams:
 def _build_optimizer(runs, x0):
     """One optimizer stepping a replica from x0 for each namespace in runs,
     in lockstep; each replica's hyperparameters come from its namespace."""
-    name = runs[0].optimizer
-    x0 = np.tile(x0, (len(runs), 1))
-    if name in ("gradagrad", "gradagrad-scalar"):
-        params = [_build_hyperparams(run) for run in runs]
-        return (GradaGrad if name == "gradagrad" else ScalarGradaGrad)(x0, params if len(params) > 1 else params[0])
-    # --gamma0 doubles as the learning rate for the sgd/adam baselines
-    rates = [run.gamma0 for run in runs]
-    if name == "adagrad":
-        return AdaGrad(x0, gamma=rates)
-    if name == "sgd":
-        return SGD(x0, lr=rates)
-    if name == "adam":
-        return Adam(x0, lr=rates)
-    raise ConfigError(f"unknown optimizer {name!r}")  # pragma: no cover
+    cls, reads = OPTIMIZERS[runs[0].optimizer]
+    params = [_build_hyperparams(run) if "rho" in reads else run.gamma0 for run in runs]
+    return cls(np.tile(x0, (len(runs), 1)), params if len(params) > 1 else params[0])
 
 
 def _resolve_steps(args, n_batches):
@@ -216,8 +207,9 @@ def cmd_run(args) -> int:
     problem, x0, n_batches, steps, eval_every = _build_run(args)
     opt = _build_optimizer([args], x0)
     if args.trace:
-        if args.optimizer not in TRACE_OPTIMIZERS:
-            raise ConfigError(f"--trace requires one of {TRACE_OPTIMIZERS}")
+        tracers = tuple(name for name, (_, reads) in OPTIMIZERS.items() if "rho" in reads)
+        if args.optimizer not in tracers:
+            raise ConfigError(f"--trace requires one of {tracers}")
         if args.out is None:
             raise ConfigError("--trace requires --out (the trace path derives from it)")
     rows = []
@@ -225,7 +217,7 @@ def cmd_run(args) -> int:
     states = [problem.init_state(args.seed)]
     wall = drive(opt, lambda x: problem.grad_sample(x, states), steps,
                  lambda k: rows.append(_eval_row(k, n_batches, problem, opt)), eval_every, trace)
-    _write_csv(args.out, RUN_HEADER, [[_fmt(v) for v in row] for row in rows])
+    _write_csv(args.out, RUN_HEADER, rows)
     if args.trace:
         trace_path = Path(args.out).with_suffix(".trace.csv")
         _write_trace_csv(trace_path, trace)
@@ -275,11 +267,6 @@ def _write_trace_csv(path, trace: Trace):
 # grid
 # ---------------------------------------------------------------------------
 
-GRID_PARAMS = ("gamma0", "rho", "beta", "g_inf", "d_inf")
-# the grid parameters each optimizer reads; g_inf only in theory mode
-GRID_READS = {"gradagrad": GRID_PARAMS, "gradagrad-scalar": ("gamma0", "rho")}
-
-
 def _run_seed(seed, vi, si) -> int:
     """The seed of the run of grid value vi, replicate si."""
     return int(np.random.SeedSequence([seed, vi, si]).generate_state(1, np.uint64)[0])
@@ -328,7 +315,7 @@ def cmd_grid(args) -> int:
     param = args.grid_param.replace("-", "_")
     if param not in GRID_PARAMS:
         raise ConfigError(f"--grid-param must be one of {GRID_PARAMS}, got {args.grid_param!r}")
-    read = param in GRID_READS.get(args.optimizer, ("gamma0",))
+    read = param in OPTIMIZERS[args.optimizer][1]
     if not read or param == "g_inf" and args.mode == "practical":
         mode = " in --mode practical" if read else ""
         raise ConfigError(f"--grid-param {param} is not read by --optimizer {args.optimizer}{mode}")
@@ -345,10 +332,8 @@ def cmd_grid(args) -> int:
     # max/min replace the best only on a strict >/<: exact ties keep the earlier (smaller) value
     best_idx = (max if metric_kind == "accuracy" else min)(range(len(table)), key=lambda idx: table[idx][1])
 
-    out_rows = [
-        [args.grid_param, _fmt(value), metric_kind, _fmt(score), _fmt(idx == best_idx)]
-        for idx, (value, score) in enumerate(table)
-    ]
+    out_rows = [[args.grid_param, value, metric_kind, score, idx == best_idx]
+                for idx, (value, score) in enumerate(table)]
     _write_csv(args.out, ["param", "value", "metric", "score", "winner"], out_rows)
     winner_value, winner_score = table[best_idx]
     print(
@@ -383,8 +368,11 @@ def _parse(text: np.ndarray, dtype):
 def _read_lines(f, n) -> list[list[str]]:
     """The fields of the next n lines of f (fewer at its end), in the CSV
     dialect this program writes: unquoted fields, "\\n", "\\r\\n" or "\\r"
-    line ends. f must be opened with newline=""."""
-    return [line.rstrip("\r\n").split(",") for line in itertools.islice(f, n)]
+    line ends. f must be opened with newline=""; a decode error names its path."""
+    try:
+        return [line.rstrip("\r\n").split(",") for line in itertools.islice(f, n)]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{f.name}: {exc}") from None
 
 
 def _read_csv(path, header, parse) -> list:
@@ -468,25 +456,9 @@ def _record_fields(text):
 
 
 def _check_run_record(path, d_inf):
-    """Schema-level check of a run record: steps strictly increase and every
-    recorded gamma stays at or below the cap. An empty gamma_max is not
-    checked, a NaN one fails, and under d_inf = inf no other one does."""
+    """verify.record_report of the run record at path."""
     (step,), (gamma_max,) = _read_csv(path, RUN_HEADER, _record_fields)
-    viol = np.zeros(len(step))
-    viol[1:] = step[1:] <= step[:-1]  # 1.0 where a step does not increase
-    details = [f"step {step[n]} does not increase past {step[n - 1]}" for n in np.flatnonzero(viol)[:3]]
-    if d_inf is not None:
-        over = (gamma_max - d_inf) / d_inf if d_inf < math.inf else np.where(np.isnan(gamma_max), np.nan, 0.0)
-        viol = np.maximum(viol, over)
-    worst, location = verify._worst(viol[:, None], True, step)
-    cap_note = f", gamma_max <= {d_inf:g}" if d_inf is not None else ""
-    return verify.CheckReport(
-        name="run_record",
-        passed=worst <= 0.0,
-        worst_violation=worst,
-        location=location,
-        details="; ".join(details) or f"steps strictly increasing{cap_note}",
-    )
+    return verify.record_report(step, gamma_max, d_inf)
 
 
 def cmd_check(args) -> int:
@@ -506,15 +478,10 @@ def cmd_check(args) -> int:
                           else f"unknown check {unknown[0]!r}; choose from {CHECK_NAMES} or 'all'")
     source = args.trace if record else read_trace_csv(args.trace)
     reports = [checks[name](source, args.d_inf) for name in names]
-    rows = []
     for rep in reports:
-        step, coord = rep.location if rep.location is not None else (None, None)
-        rows.append([
-            rep.name, _fmt(rep.passed), _fmt(rep.worst_violation),
-            _fmt(step), _fmt(coord), rep.details,
-        ])
-        status = "PASS" if rep.passed else "FAIL"
-        print(f"{rep.name}: {status} (worst={rep.worst_violation:g})", file=sys.stderr)
+        print(f"{rep.name}: {'PASS' if rep.passed else 'FAIL'} (worst={rep.worst_violation:g})", file=sys.stderr)
+    rows = [[rep.name, rep.passed, rep.worst_violation, *(rep.location or (None, None)), rep.details]
+            for rep in reports]
     _write_csv(args.out, CHECK_HEADER, rows)
     return 0 if all(rep.passed for rep in reports) else 1
 
@@ -543,14 +510,13 @@ def cmd_trace_dump(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_run_flags(p):
-    p.add_argument("--problem", choices=("abs", "quadratic", "logistic"), required=True)
+    p.add_argument("--problem", choices=("abs", "quadratic", "logistic"))
     p.add_argument("--dataset", help="LIBSVM file (logistic problem)")
     p.add_argument("--dim", type=int, help="dimension for synthetic problems")
     p.add_argument("--diag", help="comma-separated quadratic diagonal (overrides --dim)")
     p.add_argument("--noise-std", type=float, default=0.0, help="gradient noise (quadratic)")
     p.add_argument("--x0", help="initial point: one value (broadcast) or comma-separated")
-    p.add_argument("--optimizer", choices=("gradagrad", "gradagrad-scalar", "adagrad", "sgd", "adam"),
-                   default="gradagrad")
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default="gradagrad")
     p.add_argument("--gamma0", type=float, default=1.0,
                    help="step-size numerator; also the sgd/adam learning rate")
     p.add_argument("--rho", type=float, default=2.0)
@@ -605,27 +571,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_flags(path) -> list[str]:
-    flags = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key = key.strip().replace("_", "-")
-            value = value.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key == "trace":
-                if value.lower() in ("1", "true", "yes"):
-                    flags.append("--trace")
-                elif value.lower() not in ("0", "false", "no"):
-                    raise ConfigError(f"{path}:{lineno}: trace must be true or false")
-                continue
-            flags.extend([f"--{key}", value])
+def _load_config_flags(args) -> list[str]:
+    """The flags that the key=value lines of the file args.config set; its
+    keys are the subcommand's own flags, spelt without -- and with - or _."""
+    path, flags, keys = args.config, [], vars(args).keys() - {"command", "config"}
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = list(f)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key = key.strip().replace("_", "-")
+        value = value.strip()
+        if key.replace("-", "_") not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key == "trace":
+            if value.lower() in ("1", "true", "yes"):
+                flags.append("--trace")
+            elif value.lower() not in ("0", "false", "no"):
+                raise ConfigError(f"{path}:{lineno}: trace must be true or false")
+            continue
+        flags.extend([f"--{key}", value])
     return flags
 
 
@@ -637,11 +609,13 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             # config values become flags ahead of the user's, so the
             # command line keeps the last word
-            argv = [argv[0]] + _load_config_flags(args.config) + argv[1:]
+            argv = [argv[0]] + _load_config_flags(args) + argv[1:]
             args = parser.parse_args(argv)
         # looked up per call, not held by the cached parser, so a patched cmd_* applies
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (ConfigError, ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except SystemExit as exc:  # argparse has printed a usage error (2) or --help (0)
+        return exc.code
+    except (ConfigError, ValueError, OSError) as exc:
         # ValueError covers LibsvmParseError and contract violations from bad flag combinations
         print(f"error: {exc}", file=sys.stderr)
         return 2

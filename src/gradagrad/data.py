@@ -90,18 +90,24 @@ def parse_libsvm_line(line: str, lineno: int | None = None) -> tuple[float, list
 
 
 def load_dataset(path) -> Dataset:
-    """Load a LIBSVM file; labels are kept verbatim (see normalize_labels)."""
+    """Load a LIBSVM file; labels are kept verbatim (see normalize_labels).
+    A parse or decode error names the path, then the line if known."""
     labels, indptr, indices, values = [], [0], [], []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            label, idx, val = parse_libsvm_line(stripped, lineno)
-            labels.append(label)
-            indices += idx
-            values += val
-            indptr.append(len(indices))
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for lineno, raw in enumerate(f, start=1):
+                stripped = raw.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                label, idx, val = parse_libsvm_line(stripped, lineno)
+                labels.append(label)
+                indices += idx
+                values += val
+                indptr.append(len(indices))
+    except (LibsvmParseError, UnicodeDecodeError) as exc:
+        error = LibsvmParseError(f"{path}: {exc}")
+        error.lineno = getattr(exc, "lineno", None)
+        raise error from None
     indices = np.array(indices, dtype=np.int64)
     return Dataset(np.array(labels, dtype=float), np.array(indptr, dtype=np.int64), indices,
                    np.array(values, dtype=float), dim=int(indices.max(initial=0)))

@@ -280,6 +280,22 @@ def check_reparam_invariance(trace: Trace, d_inf: float | None = None) -> CheckR
     return _report("reparam_invariance", worst, TOL_IDENTITY, location, details)
 
 
+def record_report(step, gamma_max, d_inf) -> CheckReport:
+    """The run-record check over a record's step and gamma_max columns:
+    steps strictly increase and, unless d_inf is None, every gamma_max stays
+    at or below the cap d_inf. A NaN gamma_max fails, and under d_inf = inf
+    no other one does."""
+    viol = np.zeros(len(step))
+    viol[1:] = step[1:] <= step[:-1]  # 1.0 where a step does not increase
+    details = [f"step {step[n]} does not increase past {step[n - 1]}" for n in np.flatnonzero(viol)[:3]]
+    if d_inf is not None:
+        over = (gamma_max - d_inf) / d_inf if d_inf < np.inf else np.where(np.isnan(gamma_max), np.nan, 0.0)
+        viol = np.maximum(viol, over)
+    worst, location = _worst(viol[:, None], True, step)
+    cap_note = f", gamma_max <= {d_inf:g}" if d_inf is not None else ""
+    return _report("run_record", worst, 0.0, location, "; ".join(details) or f"steps strictly increasing{cap_note}")
+
+
 @dataclass
 class RunHistory:
     """Full history of a diagonal run: iterates x and auxiliary iterates z

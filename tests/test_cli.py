@@ -10,10 +10,7 @@ from gradagrad import cli, load_dataset
 
 
 def run_cli(argv):
-    try:
-        return cli.main(list(argv))
-    except SystemExit as exc:  # argparse usage errors
-        return exc.code
+    return cli.main(list(argv))
 
 
 def read_rows(path):
@@ -147,6 +144,33 @@ class TestConfigErrors:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_malformed_dataset_names_path_then_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.libsvm"
+        bad.write_text("1 1:1\n1 3:1 2:9\n")
+        assert run_cli(["run", "--problem", "logistic", "--dataset", str(bad), "--steps", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: line 2: feature index 2 not strictly increasing (previous 3)\n"
+
+    @pytest.mark.parametrize("argv", [[], ["run", "--bogus"], ["run", "--problem", "cube"], ["check"]])
+    def test_usage_error_returns_2(self, capsys, argv):
+        assert cli.main(argv) == 2
+        assert "usage: gradagrad" in capsys.readouterr().err
+
+    def test_help_returns_0(self, capsys):
+        assert cli.main(["run", "--help"]) == 0
+        assert "usage: gradagrad run" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--problem", "abs", "--steps", "3", "--out", "{name}"],
+        ["check", "{name}"],
+        ["run", "--problem", "logistic", "--dataset", "{name}", "--steps", "3"],
+    ])
+    def test_os_error_names_the_path(self, tmp_path, capsys, argv):
+        name = str(tmp_path / ("a" * 300))  # longer than a file name may be
+        assert run_cli([arg.format(name=name) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
     def test_negative_seed_rejected(self):
         assert run_cli(["run", "--problem", "abs", "--steps", "5", "--seed", "-1"]) == 2
 
@@ -237,6 +261,35 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("stepz=25\n")
         assert run_cli(["run", "--problem", "abs", "--config", str(cfg)]) == 2
+
+    def test_config_supplies_problem(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem=abs\nsteps=5\n")
+        out = tmp_path / "o.csv"
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_rows(out)[-1][0] == "5"
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_problem_from_neither_flags_nor_file(self, tmp_path, capsys, with_config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=5\n")
+        assert run_cli(["run", "--steps", "5", *(["--config", str(cfg)] if with_config else [])]) == 2
+        assert "--problem is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key", [("run", "seeds"), ("run", "grid_values"), ("run", "config"),
+                                             ("run", "command"), ("grid", "help")])
+    def test_keys_are_the_subcommands_flags(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem=abs\n{key}=3\n")
+        assert run_cli([command, "--steps", "5", "--config", str(cfg)]) == 2
+        assert f"{cfg}:2: unknown config key {key.replace('_', '-')!r}" in capsys.readouterr().err
+
+    def test_grid_reads_its_own_keys(self, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("problem=abs\nsteps=5\ngrid_values=0.5,1\nseeds=2\n")
+        out = tmp_path / "g.csv"
+        assert run_cli(["grid", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [row[1] for row in read_rows(out)[1:]] == ["0.5", "1.0"]
 
     def test_trace_boolean(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -390,6 +443,23 @@ class TestGrid:
             "grid", "--problem", "abs", "--steps", "5", "--grid-param", "rho", "--grid-values", "1,-0.5",
         ]) == 2
         assert "rho must be nonnegative, got -0.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["trace", "trace-dump", "record", "config", "libsvm"])
+def test_non_utf8_input_names_its_path(tmp_path, capsys, kind):
+    path = tmp_path / "input"
+    header = cli.TRACE_HEADER if kind.startswith("trace") else cli.RUN_HEADER
+    content = {"config": b"steps = 3\n\xff = 1\n", "libsvm": b"1 1:1\n\xff 2:1\n"}.get(
+        kind, ",".join(header).encode() + b"\n0,\xff\n")
+    path.write_bytes(content)
+    argv = {
+        "trace-dump": ["trace-dump", str(path)],
+        "config": ["run", "--problem", "abs", "--config", str(path)],
+        "libsvm": ["run", "--problem", "logistic", "--dataset", str(path), "--steps", "3"],
+    }.get(kind, ["check", str(path)])
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "utf-8" in err
 
 
 def _make_trace(tmp_path, extra=()):

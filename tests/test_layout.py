@@ -1,0 +1,56 @@
+"""Module boundaries inside the gradagrad package: no module reads a
+_-prefixed (private) name of another gradagrad module, neither as an
+attribute of the imported module nor through `from module import _name`."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gradagrad"
+
+
+def _private_reads(source: str) -> list[str]:
+    """`module.name` for every private name of a gradagrad module that source reads."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> the gradagrad module it is bound to
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0 and base != "gradagrad" and not base.startswith("gradagrad."):
+                continue
+            base = base.removeprefix("gradagrad").lstrip(".")
+            for alias in node.names:
+                if base:  # from .core import name
+                    if alias.name.startswith("_"):
+                        reads.append(f"{base}.{alias.name}")
+                else:  # from . import verify
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("gradagrad.") and alias.asname:
+                    modules[alias.asname] = alias.name.removeprefix("gradagrad.")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_") and not node.attr.startswith("__")):
+            reads.append(f"{modules[node.value.id]}.{node.attr}")
+    return reads
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_reads_another_modules_private_names(path):
+    assert _private_reads(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source,found", [
+    ("from . import verify\nverify._worst(1)\n", ["verify._worst"]),
+    ("from . import verify as v\nv._report\n", ["verify._report"]),
+    ("from .core import _column, Trace\n", ["core._column"]),
+    ("from gradagrad.core import _column\n", ["core._column"]),
+    ("import gradagrad.data as d\nd._x\n", ["data._x"]),
+    ("from . import verify\nverify.check_errnegativity\nverify.__name__\n", []),
+    ("import numpy as np\nnp._NoValue\n", []),
+])
+def test_the_scan_finds_private_reads(source, found):
+    assert _private_reads(source) == found
