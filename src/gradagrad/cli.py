@@ -24,7 +24,7 @@ import numpy as np
 
 from . import verify
 from .core import BRANCHES, FLOAT_COLUMNS, SGD, Adam, AdaGrad, GradaGrad, HyperParams, ScalarGradaGrad, Trace, drive
-from .data import load_dataset, normalize_labels
+from .data import load_dataset, locate_decode_error, normalize_labels
 from .problems import AbsValue, LogisticRegression, Quadratic
 
 RUN_HEADER = [
@@ -32,6 +32,8 @@ RUN_HEADER = [
     "gamma_mean", "gamma_max", "alpha_mean", "alpha_max", "ainv_mean", "subopt",
 ]
 TRACE_HEADER = ["k", "i", "g", "v_raw", "v_clipped", "branch", "r", "gamma", "alpha", "a"]
+# the trace CSV column of each of FLOAT_COLUMNS, in that order
+FLOAT_FIELDS = [TRACE_HEADER.index(name.removesuffix("_after")) for name in FLOAT_COLUMNS]
 TRACE_CHUNK_ROWS = 1024  # trace CSV rows held as strings at once
 CHECK_HEADER = ["name", "passed", "worst_violation", "step", "coord", "details"]
 
@@ -368,11 +370,16 @@ def _parse(text: np.ndarray, dtype):
 def _read_lines(f, n) -> list[list[str]]:
     """The fields of the next n lines of f (fewer at its end), in the CSV
     dialect this program writes: unquoted fields, "\\n", "\\r\\n" or "\\r"
-    line ends. f must be opened with newline=""; a decode error names its path."""
+    line ends. f must be opened with newline=""; a decode error names its path and line."""
     try:
         return [line.rstrip("\r\n").split(",") for line in itertools.islice(f, n)]
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{f.name}: {exc}") from None
+        raise _decode_error(f.name, exc) from None
+
+
+def _decode_error(path, exc) -> ConfigError:
+    line, exc = locate_decode_error(path, exc)
+    return ConfigError(f"{path}:{line}: {exc}")
 
 
 def _read_csv(path, header, parse) -> list:
@@ -413,16 +420,41 @@ def _read_csv(path, header, parse) -> list:
     return [np.concatenate(arrays, axis=-1) for arrays in zip(*results or [parsed([], 2)])]
 
 
+def _trace_floats(text):
+    """The (7, rows) FLOAT_COLUMNS of trace fields, or the index of the first
+    row with a non-numeric one, as _parse parses them. A run leaves only r
+    empty (where no clip ran) and writes v_clipped as v_raw's text where the
+    clip does not bind, so a direct parse reads only r's empty fields as NaN
+    and only the v_clipped fields that differ from v_raw's; where it rejects
+    a field, _parse parses all seven columns."""
+    floats = np.empty((len(FLOAT_FIELDS), text.shape[1]))
+    raw, clipped, r = (FLOAT_COLUMNS.index(name) for name in ("v_raw", "v_clipped", "r"))
+    try:
+        for row, column in enumerate(FLOAT_FIELDS):
+            if row not in (clipped, r):
+                floats[row] = text[column]  # float() of each string
+        given = text[FLOAT_FIELDS[r]] != ""
+        floats[r] = math.nan
+        floats[r, given] = text[FLOAT_FIELDS[r], given]
+        differs = text[FLOAT_FIELDS[clipped]] != text[FLOAT_FIELDS[raw]]
+        floats[clipped] = floats[raw]
+        floats[clipped, differs] = text[FLOAT_FIELDS[clipped], differs]
+    except (ValueError, OverflowError):
+        return _parse(text[FLOAT_FIELDS], float)
+    return floats
+
+
 def _trace_fields(text):
     """Branch codes, k and i, and the float columns of trace fields; errors as _read_csv reads them."""
-    ints, floats = _parse(text[:2], int), _parse(text[[2, 3, 4, 6, 7, 8, 9]], float)
+    ints, floats = _parse(text[:2], int), _trace_floats(text)
     errors = [(bad, "non-numeric field") for bad in (ints, floats) if isinstance(bad, int)]
+    branch = text[TRACE_HEADER.index("branch")]
     codes = np.full(text.shape[1], -1, dtype=np.int8)
     for code, name in enumerate(BRANCHES):
-        codes[text[5] == name] = code
+        codes[branch == name] = code
     if (codes < 0).any():
         row = int(np.argmin(codes))
-        errors.append((row, f"unknown branch {text[5][row]!r}; expected one of {list(BRANCHES)}"))
+        errors.append((row, f"unknown branch {branch[row]!r}; expected one of {list(BRANCHES)}"))
     return (codes, ints, floats), errors
 
 
@@ -535,6 +567,13 @@ def _add_run_flags(p):
     p.add_argument("--config", help="key=value config file; flags override file values")
 
 
+def _add_grid_flags(p):
+    _add_run_flags(p)
+    p.add_argument("--grid-param", default="gamma0")
+    p.add_argument("--grid-values", default=DEFAULT_GRID, help="comma-separated values (default: powers of 2)")
+    p.add_argument("--seeds", type=int, default=10, help="replicates per grid point")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
@@ -544,15 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="execute one configured run")
-    _add_run_flags(p_run)
-
-    p_grid = sub.add_parser("grid", help="grid-search one parameter over seeded runs")
-    _add_run_flags(p_grid)
-    p_grid.add_argument("--grid-param", default="gamma0")
-    p_grid.add_argument("--grid-values", default=DEFAULT_GRID,
-                        help="comma-separated values (default: powers of 2)")
-    p_grid.add_argument("--seeds", type=int, default=10, help="replicates per grid point")
+    _add_run_flags(sub.add_parser("run", help="execute one configured run"))
+    _add_grid_flags(sub.add_parser("grid", help="grid-search one parameter over seeded runs"))
 
     p_check = sub.add_parser("check", help="run invariant checks on a run-record or step-trace CSV")
     p_check.add_argument("trace")
@@ -571,15 +603,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _flag_parser(command) -> argparse.ArgumentParser:
+    """A parser of a run or grid command's flags alone that raises
+    argparse.ArgumentError on a value they reject, where build_parser's exits."""
+    parser = argparse.ArgumentParser(prog=f"gradagrad {command}", add_help=False, exit_on_error=False)
+    {"run": _add_run_flags, "grid": _add_grid_flags}[command](parser)
+    return parser
+
+
 def _load_config_flags(args) -> list[str]:
     """The flags that the key=value lines of the file args.config set; its
-    keys are the subcommand's own flags, spelt without -- and with - or _."""
+    keys are the subcommand's own flags, spelt without -- and with - or _.
+    A value the flag rejects is a ConfigError naming its line."""
     path, flags, keys = args.config, [], vars(args).keys() - {"command", "config"}
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = list(f)
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise _decode_error(path, exc) from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -597,7 +639,12 @@ def _load_config_flags(args) -> list[str]:
             elif value.lower() not in ("0", "false", "no"):
                 raise ConfigError(f"{path}:{lineno}: trace must be true or false")
             continue
-        flags.extend([f"--{key}", value])
+        flag = f"--{key}={value}"  # one token, so a value such as -1,2 is not read as a flag
+        try:
+            _flag_parser(args.command).parse_args([flag])
+        except argparse.ArgumentError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        flags.append(flag)
     return flags
 
 

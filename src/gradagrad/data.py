@@ -10,6 +10,7 @@ densifying, label normalization and serialization work on whole arrays.
 
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -50,6 +51,21 @@ class Dataset:
         rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
         out[rows, self.indices - 1] = self.values
         return out
+
+
+def locate_decode_error(path, exc: UnicodeDecodeError) -> tuple[int, UnicodeDecodeError]:
+    """Where exc, raised by a text read of path, lies in the file: the line of
+    the first byte that is not UTF-8 (a text read ends lines at "\\n",
+    "\\r\\n" and a lone "\\r"), and the error of decoding the whole file, whose
+    position is that byte's offset in the file, not in a read buffer. Every
+    reader of this package reports a non-UTF-8 file this way."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        exc = whole
+    head = data[:exc.start]
+    return 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n"), exc
 
 
 def parse_libsvm_line(line: str, lineno: int | None = None) -> tuple[float, list[int], list[float]]:
@@ -105,8 +121,11 @@ def load_dataset(path) -> Dataset:
                 values += val
                 indptr.append(len(indices))
     except (LibsvmParseError, UnicodeDecodeError) as exc:
+        if isinstance(exc, UnicodeDecodeError):
+            lineno, exc = locate_decode_error(path, exc)
+            exc = LibsvmParseError(str(exc), lineno)
         error = LibsvmParseError(f"{path}: {exc}")
-        error.lineno = getattr(exc, "lineno", None)
+        error.lineno = exc.lineno
         raise error from None
     indices = np.array(indices, dtype=np.int64)
     return Dataset(np.array(labels, dtype=float), np.array(indptr, dtype=np.int64), indices,

@@ -3,8 +3,9 @@ gradagrad.cli's trace writer and CSV reader.
 
 This is the writer and reader the CLI used while trace rows went through
 the csv module: csv.writer over rows formatted column by column, and
-csv.reader split into TRACE_CHUNK_ROWS-row runs. Do not edit it to follow
-the package.
+csv.reader split into TRACE_CHUNK_ROWS-row runs; and the trace field parser
+it used while every float column went through one empty-field pass and one
+parse, v_clipped included. Do not edit it to follow the package.
 """
 
 import csv
@@ -66,3 +67,34 @@ def read_csv(path, header, parse) -> list:
         chunks = iter(lambda: list(itertools.islice(reader, TRACE_CHUNK_ROWS)), [])
         results = [parsed(rows, 2 + n * TRACE_CHUNK_ROWS) for n, rows in enumerate(chunks)]
     return [np.concatenate(arrays, axis=-1) for arrays in zip(*results or [parsed([], 2)])]
+
+
+def parse(text, dtype):
+    """gradagrad.cli._parse as it was: a (columns, rows) object array of
+    strings as dtype, empty fields as NaN, or the first row with a field
+    that does not parse."""
+    if dtype is float:
+        text = np.where(text == "", "nan", text)
+    try:
+        return text.astype(dtype)
+    except (ValueError, OverflowError):
+        def parses(field):
+            try:
+                np.array([field], dtype=object).astype(dtype)
+            except (ValueError, OverflowError):
+                return False
+            return True
+        return int(np.argmin(np.vectorize(parses, otypes=[bool])(text).all(axis=0)))
+
+
+def trace_fields(text):
+    """gradagrad.cli._trace_fields as it was, all seven float columns parsed alike."""
+    ints, floats = parse(text[:2], int), parse(text[[2, 3, 4, 6, 7, 8, 9]], float)
+    errors = [(bad, "non-numeric field") for bad in (ints, floats) if isinstance(bad, int)]
+    codes = np.full(text.shape[1], -1, dtype=np.int8)
+    for code, name in enumerate(BRANCHES):
+        codes[text[5] == name] = code
+    if (codes < 0).any():
+        row = int(np.argmin(codes))
+        errors.append((row, f"unknown branch {text[5][row]!r}; expected one of {list(BRANCHES)}"))
+    return (codes, ints, floats), errors

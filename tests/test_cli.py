@@ -284,6 +284,29 @@ class TestConfigFile:
         assert run_cli([command, "--steps", "5", "--config", str(cfg)]) == 2
         assert f"{cfg}:2: unknown config key {key.replace('_', '-')!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,value,message", [
+        ("run", "steps=x", "argument --steps: invalid int value: 'x'"),
+        ("run", "optimizer=lbfgs", "argument --optimizer: invalid choice: 'lbfgs'"),
+        ("run", "seed=-1", "argument --seed: seed must be an unsigned 64-bit value"),
+        ("grid", "seeds=1.5", "argument --seeds: invalid int value: '1.5'"),
+    ])
+    def test_a_rejected_value_names_its_line_and_flag(self, tmp_path, capsys, command, value, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"problem=abs\n{value}\n")
+        assert run_cli([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:2: {message}")
+        assert "usage:" not in err and "Traceback" not in err
+
+    def test_a_negative_list_value_is_not_a_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem=quadratic\ndim=2\nx0=-1,2\nsteps=5\n")
+        out, flags_out = tmp_path / "o.csv", tmp_path / "flags.csv"
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run_cli(["run", "--problem", "quadratic", "--dim", "2", "--x0=-1,2", "--steps", "5",
+                        "--out", str(flags_out)]) == 0
+        assert out.read_bytes() == flags_out.read_bytes()
+
     def test_grid_reads_its_own_keys(self, tmp_path):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("problem=abs\nsteps=5\ngrid_values=0.5,1\nseeds=2\n")
@@ -447,19 +470,48 @@ class TestGrid:
 
 @pytest.mark.parametrize("kind", ["trace", "trace-dump", "record", "config", "libsvm"])
 def test_non_utf8_input_names_its_path(tmp_path, capsys, kind):
+    """The error names the path, the line and the byte's offset in the file,
+    whichever line ends the file uses."""
     path = tmp_path / "input"
     header = cli.TRACE_HEADER if kind.startswith("trace") else cli.RUN_HEADER
-    content = {"config": b"steps = 3\n\xff = 1\n", "libsvm": b"1 1:1\n\xff 2:1\n"}.get(
-        kind, ",".join(header).encode() + b"\n0,\xff\n")
-    path.write_bytes(content)
+    lines = {"config": [b"steps = 3", b"# x", b"\xff = 1"], "libsvm": [b"1 1:1", b"-1 1:2", b"\xff 2:1"]}.get(
+        kind, [",".join(header).encode(), b"0,1", b"0,\xff"])
     argv = {
         "trace-dump": ["trace-dump", str(path)],
         "config": ["run", "--problem", "abs", "--config", str(path)],
         "libsvm": ["run", "--problem", "logistic", "--dataset", str(path), "--steps", "3"],
     }.get(kind, ["check", str(path)])
-    assert run_cli(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ") and "utf-8" in err
+    for newline in (b"\n", b"\r\n", b"\r"):
+        content = newline.join([*lines, b""])
+        path.write_bytes(content)
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        where = f"{path}: line 3: " if kind == "libsvm" else f"{path}:3: "
+        offset = content.index(0xFF)
+        assert err.startswith(f"error: {where}'utf-8' codec can't decode byte 0xff in position {offset}: "), err
+        if kind == "libsvm":
+            with pytest.raises(ValueError) as exc:
+                load_dataset(path)
+            assert exc.value.lineno == 3
+
+
+def test_non_utf8_byte_far_into_a_trace_names_its_line(tmp_path, capsys):
+    """Past the text reader's first buffer, the line and offset still count
+    from the start of the file."""
+    out = tmp_path / "t.csv"
+    assert run_cli(["run", "--problem", "quadratic", "--dim", "3", "--steps", "2000", "--trace",
+                    "--out", str(out)]) == 0
+    capsys.readouterr()
+    trace = tmp_path / "t.trace.csv"
+    content = bytearray(trace.read_bytes())
+    content[20000] = 0xFF
+    for newline in (b"\n", b"\r\n"):
+        edited = bytes(content).replace(b"\n", newline)
+        trace.write_bytes(edited)
+        for command in ("check", "trace-dump"):
+            assert run_cli([command, str(trace)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {trace}:509: ") and f"position {edited.index(0xFF)}:" in err, err
 
 
 def _make_trace(tmp_path, extra=()):

@@ -4,7 +4,8 @@ The writer must write the bytes the csv.writer one wrote, on fuzzed and
 scalar traces, on hand-set values (signed zeros, infinities, NaNs with
 different payloads, subnormals, values repeated across columns and
 chunks) and at the widths around the TRACE_CHUNK_ROWS chunk edges. The
-reader must read the same Trace or run record, or fail with the same
+reader, with its trace field parser, must read the same Trace or run
+record as the csv.reader one with the frozen parser, or fail with the same
 message, on well-formed files and on malformed ones. A quoted field is the
 one expected difference: csv.reader unquoted it, the reader now reports it.
 """
@@ -19,7 +20,7 @@ import pytest
 import reference_trace_io as ref
 from conftest import make_fuzz_run, traced_run
 from gradagrad import HyperParams, ScalarGradaGrad, Trace, cli
-from gradagrad.core import BRANCHES
+from gradagrad.core import BRANCHES, FLOAT_COLUMNS
 
 
 def _nan(bits):
@@ -78,12 +79,13 @@ def test_writer_bytes_match_the_csv_writer(tmp_path, name):
     assert new.read_bytes() == old.read_bytes()
 
 
-def _outcome(path, read_csv):
-    """What the CLI makes of path with read_csv as its CSV reader: the
-    parsed trace or record report, or the error, and every command's exit
-    code and output."""
+def _outcome(path, read_csv, trace_fields):
+    """What the CLI makes of path with read_csv as its CSV reader and
+    trace_fields as its trace field parser: the parsed trace or record
+    report, or the error, and every command's exit code and output."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_read_csv", read_csv)
+        mp.setattr(cli, "_trace_fields", trace_fields)
         with open(path, newline="", encoding="utf-8") as f:
             record = cli._read_lines(f, 1) == [cli.RUN_HEADER]
         try:
@@ -105,8 +107,8 @@ def _outcome(path, read_csv):
 
 
 def _assert_same_read(path):
-    new = _outcome(path, cli._read_csv)
-    assert new == _outcome(path, ref.read_csv)
+    new = _outcome(path, cli._read_csv, cli._trace_fields)
+    assert new == _outcome(path, ref.read_csv, ref.trace_fields)
     return new
 
 
@@ -128,9 +130,13 @@ def _edit_line(text, line, edit):
     return "\n".join(lines)
 
 
-def _set_field(line, column, value):
+def _set_fields(line, columns, value):
     return lambda text: _edit_line(text, line, lambda row: ",".join(
-        value if n == column else field for n, field in enumerate(row.split(","))))
+        value if n in columns else field for n, field in enumerate(row.split(","))))
+
+
+def _set_field(line, column, value):
+    return _set_fields(line, (column,), value)
 
 
 def _swap(a, b):
@@ -185,6 +191,17 @@ EDITS = {
     "short-row-and-bad-field": lambda text: _set_field(80, 2, "x")(
         _edit_line(text, 80, lambda row: row + ",1")),
     "quote-inside-field": _set_field(90, 2, '1"5'),
+    # v_clipped is parsed only where its text differs from v_raw's
+    "bad-v_raw-copied-to-v_clipped": _set_fields(95, (3, 4), "x"),
+    "bad-v_clipped-only": _set_field(96, 4, "x"),
+    "bad-v_clipped-second-chunk": _set_field(1028, 4, "1e"),
+    "empty-v_raw-and-v_clipped": _set_fields(97, (3, 4), ""),
+    "empty-v_clipped-only": _set_field(1031, 4, ""),
+    "padded-v_raw-copied-to-v_clipped": _set_fields(98, (3, 4), " 0.5 "),
+    "clip-binds": _set_field(99, 4, "-0.0625"),
+    "clip-binds-same-value-other-text": _set_field(100, 4, "-6.25e-2"),
+    "clip-binds-and-empty-r-later": lambda text: _set_field(101, 4, "-0.0625")(_set_field(102, 6, "")(text)),
+    "bad-r-and-clip-binds": lambda text: _set_field(103, 6, "r")(_set_field(103, 4, "-0.5")(text)),
 }
 RECORD_EDITS = {
     name: EDITS[name] for name in (
@@ -256,3 +273,19 @@ def test_a_quoted_field_is_malformed_at_its_line(tmp_path, capsys, files, kind, 
         err = capsys.readouterr().err
         assert f"{path}:{line}: {message}" in err
         assert "Traceback" not in err
+
+
+def test_reader_matches_the_reference_where_clips_bind(tmp_path):
+    """A fuzzed trace in which some clips bind, so v_clipped's text differs
+    from v_raw's on some rows, reads back as written and as the frozen
+    reader reads it."""
+    _, trace = make_fuzz_run(dim=10, steps=300, seed=0, d_inf=3.0)
+    path = tmp_path / "t.trace.csv"
+    cli._write_trace_csv(path, trace)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert 0 < sum(row[3] != row[4] for row in rows) < len(rows)
+    _, commands = _assert_same_read(path)
+    assert commands[0][0] == 0
+    read = cli.read_trace_csv(path)
+    for name in FLOAT_COLUMNS:
+        assert np.array_equal(getattr(read, name), getattr(trace, name), equal_nan=True), name
