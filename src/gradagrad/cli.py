@@ -1,10 +1,8 @@
 """Benchmark harness CLI: seeded runs, grid searches, and trace checks.
 
 Subcommands: run, grid, check, trace-dump. Run records and step traces are
-emitted as CSV with fixed headers (missing values are empty fields):
-
-    run record:  step,epoch,loss,accuracy,gamma_mean,gamma_max,alpha_mean,alpha_max,ainv_mean,subopt
-    step trace:  k,i,g,v_raw,v_clipped,branch,r,gamma,alpha,a
+emitted as CSV with the fixed headers RUN_HEADER and TRACE_HEADER (missing
+values are empty fields).
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage/config error.
 Output CSVs are byte-deterministic for a fixed seed; wall-clock timing only
@@ -85,7 +83,15 @@ def _parse_floats(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _parse_r(text: str) -> float | None:
+    """--r's value: a fixed clip, or None for the adaptive one."""
+    try:
+        return None if text == "adaptive" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number or 'adaptive', got {text!r}") from None
 
 
 def _parse_seed(text: str) -> int:
@@ -107,7 +113,7 @@ def _build_problem(args):
         x0_default = np.ones(dim)
     elif args.problem == "quadratic":
         if args.diag is not None:
-            diag = np.array(_parse_floats(args.diag))
+            diag = np.array(args.diag)
         elif dim < 1:  # AbsValue's message; np.ones(dim) would raise numpy's own
             raise ConfigError(f"dim must be >= 1, got {dim}")
         else:
@@ -123,10 +129,10 @@ def _build_problem(args):
     else:  # argparse choices guard every other value
         raise ConfigError("--problem is required, as a flag or as a --config key")
 
-    if args.x0 is not None:
-        vals = _parse_floats(args.x0)
+    vals = args.x0
+    if vals is not None:
         if not all(map(math.isfinite, vals)):
-            raise ConfigError(f"--x0 must be finite, got {args.x0!r}")
+            raise ConfigError(f"--x0 must be finite, got {vals}")
         if len(vals) == 1:
             x0 = np.full(problem.dim, vals[0])
         elif len(vals) == problem.dim:
@@ -142,16 +148,9 @@ def _build_problem(args):
 
 
 def _build_hyperparams(args) -> HyperParams:
-    if args.r == "adaptive":
-        r_fixed = None
-    else:
-        try:
-            r_fixed = float(args.r)
-        except ValueError:
-            raise ConfigError(f"--r must be a number or 'adaptive', got {args.r!r}") from None
     return HyperParams(
         gamma0=args.gamma0, rho=args.rho, beta=args.beta,
-        g_inf=args.g_inf, d_inf=args.d_inf, r_fixed=r_fixed, mode=args.mode,
+        g_inf=args.g_inf, d_inf=args.d_inf, r_fixed=args.r, mode=args.mode,
     )
 
 
@@ -311,12 +310,10 @@ def _selection_metric(kind, evals) -> list[float]:
 
 
 def cmd_grid(args) -> int:
-    values = _parse_floats(args.grid_values)
+    values = sorted(args.grid_values)
     if not values:
         raise ConfigError("empty grid")
     param = args.grid_param.replace("-", "_")
-    if param not in GRID_PARAMS:
-        raise ConfigError(f"--grid-param must be one of {GRID_PARAMS}, got {args.grid_param!r}")
     read = param in OPTIMIZERS[args.optimizer][1]
     if not read or param == "g_inf" and args.mode == "practical":
         mode = " in --mode practical" if read else ""
@@ -326,7 +323,6 @@ def cmd_grid(args) -> int:
     if args.trace:
         raise ConfigError("grid writes no trace; trace one value with run --trace")
 
-    values = sorted(values)
     _, metric_kind, evals = _run_grid(args, param, values)
     scores = np.reshape(_selection_metric(metric_kind, evals), (len(values), args.seeds)).mean(axis=-1)
     table = list(zip(values, scores.tolist()))
@@ -439,7 +435,7 @@ def _trace_floats(text):
         differs = text[FLOAT_FIELDS[clipped]] != text[FLOAT_FIELDS[raw]]
         floats[clipped] = floats[raw]
         floats[clipped, differs] = text[FLOAT_FIELDS[clipped], differs]
-    except (ValueError, OverflowError):
+    except ValueError:  # float() of a str never overflows
         return _parse(text[FLOAT_FIELDS], float)
     return floats
 
@@ -545,18 +541,19 @@ def _add_run_flags(p):
     p.add_argument("--problem", choices=("abs", "quadratic", "logistic"))
     p.add_argument("--dataset", help="LIBSVM file (logistic problem)")
     p.add_argument("--dim", type=int, help="dimension for synthetic problems")
-    p.add_argument("--diag", help="comma-separated quadratic diagonal (overrides --dim)")
+    p.add_argument("--diag", type=_parse_floats, help="comma-separated quadratic diagonal (overrides --dim)")
     p.add_argument("--noise-std", type=float, default=0.0, help="gradient noise (quadratic)")
-    p.add_argument("--x0", help="initial point: one value (broadcast) or comma-separated")
+    p.add_argument("--x0", type=_parse_floats, help="initial point: one value (broadcast) or comma-separated")
     p.add_argument("--optimizer", choices=OPTIMIZERS, default="gradagrad")
-    p.add_argument("--gamma0", type=float, default=1.0,
+    p.add_argument("--gamma0", type=float, default=HyperParams.gamma0,
                    help="step-size numerator; also the sgd/adam learning rate")
-    p.add_argument("--rho", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--g-inf", type=float, default=1.0)
-    p.add_argument("--d-inf", type=float, default=1e10)
-    p.add_argument("--r", default="1", help="scalar-variant clip: a number or 'adaptive'")
-    p.add_argument("--mode", choices=("theory", "practical"), default="practical")
+    p.add_argument("--rho", type=float, default=HyperParams.rho)
+    p.add_argument("--beta", type=float, default=HyperParams.beta)
+    p.add_argument("--g-inf", type=float, default=HyperParams.g_inf)
+    p.add_argument("--d-inf", type=float, default=HyperParams.d_inf)
+    p.add_argument("--r", type=_parse_r, default=HyperParams.r_fixed,
+                   help="scalar-variant clip: a number or 'adaptive'")
+    p.add_argument("--mode", choices=("theory", "practical"), default=HyperParams.mode)
     p.add_argument("--steps", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, default=32)
@@ -569,8 +566,10 @@ def _add_run_flags(p):
 
 def _add_grid_flags(p):
     _add_run_flags(p)
-    p.add_argument("--grid-param", default="gamma0")
-    p.add_argument("--grid-values", default=DEFAULT_GRID, help="comma-separated values (default: powers of 2)")
+    p.add_argument("--grid-param", default="gamma0",
+                   choices=GRID_PARAMS + tuple(name.replace("_", "-") for name in GRID_PARAMS if "_" in name))
+    p.add_argument("--grid-values", type=_parse_floats, default=DEFAULT_GRID,
+                   help="comma-separated values (default: powers of 2)")
     p.add_argument("--seeds", type=int, default=10, help="replicates per grid point")
 
 

@@ -44,7 +44,7 @@ def sequential_grid(argv):
     param = args.grid_param.replace("-", "_")
     problem, x0, n_batches, steps, eval_every = cli._build_run(args)
     runs = []
-    for vi, value in enumerate(sorted(cli._parse_floats(args.grid_values))):
+    for vi, value in enumerate(sorted(args.grid_values)):
         run_args = argparse.Namespace(**vars(args))
         setattr(run_args, param, value)
         for si in range(args.seeds):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import BITS, BLOBS, GRID_CASES
-from gradagrad import cli, load_dataset
+from gradagrad import HyperParams, cli, load_dataset
 
 
 def run_cli(argv):
@@ -238,6 +238,20 @@ def test_negative_dim_rejected(capsys, command, problem):
     assert "Traceback" not in err
 
 
+# a value each string-valued flag's own type rejects, and argparse's message for it
+LIST_VALUE_ERRORS = [
+    ("run", "x0=a", "argument --x0: expected comma-separated numbers, got 'a'"),
+    ("run", "diag=1,b", "argument --diag: expected comma-separated numbers, got '1,b'"),
+    ("grid", "grid_values=1,x", "argument --grid-values: expected comma-separated numbers, got '1,x'"),
+    ("grid", "grid_param=foo", "argument --grid-param: invalid choice: 'foo'"),
+    ("run", "r=sometimes", "argument --r: must be a number or 'adaptive', got 'sometimes'"),
+]
+
+
+def test_run_defaults_are_the_hyperparams_defaults():
+    assert cli._build_hyperparams(cli.build_parser().parse_args(["run"])) == HyperParams()
+
+
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -289,6 +303,7 @@ class TestConfigFile:
         ("run", "optimizer=lbfgs", "argument --optimizer: invalid choice: 'lbfgs'"),
         ("run", "seed=-1", "argument --seed: seed must be an unsigned 64-bit value"),
         ("grid", "seeds=1.5", "argument --seeds: invalid int value: '1.5'"),
+        *LIST_VALUE_ERRORS,
     ])
     def test_a_rejected_value_names_its_line_and_flag(self, tmp_path, capsys, command, value, message):
         cfg = tmp_path / "bad.cfg"
@@ -297,6 +312,12 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}:2: {message}")
         assert "usage:" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,value,message", LIST_VALUE_ERRORS)
+    def test_the_same_value_as_a_flag_is_a_usage_error(self, capsys, command, value, message):
+        key, _, text = value.partition("=")
+        assert run_cli([command, "--problem", "abs", "--steps", "5", f"--{key.replace('_', '-')}={text}"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_a_negative_list_value_is_not_a_flag(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -33,7 +33,7 @@ def bits(values) -> np.ndarray:
 def test_lockstep_grid_matches_sequential_runs(name, seeds):
     argv = [*CASES[name], "--seeds", str(seeds), "--seed", "11"]
     args = cli.build_parser().parse_args(["grid", *argv])
-    values = sorted(cli._parse_floats(args.grid_values))
+    values = sorted(args.grid_values)
     opt, kind, evals = cli._run_grid(args, args.grid_param.replace("-", "_"), values)
     runs = sequential_grid(argv)
     assert opt.replicas == len(runs) == len(values) * seeds

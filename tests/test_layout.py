@@ -1,6 +1,8 @@
 """Module boundaries inside the gradagrad package: no module reads a
 _-prefixed (private) name of another gradagrad module, neither as an
-attribute of the imported module nor through `from module import _name`."""
+attribute of the imported module nor through `from module import _name`;
+and each of the one-path rules holds: only verify._report builds a
+CheckReport, and only core.drive steps an optimizer."""
 
 import ast
 from pathlib import Path
@@ -54,3 +56,38 @@ def test_no_module_reads_another_modules_private_names(path):
 ])
 def test_the_scan_finds_private_reads(source, found):
     assert _private_reads(source) == found
+
+
+def _callers(source: str, name: str) -> set[str]:
+    """The functions of source (None for module level) that call `name(...)`
+    or `<expr>.name(...)`; a call in a nested function or lambda counts for
+    the innermost named function around it."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("name,owner", [("CheckReport", "verify._report"), ("step", "core.drive")])
+def test_one_function_makes_each_call(name, owner):
+    callers = {f"{path.stem}.{function}" for path in PACKAGE.glob("*.py")
+               for function in _callers(path.read_text(encoding="utf-8"), name)}
+    assert callers == {owner}
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def f():\n    opt.step(g)\n", {"f"}),
+    ("def f():\n    def g():\n        return lambda: o.step(1)\n", {"g"}),
+    ("step(1)\n", {None}),
+    ("def f():\n    opt.steps(g)\n    opt.step\n", set()),
+])
+def test_the_scan_finds_callers(source, found):
+    assert _callers(source, "step") == found

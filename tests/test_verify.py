@@ -115,7 +115,7 @@ class TestAdagradEquivalence:
 
     def test_zero_steps_trivially_pass(self):
         report = check_adagrad_equivalence(Quadratic([1.0]), 0, gamma=1.0)
-        assert report.passed and report.worst_violation == 0.0
+        assert report.passed and report.worst_violation == 0.0 and report.location is None
 
     def test_rho2_sanity_inversion(self):
         # with rho=2 on a deterministic quadratic, consecutive gradients
@@ -178,6 +178,13 @@ class TestConvergenceTrend:
             n_seeds=2,
         )
         assert report.passed
+        assert "vacuous" in report.details
+
+    def test_vacuous_pass_holds_under_any_threshold(self):
+        report = check_convergence_trend(
+            Quadratic([1.0]), lambda x0: GradaGrad(x0), x0=np.zeros(1), n_small=5, n_seeds=2, threshold=-1.0,
+        )
+        assert report.passed and report.worst_violation == 0.0
         assert "vacuous" in report.details
 
     def test_requires_known_optimum(self):
