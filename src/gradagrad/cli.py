@@ -22,7 +22,7 @@ import numpy as np
 
 from . import verify
 from .core import BRANCHES, FLOAT_COLUMNS, SGD, Adam, AdaGrad, GradaGrad, HyperParams, ScalarGradaGrad, Trace, drive
-from .data import load_dataset, locate_decode_error, normalize_labels
+from .data import load_dataset, normalize_labels, open_input
 from .problems import AbsValue, LogisticRegression, Quadratic
 
 RUN_HEADER = [
@@ -95,7 +95,10 @@ def _parse_r(text: str) -> float | None:
 
 
 def _parse_seed(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit value, got {text!r}") from None
     if not 0 <= value < 2 ** 64:
         raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit value")
     return value
@@ -104,48 +107,6 @@ def _parse_seed(text: str) -> int:
 # ---------------------------------------------------------------------------
 # construction from flags
 # ---------------------------------------------------------------------------
-
-def _build_problem(args):
-    """Returns (problem, x0, batches_per_epoch_or_None)."""
-    dim = args.dim if args.dim is not None else 1
-    if args.problem == "abs":
-        problem = AbsValue(dim)
-        x0_default = np.ones(dim)
-    elif args.problem == "quadratic":
-        if args.diag is not None:
-            diag = np.array(args.diag)
-        elif dim < 1:  # AbsValue's message; np.ones(dim) would raise numpy's own
-            raise ConfigError(f"dim must be >= 1, got {dim}")
-        else:
-            diag = np.ones(dim)
-        problem = Quadratic(diag, noise_std=args.noise_std)
-        x0_default = np.ones(problem.dim)
-    elif args.problem == "logistic":
-        if args.dataset is None:
-            raise ConfigError("--problem logistic requires --dataset")
-        dataset = normalize_labels(load_dataset(args.dataset))
-        problem = LogisticRegression(dataset, batch_size=args.batch_size)
-        x0_default = np.zeros(problem.dim)
-    else:  # argparse choices guard every other value
-        raise ConfigError("--problem is required, as a flag or as a --config key")
-
-    vals = args.x0
-    if vals is not None:
-        if not all(map(math.isfinite, vals)):
-            raise ConfigError(f"--x0 must be finite, got {vals}")
-        if len(vals) == 1:
-            x0 = np.full(problem.dim, vals[0])
-        elif len(vals) == problem.dim:
-            x0 = np.array(vals)
-        else:
-            raise ConfigError(f"--x0 has {len(vals)} entries but the problem has dim {problem.dim}")
-    else:
-        x0 = x0_default
-    n_batches = None
-    if args.problem == "logistic":
-        n_batches = math.ceil(problem.n / problem.batch_size)
-    return problem, x0, n_batches
-
 
 def _build_hyperparams(args) -> HyperParams:
     return HyperParams(
@@ -162,24 +123,40 @@ def _build_optimizer(runs, x0):
     return cls(np.tile(x0, (len(runs), 1)), params if len(params) > 1 else params[0])
 
 
-def _resolve_steps(args, n_batches):
+def _build_run(args):
+    """(problem, x0, n_batches, steps, eval_every): a run but its optimizer and
+    seed. A default start point is a one-value --x0."""
+    n_batches = None
+    if args.problem == "abs":
+        problem, x0 = AbsValue(args.dim), [1.0]
+    elif args.problem == "quadratic":
+        if args.diag is None and args.dim < 1:  # AbsValue's message; np.ones(dim) would raise numpy's own
+            raise ConfigError(f"dim must be >= 1, got {args.dim}")
+        diag = np.array(args.diag) if args.diag is not None else np.ones(args.dim)
+        problem, x0 = Quadratic(diag, noise_std=args.noise_std), [1.0]
+    elif args.problem == "logistic":
+        if args.dataset is None:
+            raise ConfigError("--problem logistic requires --dataset")
+        problem = LogisticRegression(normalize_labels(load_dataset(args.dataset)), batch_size=args.batch_size)
+        x0, n_batches = [0.0], math.ceil(problem.n / problem.batch_size)
+    else:  # argparse choices guard every other value
+        raise ConfigError("--problem is required, as a flag or as a --config key")
+
+    x0 = args.x0 if args.x0 is not None else x0
+    if not all(map(math.isfinite, x0)):
+        raise ConfigError(f"--x0 must be finite, got {x0}")
+    if len(x0) not in (1, problem.dim):
+        raise ConfigError(f"--x0 has {len(x0)} entries but the problem has dim {problem.dim}")
+    x0 = np.full(problem.dim, x0[0]) if len(x0) == 1 else np.array(x0)
+
     if (args.steps is None) == (args.epochs is None):
         raise ConfigError("exactly one of --steps or --epochs is required")
-    if args.epochs is not None:
-        if n_batches is None:
-            raise ConfigError("--epochs only applies to dataset problems; use --steps")
-        if args.epochs < 1:
-            raise ConfigError("--epochs must be >= 1")
-        return args.epochs * n_batches
-    if args.steps < 1:
-        raise ConfigError("--steps must be >= 1")
-    return args.steps
-
-
-def _build_run(args):
-    """(problem, x0, n_batches, steps, eval_every): a run but its optimizer and seed."""
-    problem, x0, n_batches = _build_problem(args)
-    steps = _resolve_steps(args, n_batches)
+    if args.epochs is not None and n_batches is None:
+        raise ConfigError("--epochs only applies to dataset problems; use --steps")
+    flag, count = ("--steps", args.steps) if args.epochs is None else ("--epochs", args.epochs)
+    if count < 1:
+        raise ConfigError(f"{flag} must be >= 1")
+    steps = count if args.epochs is None else count * n_batches
     eval_every = args.eval_every if args.eval_every is not None else n_batches or 100
     if eval_every < 1:
         raise ConfigError(f"--eval-every must be >= 1, got {eval_every}")
@@ -363,21 +340,6 @@ def _parse(text: np.ndarray, dtype):
         return int(np.argmin(np.vectorize(parses, otypes=[bool])(text).all(axis=0)))
 
 
-def _read_lines(f, n) -> list[list[str]]:
-    """The fields of the next n lines of f (fewer at its end), in the CSV
-    dialect this program writes: unquoted fields, "\\n", "\\r\\n" or "\\r"
-    line ends. f must be opened with newline=""; a decode error names its path and line."""
-    try:
-        return [line.rstrip("\r\n").split(",") for line in itertools.islice(f, n)]
-    except UnicodeDecodeError as exc:
-        raise _decode_error(f.name, exc) from None
-
-
-def _decode_error(path, exc) -> ConfigError:
-    line, exc = locate_decode_error(path, exc)
-    return ConfigError(f"{path}:{line}: {exc}")
-
-
 def _read_csv(path, header, parse) -> list:
     """The arrays parse(text) returns for each run of up to TRACE_CHUNK_ROWS
     rows after a CSV's header, which must be header, each joined over the
@@ -400,18 +362,20 @@ def _read_csv(path, header, parse) -> list:
         return result
 
     kind = "trace" if header == TRACE_HEADER else "run record"
-    with open(path, "r", newline="", encoding="utf-8") as f:
-        first = _read_lines(f, 1)
+    with open_input(path) as f:
+        first = f.readline()
         if not first:
             raise ConfigError(f"{path}: empty {kind} file")
-        found = first[0]
+        found = first.rstrip("\r\n").split(",")
         if found != header:
             missing = [c for c in header if c not in found]
             raise ConfigError(
                 f"{path}: bad {kind} header, missing columns {missing}" if missing
                 else f"{path}: bad {kind} header {found}"
             )
-        chunks = iter(lambda: _read_lines(f, TRACE_CHUNK_ROWS), [])
+        # the fields of each run of lines, in the CSV dialect this program
+        # writes: unquoted fields, "\n", "\r\n" or "\r" line ends
+        chunks = iter(lambda: [line.rstrip("\r\n").split(",") for line in itertools.islice(f, TRACE_CHUNK_ROWS)], [])
         results = [parsed(rows, 2 + n * TRACE_CHUNK_ROWS) for n, rows in enumerate(chunks)]
     return [np.concatenate(arrays, axis=-1) for arrays in zip(*results or [parsed([], 2)])]
 
@@ -492,8 +456,8 @@ def _check_run_record(path, d_inf):
 def cmd_check(args) -> int:
     if args.d_inf is not None and not args.d_inf > 0:  # NaN fails too; inf is allowed, a cap that never binds
         raise ConfigError(f"--d-inf must be positive, got {args.d_inf}")
-    with open(args.trace, "r", newline="", encoding="utf-8") as f:
-        record = _read_lines(f, 1) == [RUN_HEADER]
+    with open_input(args.trace) as f:
+        record = f.readline().rstrip("\r\n").split(",") == RUN_HEADER
     checks = {"record": _check_run_record} if record else TRACE_CHECKS
     names = list(checks) if args.checks == "all" else [
         tok.strip() for tok in args.checks.split(",") if tok.strip()
@@ -540,7 +504,7 @@ def cmd_trace_dump(args) -> int:
 def _add_run_flags(p):
     p.add_argument("--problem", choices=("abs", "quadratic", "logistic"))
     p.add_argument("--dataset", help="LIBSVM file (logistic problem)")
-    p.add_argument("--dim", type=int, help="dimension for synthetic problems")
+    p.add_argument("--dim", type=int, default=1, help="dimension for synthetic problems")
     p.add_argument("--diag", type=_parse_floats, help="comma-separated quadratic diagonal (overrides --dim)")
     p.add_argument("--noise-std", type=float, default=0.0, help="gradient noise (quadratic)")
     p.add_argument("--x0", type=_parse_floats, help="initial point: one value (broadcast) or comma-separated")
@@ -616,11 +580,8 @@ def _load_config_flags(args) -> list[str]:
     keys are the subcommand's own flags, spelt without -- and with - or _.
     A value the flag rejects is a ConfigError naming its line."""
     path, flags, keys = args.config, [], vars(args).keys() - {"command", "config"}
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = list(f)
-    except UnicodeDecodeError as exc:
-        raise _decode_error(path, exc) from None
+    with open_input(path) as f:
+        lines = list(f)
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

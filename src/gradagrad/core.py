@@ -215,6 +215,14 @@ def _gradagrad_update(v, t, gamma, alpha, r_fixed, d_inf):
     return v_clip, r
 
 
+def _step_sizes(gamma, alpha):
+    """(gamma / sqrt(alpha), sqrt(alpha) / gamma), both 0 where alpha is not
+    positive: an entry that has accumulated nothing takes a zero step."""
+    live, root = alpha > 0, np.sqrt(alpha)
+    return (np.divide(gamma, root, out=np.zeros(alpha.shape), where=live),
+            np.divide(root, gamma, out=np.zeros(alpha.shape), where=live))
+
+
 # ---------------------------------------------------------------------------
 # steppers
 # ---------------------------------------------------------------------------
@@ -339,14 +347,10 @@ class ScalarGradaGrad(Optimizer):
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(v < 0, self._rho * cross / gsq, math.nan)
         v_clip, r = _gradagrad_update(v, t, self.gamma, self.alpha, self._r_fixed, math.inf)
-        live = self.alpha > 0  # the others take a zero step
-        root = np.sqrt(self.alpha[live])
-        self.ainv = np.zeros(self.replicas)
-        self.ainv[live] = self.gamma[live] / root
-        x_new = np.where(self._column(live), self.x - self._column(self.ainv) * g, self.x)
+        self.ainv, a = _step_sizes(self.gamma, self.alpha)
+        # where alpha is 0, x stays: x - 0 * g would turn an x of -0.0 into +0.0 where g is -0.0 or below
+        x_new = np.where(self._column(self.alpha > 0), self.x - self._column(self.ainv) * g, self.x)
         if trace is not None:
-            a = np.zeros(self.replicas)
-            a[live] = root / self.gamma[live]
             trace.record(  # g: the norm, as np.linalg.norm takes it
                 self.k, g=np.sqrt(gsq), v_raw=v, v_clipped=v_clip,
                 branch=np.where(v < 0, BRANCH_NEGATIVE, BRANCH_POSITIVE), r=r,
@@ -409,7 +413,6 @@ class GradaGrad(Optimizer):
     def step(self, g, trace: Trace | None = None) -> None:
         g = self._check_grad(g)
         k = self.k
-        d = self.dim
         gsq = g * g
         if k == 0:
             v_raw = self._v_init if self._v_init is not None else gsq
@@ -420,15 +423,9 @@ class GradaGrad(Optimizer):
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = self._rho * self.m_prev / g
         v_clip, r = _gradagrad_update(v_raw, t, self.gamma, self.alpha, None, self._d_inf)
+        self.ainv, a = _step_sizes(self.gamma, self.alpha)
 
-        a = np.zeros(d)
-        self.ainv = ainv = np.zeros(d)  # unbootstrapped coordinates take a zero step
-        live = self.alpha > 0
-        root = np.sqrt(self.alpha[live])
-        a[live] = root / self.gamma[live]
-        ainv[live] = self.gamma[live] / root
-
-        z_new = project(self.z - ainv * g, self._domain)
+        z_new = project(self.z - self.ainv * g, self._domain)
         x_new = self._beta * self.x + (1.0 - self._beta) * z_new
         m = a * (self.x - x_new)
 
@@ -462,9 +459,7 @@ class AdaGrad(Optimizer):
     def step(self, g) -> None:
         g = self._check_grad(g)
         self.alpha += g * g
-        self.ainv = np.zeros(self.dim)
-        live = self.alpha > 0
-        self.ainv[live] = self._gamma[live] / np.sqrt(self.alpha[live])
+        self.ainv = _step_sizes(self._gamma, self.alpha)[0]
         self._commit(self.x - self.ainv * g)
 
 

@@ -9,6 +9,7 @@ densifying, label normalization and serialization work on whole arrays.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -53,19 +54,33 @@ class Dataset:
         return out
 
 
-def locate_decode_error(path, exc: UnicodeDecodeError) -> tuple[int, UnicodeDecodeError]:
-    """Where exc, raised by a text read of path, lies in the file: the line of
-    the first byte that is not UTF-8 (a text read ends lines at "\\n",
-    "\\r\\n" and a lone "\\r"), and the error of decoding the whole file, whose
-    position is that byte's offset in the file, not in a read buffer. Every
-    reader of this package reports a non-UTF-8 file this way."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as whole:
-        exc = whole
-    head = data[:exc.start]
-    return 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n"), exc
+class InputDecodeError(ValueError):
+    """An input file that is not UTF-8, at the line open_input finds."""
+
+    def __init__(self, path, lineno: int, error: UnicodeDecodeError):
+        self.path, self.lineno, self.error = path, lineno, error
+        super().__init__(f"{path}:{lineno}: {error}")
+
+
+@contextmanager
+def open_input(path):
+    """path opened as UTF-8 text with newline="", as every reader of this
+    package opens its input files. A decode error in the with block is an
+    InputDecodeError: the line of the first byte that is not UTF-8 (lines
+    end at "\\n", "\\r\\n" and a lone "\\r"), and error, the error of decoding
+    the whole file, whose position is that byte's offset in the file."""
+    with open(path, "r", newline="", encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as exc:
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+            head = data[:exc.start]
+            lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise InputDecodeError(path, lineno, exc) from None
 
 
 def parse_libsvm_line(line: str, lineno: int | None = None) -> tuple[float, list[int], list[float]]:
@@ -110,7 +125,7 @@ def load_dataset(path) -> Dataset:
     A parse or decode error names the path, then the line if known."""
     labels, indptr, indices, values = [], [0], [], []
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open_input(path) as f:
             for lineno, raw in enumerate(f, start=1):
                 stripped = raw.strip()
                 if not stripped or stripped.startswith("#"):
@@ -120,10 +135,9 @@ def load_dataset(path) -> Dataset:
                 indices += idx
                 values += val
                 indptr.append(len(indices))
-    except (LibsvmParseError, UnicodeDecodeError) as exc:
-        if isinstance(exc, UnicodeDecodeError):
-            lineno, exc = locate_decode_error(path, exc)
-            exc = LibsvmParseError(str(exc), lineno)
+    except (LibsvmParseError, InputDecodeError) as exc:
+        if isinstance(exc, InputDecodeError):
+            exc = LibsvmParseError(str(exc.error), exc.lineno)
         error = LibsvmParseError(f"{path}: {exc}")
         error.lineno = exc.lineno
         raise error from None

@@ -238,6 +238,26 @@ def test_negative_dim_rejected(capsys, command, problem):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,text,message", [
+    (["run", "--problem", "quadratic", "--dim", "3", "--x0", "1,2", "--steps", "5"], None,
+     "--x0 has 2 entries but the problem has dim 3"),
+    (["run", "--problem", "logistic", "--dataset", str(BITS), "--epochs", "0"], None, "--epochs must be >= 1"),
+    (["run", "--problem", "abs", "--steps", "0"], None, "--steps must be >= 1"),
+    (["grid", "--problem", "abs", "--steps", "5", "--seeds", "0"], None, "--seeds must be >= 1"),
+    (["check", "{path}", "--checks", ","], ",".join(cli.TRACE_HEADER) + "\n", "no checks requested"),
+    (["run", "--config", "{path}"], "problem=abs\nsteps 5\n", "{path}:2: expected key=value"),
+    (["run", "--config", "{path}"], "problem=abs\ntrace=maybe\nsteps=5\n", "{path}:2: trace must be true or false"),
+], ids=["x0-length", "epochs-0", "steps-0", "seeds-0", "no-checks", "config-no-equals", "config-trace-maybe"])
+def test_a_rejected_setting_has_its_exact_message(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out.csv"
+    assert run_cli([arg.format(path=path) for arg in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+    assert not out.exists()
+
+
 # a value each string-valued flag's own type rejects, and argparse's message for it
 LIST_VALUE_ERRORS = [
     ("run", "x0=a", "argument --x0: expected comma-separated numbers, got 'a'"),
@@ -245,6 +265,7 @@ LIST_VALUE_ERRORS = [
     ("grid", "grid_values=1,x", "argument --grid-values: expected comma-separated numbers, got '1,x'"),
     ("grid", "grid_param=foo", "argument --grid-param: invalid choice: 'foo'"),
     ("run", "r=sometimes", "argument --r: must be a number or 'adaptive', got 'sometimes'"),
+    ("run", "seed=abc", "argument --seed: seed must be an unsigned 64-bit value, got 'abc'"),
 ]
 
 

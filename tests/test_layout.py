@@ -91,3 +91,54 @@ def test_one_function_makes_each_call(name, owner):
 ])
 def test_the_scan_finds_callers(source, found):
     assert _callers(source, "step") == found
+
+
+# every input file is opened by data.open_input, which reports a file that is
+# not UTF-8 at its line; only the writers open a file themselves
+WRITERS = {"cli._write_csv", "cli._write_trace_csv", "data.save_dataset"}
+
+
+@pytest.mark.parametrize("name,owners", [("open", {"data.open_input", *WRITERS}), ("read_bytes", {"data.open_input"})],
+                         ids=["open", "read_bytes"])
+def test_only_the_input_reader_and_the_writers_open_files(name, owners):
+    callers = {f"{path.stem}.{function}" for path in PACKAGE.glob("*.py")
+               for function in _callers(path.read_text(encoding="utf-8"), name)}
+    assert callers == owners
+
+
+def _catchers(source: str, name: str) -> set[str]:
+    """The functions of source (None for module level) with an `except`
+    clause that names the exception `name`, alone or in a tuple; a clause in
+    a nested function counts for the innermost named function around it."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if name in [getattr(t, "id", None) or getattr(t, "attr", None) for t in types]:
+                found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_the_input_reader_catches_decode_errors():
+    catchers = {f"{path.stem}.{function}" for path in PACKAGE.glob("*.py")
+                for function in _catchers(path.read_text(encoding="utf-8"), "UnicodeDecodeError")}
+    assert catchers == {"data.open_input"}
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def f():\n    try:\n        g()\n    except UnicodeDecodeError:\n        pass\n", {"f"}),
+    ("def f():\n    def g():\n        try:\n            h()\n        except (KeyError, UnicodeDecodeError):\n"
+     "            pass\n", {"g"}),
+    ("try:\n    g()\nexcept builtins.UnicodeDecodeError as e:\n    pass\n", {None}),
+    ("def f():\n    try:\n        g()\n    except ValueError:\n        raise UnicodeDecodeError\n", set()),
+    ("def f():\n    try:\n        g()\n    except:\n        pass\n", set()),
+])
+def test_the_scan_finds_catchers(source, found):
+    assert _catchers(source, "UnicodeDecodeError") == found

@@ -86,8 +86,8 @@ def _outcome(path, read_csv, trace_fields):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_read_csv", read_csv)
         mp.setattr(cli, "_trace_fields", trace_fields)
-        with open(path, newline="", encoding="utf-8") as f:
-            record = cli._read_lines(f, 1) == [cli.RUN_HEADER]
+        with cli.open_input(path) as f:
+            record = f.readline().rstrip("\r\n").split(",") == cli.RUN_HEADER
         try:
             if record:
                 parsed = repr(cli._check_run_record(path, 3.0))
