@@ -2,7 +2,8 @@
 
 Subcommands: run, grid, check, trace-dump. Run records and step traces are
 emitted as CSV with the fixed headers RUN_HEADER and TRACE_HEADER (missing
-values are empty fields).
+values are empty fields). _write_csv writes every CSV; a field is quoted only
+where it holds ',', '"' or a newline, in practice a check report's details.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage/config error.
 Output CSVs are byte-deterministic for a fixed seed; wall-clock timing only
@@ -10,7 +11,6 @@ appears in the stderr summary.
 """
 
 import argparse
-import csv
 import functools
 import itertools
 import math
@@ -69,14 +69,16 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         value = float(value)
         return "" if math.isnan(value) else repr(value)
-    return str(value)
+    text = str(value)  # quoted where csv.writer quotes it: a lone "\r" stays bare
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text or "\n" in text else text
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, chunks):
+    """Write header, then each chunk's rows of formatted fields in one write, to path or else stdout."""
     with nullcontext(sys.stdout) if path is None else open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(map(_fmt, row) for row in rows)
+        f.write(",".join(header) + "\n")
+        for rows in chunks:
+            f.write("\n".join([*map(",".join, rows), ""]))
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -195,7 +197,7 @@ def cmd_run(args) -> int:
     states = [problem.init_state(args.seed)]
     wall = drive(opt, lambda x: problem.grad_sample(x, states), steps,
                  lambda k: rows.append(_eval_row(k, n_batches, problem, opt)), eval_every, trace)
-    _write_csv(args.out, RUN_HEADER, rows)
+    _write_csv(args.out, RUN_HEADER, [(map(_fmt, row) for row in rows)])
     if args.trace:
         trace_path = Path(args.out).with_suffix(".trace.csv")
         _write_trace_csv(trace_path, trace)
@@ -231,14 +233,10 @@ def _repr_fields(floats: np.ndarray) -> list[list[str]]:
 
 
 def _write_trace_csv(path, trace: Trace):
-    """Write a trace CSV, its values formatted as _fmt formats them, with one
-    write per run of about TRACE_CHUNK_ROWS rows."""
+    """Write a trace CSV, its values formatted as _fmt formats them, about TRACE_CHUNK_ROWS rows a chunk."""
     steps = max(1, TRACE_CHUNK_ROWS // max(1, trace.branch.shape[1]))
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(",".join(TRACE_HEADER) + "\n")
-        for start in range(0, len(trace), steps):
-            rows = zip(*_trace_columns(trace[start:start + steps], _repr_fields))
-            f.write("\n".join([*map(",".join, rows), ""]))
+    _write_csv(path, TRACE_HEADER, (zip(*_trace_columns(trace[start:start + steps], _repr_fields))
+                                    for start in range(0, len(trace), steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +307,7 @@ def cmd_grid(args) -> int:
 
     out_rows = [[args.grid_param, value, metric_kind, score, idx == best_idx]
                 for idx, (value, score) in enumerate(table)]
-    _write_csv(args.out, ["param", "value", "metric", "score", "winner"], out_rows)
+    _write_csv(args.out, ["param", "value", "metric", "score", "winner"], [(map(_fmt, row) for row in out_rows)])
     winner_value, winner_score = table[best_idx]
     print(
         f"grid complete: winner {args.grid_param}={winner_value!r} "
@@ -474,11 +472,13 @@ def cmd_check(args) -> int:
         print(f"{rep.name}: {'PASS' if rep.passed else 'FAIL'} (worst={rep.worst_violation:g})", file=sys.stderr)
     rows = [[rep.name, rep.passed, rep.worst_violation, *(rep.location or (None, None)), rep.details]
             for rep in reports]
-    _write_csv(args.out, CHECK_HEADER, rows)
+    _write_csv(args.out, CHECK_HEADER, [(map(_fmt, row) for row in rows)])
     return 0 if all(rep.passed for rep in reports) else 1
 
 
 def cmd_trace_dump(args) -> int:
+    if args.head < 0:
+        raise ConfigError(f"--head must be >= 0, got {args.head}")
     trace = read_trace_csv(args.trace)
     steps, d = trace.branch.shape
     counts = np.bincount(trace.branch.ravel(), minlength=len(BRANCHES))
@@ -488,7 +488,7 @@ def cmd_trace_dump(args) -> int:
         gammas, alphas = trace.gamma_after, trace.alpha_after
         print(f"gamma in [{gammas.min():g}, {gammas.max():g}]  alpha in [{alphas.min():g}, {alphas.max():g}]")
     print("  ".join(TRACE_HEADER))
-    n = max(0, min(args.head, steps * d))
+    n = min(args.head, steps * d)
     if n:
         cols = _trace_columns(trace[: -(-n // d)],
                               lambda floats: [[format(v, ".6g") for v in col] for col in floats.tolist()])

@@ -886,6 +886,30 @@ class TestTraceDump:
     def test_missing_file(self):
         assert run_cli(["trace-dump", "/nope.trace.csv"]) == 2
 
+    @pytest.mark.parametrize("exists", [True, False], ids=["trace", "no-file"])
+    def test_negative_head_rejected_before_the_trace_is_read(self, tmp_path, capsys, exists):
+        trace = _make_trace(tmp_path) if exists else tmp_path / "missing.trace.csv"
+        capsys.readouterr()
+        assert run_cli(["trace-dump", str(trace), "--head", "-3"]) == 2
+        assert capsys.readouterr() == ("", "error: --head must be >= 0, got -3\n")
+
+    def test_head_zero_prints_no_rows(self, tmp_path, capsys):
+        trace = _make_trace(tmp_path)
+        capsys.readouterr()
+        assert run_cli(["trace-dump", str(trace), "--head", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "  ".join(cli.TRACE_HEADER)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["run", "--problem", "abs", "--steps", "3", "--out", "{out}"], 0),
+    (["trace-dump", "{out}", "--head", "-3"], 2),
+], ids=["success", "usage-error"])
+def test_entry_exits_with_mains_code(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.setattr("sys.argv", ["gradagrad", *(arg.format(out=tmp_path / "r.csv") for arg in argv)])
+    with pytest.raises(SystemExit) as info:
+        cli.entry()
+    assert info.value.code == code
+
 
 class TestRoundTripThroughCli:
     def test_trace_survives_read(self, tmp_path):

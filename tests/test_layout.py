@@ -2,7 +2,9 @@
 _-prefixed (private) name of another gradagrad module, neither as an
 attribute of the imported module nor through `from module import _name`;
 and each of the one-path rules holds: only verify._report builds a
-CheckReport, and only core.drive steps an optimizer."""
+CheckReport, only core.drive steps an optimizer, only data.open_input and
+the writers open files, and no module imports csv (cli._write_csv writes
+every CSV)."""
 
 import ast
 from pathlib import Path
@@ -95,7 +97,7 @@ def test_the_scan_finds_callers(source, found):
 
 # every input file is opened by data.open_input, which reports a file that is
 # not UTF-8 at its line; only the writers open a file themselves
-WRITERS = {"cli._write_csv", "cli._write_trace_csv", "data.save_dataset"}
+WRITERS = {"cli._write_csv", "data.save_dataset"}
 
 
 @pytest.mark.parametrize("name,owners", [("open", {"data.open_input", *WRITERS}), ("read_bytes", {"data.open_input"})],
@@ -142,3 +144,31 @@ def test_only_the_input_reader_catches_decode_errors():
 ])
 def test_the_scan_finds_catchers(source, found):
     assert _catchers(source, "UnicodeDecodeError") == found
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that source imports; a relative import counts as ''."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add("" if node.level else node.module.partition(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_csv(path):
+    assert "csv" not in _imported_modules(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("source,found", [
+    ("import csv\n", {"csv"}),
+    ("import os.path, csv as c\n", {"os", "csv"}),
+    ("from csv import writer\n", {"csv"}),
+    ("def f():\n    import csv.x\n", {"csv"}),
+    ("from . import verify\nfrom .data import open_input\n", {""}),
+    ("import csvkit\ncsv = 1\n", {"csvkit"}),
+])
+def test_the_scan_finds_imports(source, found):
+    assert _imported_modules(source) == found
