@@ -7,6 +7,7 @@ from .core import (
     Domain,
     GradaGrad,
     HyperParams,
+    NonFiniteGradient,
     Optimizer,
     ScalarGradaGrad,
     Trace,

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .core import BRANCHES, FLOAT_COLUMNS, SGD, Adam, AdaGrad, GradaGrad, HyperParams, ScalarGradaGrad, Trace, drive
+from .core import (BRANCHES, FLOAT_COLUMNS, SGD, Adam, AdaGrad, GradaGrad, HyperParams, NonFiniteGradient,
+                   ScalarGradaGrad, Trace, drive)
 from .data import load_dataset, normalize_labels, open_input
 from .problems import AbsValue, LogisticRegression, Quadratic
 
@@ -253,7 +254,8 @@ def _run_grid(args, param, values):
     evaluate only what selection reads. Replica vi * seeds + si runs value
     vi with seed si. Returns (opt, kind, evals): ("accuracy", the (R,)
     accuracies at each evaluation) if the problem reports accuracy, else
-    ("loss", [the (R,) final losses])."""
+    ("loss", [the (R,) final losses]). A replica whose gradient turns NaN
+    or infinite steps those entries as 0 and evaluates as NaN from then on."""
     # no grid parameter affects the problem
     problem, x0, _, steps, eval_every = _build_run(args)
     opt = _build_optimizer([argparse.Namespace(**{**vars(args), param: value})
@@ -261,6 +263,15 @@ def _run_grid(args, param, values):
     states = [problem.init_state(_run_seed(args.seed, vi, si))
               for vi in range(len(values)) for si in range(args.seeds)]
     evals = {"accuracy": [], "loss": []}
+    diverged = np.zeros(opt.replicas, dtype=bool)
+
+    def grad(x):
+        g = problem.grad_sample(x, states)
+        if np.count_nonzero(np.isfinite(g)) < g.size:
+            bad = ~np.isfinite(g)
+            diverged[bad.reshape(opt.replicas, -1).any(axis=1)] = True
+            g = np.where(bad, 0.0, g)
+        return g
 
     def on_eval(k):
         x = opt.x.reshape(opt.replicas, -1)
@@ -270,8 +281,10 @@ def _run_grid(args, param, values):
         elif k == steps:
             evals["loss"].append(problem.loss_full(x))
 
-    drive(opt, lambda x: problem.grad_sample(x, states), steps, on_eval, eval_every)
+    drive(opt, grad, steps, on_eval, eval_every)
     kind = "accuracy" if evals["accuracy"] else "loss"
+    if diverged.any():
+        evals[kind] = [np.where(diverged, math.nan, scores) for scores in evals[kind]]
     return opt, kind, evals[kind]
 
 
@@ -302,8 +315,10 @@ def cmd_grid(args) -> int:
     scores = np.reshape(_selection_metric(metric_kind, evals), (len(values), args.seeds)).mean(axis=-1)
     table = list(zip(values, scores.tolist()))
 
-    # max/min replace the best only on a strict >/<: exact ties keep the earlier (smaller) value
-    best_idx = (max if metric_kind == "accuracy" else min)(range(len(table)), key=lambda idx: table[idx][1])
+    # max/min replace the best only on a strict >/<: exact ties keep the earlier (smaller) value;
+    # a NaN score (a value that diverged) wins only if every value has one
+    scored = [idx for idx, (_, score) in enumerate(table) if not math.isnan(score)] or range(len(table))
+    best_idx = (max if metric_kind == "accuracy" else min)(scored, key=lambda idx: table[idx][1])
 
     out_rows = [[args.grid_param, value, metric_kind, score, idx == best_idx]
                 for idx, (value, score) in enumerate(table)]
@@ -625,7 +640,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         # ValueError covers LibsvmParseError and contract violations from bad flag combinations
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NonFiniteGradient) else 2  # 3: a run diverged
 
 
 def entry() -> None:

@@ -29,7 +29,9 @@ so each replica steps exactly as it would alone.
 A run's trace is one columnar Trace of (steps, width) arrays, with width d
 for the diagonal stepper and 1 for the scalar one. The GradaGrad steppers
 take it as step(g, trace) and fill row k in place; untraced steps do no
-trace work.
+trace work. r = t^2 - 1 is exact (libm pow) wherever it is read: on every
+negative coordinate of a traced step, and where the clip can bind on an
+untraced one (_gradagrad_update gives the slack argument).
 
 All state is double precision; numerators much below 1e-6 lose adaptivity
 in single precision.
@@ -182,7 +184,17 @@ def project(point, domain: Domain) -> np.ndarray:
     return np.clip(p, domain.lower, domain.upper)
 
 
-def _gradagrad_update(v, t, gamma, alpha, r_fixed, d_inf):
+def _t_squared(t, alpha, v):
+    """t^2, rounded as libm pow rounds it where the clip at -(t^2 - 1) * alpha
+    can bind on v (see _gradagrad_update)."""
+    sq = t * t
+    j = (~((1.0 - sq * (1.0 - 2.0**-30)) * alpha < v)).nonzero()[0]
+    if j.size:
+        sq[j] = np.float_power(t.take(j), 2.0)
+    return sq
+
+
+def _gradagrad_update(v, t_at, gamma, alpha, r_fixed, d_inf, traced):
     """Apply the GradaGrad accumulator update to every gamma/alpha pair.
 
     Where v >= 0 (or NaN), alpha += v. Where v < 0, v is clipped at
@@ -190,42 +202,61 @@ def _gradagrad_update(v, t, gamma, alpha, r_fixed, d_inf):
     largest r for which the per-step gradient error stays nonpositive), and
     absorbed as gamma = min(gamma * sqrt(1 - v / alpha), d_inf); alpha
     stays, and the step size gamma / sqrt(alpha) is that of the implied
-    accumulator alpha - v. d_inf is a number or a column like gamma.
-    gamma and alpha are updated in place; t is read only where v < 0.
-    Returns (v_clipped, r), with r NaN where v >= 0.
+    accumulator alpha - v. d_inf is a column like gamma, or None for no cap.
+    gamma and alpha are updated in place; t_at(i) gives t at the indices i
+    where v < 0. Returns (v_clipped, r), r NaN where v >= 0, if traced, else
+    (None, None).
 
-    Two rounding rules keep runs bit-identical to the per-coordinate
-    reference in tests/reference_core.py, and so keep seeded CSVs stable:
-    callers compute t themselves and pass it, since rho*m/g and
-    rho*g*m/g^2 round differently; and t is squared with float_power,
-    which calls libm pow as `**` does on Python and numpy scalars, while
-    `t*t`, `t**2` and np.square on arrays multiply and differ in the last
-    bit.
+    Two rounding rules keep runs bit-identical to tests/reference_core.py,
+    and seeded CSVs stable. Callers compute t, since rho*m/g and rho*g*m/g^2
+    round differently. And r is exact (libm pow) wherever it is read:
+    float_power calls pow as `**` does on scalars, while t*t, t**2 and
+    np.square on arrays multiply and differ from it by up to 1 ulp (1 draw
+    in 1000). A trace reads r on every v < 0. An untraced step reads it only
+    through the clip, and takes pow only where, with sq = t*t, the test
+    (1 - sq * (1 - 2^-30)) * alpha < v fails, as it does for NaN t and
+    alpha = 0. Where it passes, both clips leave v: pow(t, 2) and sq are
+    each at least sq * (1 - 2^-30) as rounded (they are at most 1 ulp
+    apart), and rounding is monotone, so each bound -(t^2 - 1) * alpha, as
+    rounded, lies at or below the test's left side, subnormal and infinite
+    values included.
     """
     i = (v < 0).nonzero()[0]
-    alpha_i = alpha[i]
-    r_i = np.float_power(t[i], 2.0) - 1.0 if r_fixed is None else r_fixed
-    v_clip_i = np.maximum(v[i], -r_i * alpha_i)
-    gamma[i] = np.minimum(gamma[i] * np.sqrt(1.0 - v_clip_i / alpha_i), d_inf if np.ndim(d_inf) == 0 else d_inf[i])
-    r = np.full(v.shape, math.nan)
-    r[i] = r_i
-    v_clip = v.copy()
-    v_clip[i] = v_clip_i
-    alpha += np.maximum(v_clip, 0.0)  # v_clip <= 0 where v < 0: adds v only where v >= 0 or NaN
+    inc = np.maximum(v, 0.0)
+    v_clip, r = (v.copy(), np.full(v.shape, math.nan)) if traced else (None, None)
+    if i.size:
+        alpha_i, v_i = alpha.take(i), v.take(i)  # take: faster than [i]
+        r_i = r_fixed if r_fixed is not None else (
+            np.float_power(t_at(i), 2.0) if traced else _t_squared(t_at(i), alpha_i, v_i)) - 1.0
+        v_clip_i = np.maximum(v_i, -r_i * alpha_i)
+        gamma_i = gamma.take(i) * np.sqrt(1.0 - v_clip_i / alpha_i)
+        gamma[i] = gamma_i if d_inf is None else np.minimum(gamma_i, d_inf.take(i))
+        inc[i] = np.maximum(v_clip_i, 0.0)  # 0 unless the adaptive r is negative
+        if traced:
+            v_clip[i], r[i] = v_clip_i, r_i
+    alpha += inc
     return v_clip, r
 
 
-def _step_sizes(gamma, alpha):
-    """(gamma / sqrt(alpha), sqrt(alpha) / gamma), both 0 where alpha is not
-    positive: an entry that has accumulated nothing takes a zero step."""
-    live, root = alpha > 0, np.sqrt(alpha)
+def _step_sizes(gamma, alpha, with_a):
+    """(gamma / sqrt(alpha), sqrt(alpha) / gamma if with_a else None, live),
+    both 0 where alpha is not positive (an entry that has accumulated nothing
+    takes a zero step), with live that mask alpha > 0, or None if all are."""
+    root = np.sqrt(alpha)
+    if alpha.min(initial=math.inf) > 0:  # NaN fails
+        return gamma / root, root / gamma if with_a else None, None
+    live = alpha > 0
     return (np.divide(gamma, root, out=np.zeros(alpha.shape), where=live),
-            np.divide(root, gamma, out=np.zeros(alpha.shape), where=live))
+            np.divide(root, gamma, out=np.zeros(alpha.shape), where=live) if with_a else None, live)
 
 
 # ---------------------------------------------------------------------------
 # steppers
 # ---------------------------------------------------------------------------
+
+class NonFiniteGradient(ValueError):
+    """A gradient entry is NaN or infinite, as when a run diverges."""
+
 
 class Optimizer:
     """Base single-step optimizer: owns the iterate, the step counter, and
@@ -274,6 +305,11 @@ class Optimizer:
         g = np.asarray(g, dtype=float)
         if g.shape != self.x.shape:
             raise ValueError(f"gradient shape {g.shape} does not match iterate {self.x.shape}")
+        if np.count_nonzero(np.isfinite(g)) < g.size:  # faster than .all()
+            j = (~np.isfinite(g)).nonzero()[0][0]
+            replica, entry = divmod(int(j), self.dim // self.replicas)
+            where = f"entry {entry}" if self.replicas == 1 else f"entry {entry} of replica {replica}"
+            raise NonFiniteGradient(f"step {self.k}: gradient {where} is {g[j]}; gradients must be finite")
         return g
 
     def _per_replica(self, name: str, value) -> np.ndarray:
@@ -289,7 +325,7 @@ class Optimizer:
 
     def _column(self, values) -> np.ndarray:
         """(R,) per-replica values, each repeated over its replica's entries of x."""
-        return np.repeat(values, self.dim // self.replicas)
+        return np.asarray(values).repeat(self.dim // self.replicas)
 
     def _commit(self, x_new: np.ndarray):
         self.x = x_new
@@ -343,13 +379,15 @@ class ScalarGradaGrad(Optimizer):
         rows = g.reshape(self.replicas, 1, -1)
         gsq = (rows @ g.reshape(self.replicas, -1, 1))[:, 0, 0]
         cross = (rows @ self.g_prev.reshape(self.replicas, -1, 1))[:, 0, 0]
-        v = gsq - self._rho * cross
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(v < 0, self._rho * cross / gsq, math.nan)
-        v_clip, r = _gradagrad_update(v, t, self.gamma, self.alpha, self._r_fixed, math.inf)
-        self.ainv, a = _step_sizes(self.gamma, self.alpha)
-        # where alpha is 0, x stays: x - 0 * g would turn an x of -0.0 into +0.0 where g is -0.0 or below
-        x_new = np.where(self._column(self.alpha > 0), self.x - self._column(self.ainv) * g, self.x)
+        rho_cross = self._rho * cross
+        v = gsq - rho_cross
+        v_clip, r = _gradagrad_update(v, lambda i: rho_cross.take(i) / gsq.take(i), self.gamma, self.alpha,
+                                      self._r_fixed, None, trace is not None)
+        self.ainv, a, live = _step_sizes(self.gamma, self.alpha, trace is not None)
+        x_new = self.x - self._column(self.ainv) * g
+        if live is not None:
+            # where alpha is 0, x stays: x - 0 * g would turn an x of -0.0 into +0.0 where g is -0.0 or below
+            x_new = np.where(self._column(live), x_new, self.x)
         if trace is not None:
             trace.record(  # g: the norm, as np.linalg.norm takes it
                 self.k, g=np.sqrt(gsq), v_raw=v, v_clipped=v_clip,
@@ -403,6 +441,7 @@ class GradaGrad(Optimizer):
             return self._column([getattr(p, name) for p in each])
 
         self._rho, self._beta, self._d_inf = column("rho"), column("beta"), column("d_inf")
+        self._z_weight = 1.0 - self._beta  # of z in x <- beta * x + (1 - beta) * z
         self._v_init = np.float_power(column("g_inf"), 2.0) if each[0].mode == "theory" else None  # libm pow, as g_inf ** 2 rounds
         self.z = self.x.copy()
         self.m_prev = np.zeros_like(self.x)
@@ -416,17 +455,17 @@ class GradaGrad(Optimizer):
         gsq = g * g
         if k == 0:
             v_raw = self._v_init if self._v_init is not None else gsq
-            t = gsq  # unread: init increments are nonnegative
         else:
             capped = self.gamma >= self._d_inf  # not ==: min() meets the cap up to rounding
-            v_raw = np.where(capped, gsq, gsq - self._rho * g * self.m_prev)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = self._rho * self.m_prev / g
-        v_clip, r = _gradagrad_update(v_raw, t, self.gamma, self.alpha, None, self._d_inf)
-        self.ainv, a = _step_sizes(self.gamma, self.alpha)
+            v_raw = gsq - self._rho * g * self.m_prev
+            if capped.any():
+                v_raw = np.where(capped, gsq, v_raw)
+        v_clip, r = _gradagrad_update(v_raw, lambda i: self._rho.take(i) * self.m_prev.take(i) / g.take(i),
+                                      self.gamma, self.alpha, None, self._d_inf, trace is not None)
+        self.ainv, a, _ = _step_sizes(self.gamma, self.alpha, True)
 
         z_new = project(self.z - self.ainv * g, self._domain)
-        x_new = self._beta * self.x + (1.0 - self._beta) * z_new
+        x_new = self._beta * self.x + self._z_weight * z_new
         m = a * (self.x - x_new)
 
         if trace is not None:
@@ -459,7 +498,7 @@ class AdaGrad(Optimizer):
     def step(self, g) -> None:
         g = self._check_grad(g)
         self.alpha += g * g
-        self.ainv = _step_sizes(self._gamma, self.alpha)[0]
+        self.ainv = _step_sizes(self._gamma, self.alpha, False)[0]
         self._commit(self.x - self.ainv * g)
 
 

@@ -34,6 +34,14 @@ class TestRun:
         # synthetic run: epoch and accuracy columns are empty
         assert rows[1][1] == "" and rows[1][3] == ""
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_diverging_run_exits_3_and_names_the_step(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert run_cli(["run", "--problem", "quadratic", "--dim", "2", "--optimizer", "sgd",
+                        "--gamma0", "1e155", "--steps", "6", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: step 2: gradient entry 0 is inf; gradients must be finite\n"
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         args = [
             "run", "--problem", "quadratic", "--dim", "3", "--noise-std", "1.0",
@@ -465,6 +473,35 @@ class TestGrid:
             "--out", str(tmp_path / "grid.csv"),
         ]) == 0
         assert loads == [str(BITS)]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_diverging_value_scores_nan_and_the_others_still_select(self, tmp_path, capsys):
+        """gamma0 = 1e155 overflows the iterate at step 2, so its gradient is
+        infinite from step 3 on; the other values step as they would alone."""
+        common = ["grid", "--problem", "quadratic", "--dim", "3", "--steps", "30", "--optimizer", "sgd",
+                  "--seeds", "2"]
+        assert run_cli([*common, "--grid-values", "0.25,0.5", "--out", str(tmp_path / "finite.csv")]) == 0
+        assert run_cli([*common, "--grid-values", "0.25,0.5,1e155", "--out", str(tmp_path / "grid.csv")]) == 0
+        rows = read_rows(tmp_path / "grid.csv")
+        assert rows[1:3] == read_rows(tmp_path / "finite.csv")[1:]
+        assert rows[3] == ["gamma0", "1e+155", "loss", "", "false"]
+        assert sum(r[4] == "true" for r in rows[1:]) == 1
+        finite, diverging = capsys.readouterr().err.splitlines()
+        assert diverging == finite and finite.startswith("grid complete: winner gamma0=0.5 ")
+
+    @pytest.mark.parametrize("kind,scores,winner", [
+        ("loss", [np.array([np.nan, np.nan, 2.0, 1.0])], 1),
+        ("accuracy", [np.array([np.nan, np.nan, 0.5, 0.75])], 1),
+        ("loss", [np.array([np.nan, np.nan, np.nan, np.nan])], 0),
+    ], ids=["loss", "accuracy", "all-diverged"])
+    def test_a_nan_score_wins_only_if_all_are_nan(self, tmp_path, monkeypatch, kind, scores, winner):
+        """The smallest value comes first, so a strict min/max alone would
+        keep its NaN score as the best."""
+        monkeypatch.setattr(cli, "_run_grid", lambda args, param, values: (None, kind, scores))
+        out = tmp_path / "grid.csv"
+        assert run_cli(["grid", "--problem", "abs", "--steps", "1", "--optimizer", "sgd",
+                        "--grid-values", "0.5,1", "--seeds", "2", "--out", str(out)]) == 0
+        assert [r[4] == "true" for r in read_rows(out)[1:]] == [idx == winner for idx in range(2)]
 
     def test_empty_grid(self):
         assert run_cli([

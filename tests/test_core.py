@@ -11,6 +11,7 @@ from gradagrad import (
     Domain,
     GradaGrad,
     HyperParams,
+    NonFiniteGradient,
     ScalarGradaGrad,
     Trace,
     drive,
@@ -456,6 +457,35 @@ class TestBaselines:
     def test_rejects_nonpositive_or_nonfinite_rates(self, make, value):
         with pytest.raises(ValueError, match="positive and finite"):
             make(value)
+
+
+class TestNonFiniteGradient:
+    """Every stepper rejects a NaN or infinite gradient entry, names the step
+    and the first bad entry (and its replica, in a stack), and leaves its
+    state as it was."""
+
+    @pytest.mark.parametrize("shape,where", [((6,), "entry 4"), ((2, 3), "entry 1 of replica 1")],
+                             ids=["point", "stack"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("make", [
+        lambda x0: GradaGrad(x0, HyperParams(beta=0.5)),
+        lambda x0: ScalarGradaGrad(x0, HyperParams(r_fixed=None)),
+        lambda x0: AdaGrad(x0),
+        lambda x0: SGD(x0),
+        lambda x0: Adam(x0),
+    ], ids=["gradagrad", "gradagrad-scalar", "adagrad", "sgd", "adam"])
+    def test_rejected_before_any_state_changes(self, make, bad, shape, where):
+        opt = make(np.array([1.0, -2.0, 0.5, 0.3, 0.0, -1.0]).reshape(shape))
+        for g in ([0.5, -1.0, 2.0, 0.1, 0.2, -0.3], [0.4, -0.8, 1.0, 0.2, 0.1, -0.1]):
+            opt.step(np.array(g))
+        before = {name: value.copy() for name, value in vars(opt).items() if isinstance(value, np.ndarray)}
+        with pytest.raises(NonFiniteGradient) as info:
+            opt.step(np.array([0.1, 0.2, 0.3, 0.4, bad, bad]))
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == f"step 2: gradient {where} is {bad}; gradients must be finite"
+        assert opt.k == 2
+        for name, value in before.items():
+            np.testing.assert_array_equal(getattr(opt, name), value, err_msg=name)
 
 
 class TestAveragedIterate:

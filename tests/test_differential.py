@@ -131,5 +131,5 @@ def test_kernel_squares_t_like_scalar_pow():
     """
     t = np.random.default_rng(7).uniform(1.0, 10.0, 200_000)
     v = -np.ones_like(t)
-    _, r = _gradagrad_update(v, t, np.ones_like(t), np.ones_like(t), None, math.inf)
+    _, r = _gradagrad_update(v, t.__getitem__, np.ones_like(t), np.ones_like(t), None, np.full_like(t, math.inf), True)
     np.testing.assert_array_equal(r, [x ** 2 - 1.0 for x in t.tolist()])
