@@ -140,7 +140,13 @@ def _build_run(args):
     elif args.problem == "logistic":
         if args.dataset is None:
             raise ConfigError("--problem logistic requires --dataset")
-        problem = LogisticRegression(normalize_labels(load_dataset(args.dataset)), batch_size=args.batch_size)
+        dataset = load_dataset(args.dataset)
+        if args.batch_size < 1:
+            raise ConfigError(f"--batch-size must be >= 1, got {args.batch_size}")
+        try:
+            problem = LogisticRegression(normalize_labels(dataset), batch_size=args.batch_size)
+        except ValueError as exc:  # what the file holds is unusable: name it, as a parse error does
+            raise ConfigError(f"{args.dataset}: {exc}") from None
         x0, n_batches = [0.0], math.ceil(problem.n / problem.batch_size)
     else:  # argparse choices guard every other value
         raise ConfigError("--problem is required, as a flag or as a --config key")

@@ -9,6 +9,7 @@ densifying, label normalization and serialization work on whole arrays.
 """
 
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -120,30 +121,75 @@ def parse_libsvm_line(line: str, lineno: int | None = None) -> tuple[float, list
     return label, indices, values
 
 
+# lines parsed as one set of arrays; bounds the token lists held at once
+LOAD_CHUNK_LINES = 4096
+
+# two ':' in one token of pair tokens joined by single spaces
+_TWO_COLONS = re.compile(r":[^ ]*:")
+
+
+def _chunk_arrays(rows: list[list[str]]):
+    """(labels, row lengths, indices, values) of split lines, or None where
+    parse_libsvm_line would reject one. Each column is cast by one
+    object-array astype, which calls the int() or float() it calls."""
+    tokens = [token for row in rows for token in row[1:]]
+    pairs = " ".join(tokens)
+    if pairs.count(":") != len(tokens) or _TWO_COLONS.search(pairs):  # not one ':' in each
+        return None
+    flat = pairs.replace(":", " ").split(" ") if tokens else []  # index, value, index, ...
+    try:
+        labels = np.array([row[0] for row in rows], dtype=object).astype(float)
+        indices = np.array(flat[0::2], dtype=object).astype(np.int64)  # >= 2**63 overflows
+        values = np.array(flat[1::2], dtype=object).astype(float)
+    except (ValueError, OverflowError):
+        return None
+    counts = np.array([len(row) - 1 for row in rows], dtype=np.int64)
+    prev = np.empty_like(indices)  # the index before each in its row, 0 before a row's first
+    prev[1:] = indices[:-1]
+    prev[(np.cumsum(counts) - counts)[counts > 0]] = 0
+    if not (np.isfinite(labels).all() and np.isfinite(values).all() and (indices > prev).all()):
+        return None
+    return labels, counts, indices, values
+
+
+def _parse_chunk(lines: list[str], lineno: int):
+    """(labels, row lengths, indices, values) of raw lines, the first of them
+    line lineno."""
+    kept = [(n, s) for n, s in enumerate(map(str.strip, lines), start=lineno) if s and not s.startswith("#")]
+    arrays = _chunk_arrays([s.split() for _, s in kept])
+    if arrays is None:  # some line is bad: parse_libsvm_line raises at the first
+        for n, s in kept:
+            parse_libsvm_line(s, n)
+    return arrays
+
+
 def load_dataset(path) -> Dataset:
     """Load a LIBSVM file; labels are kept verbatim (see normalize_labels).
-    A parse or decode error names the path, then the line if known."""
-    labels, indptr, indices, values = [], [0], [], []
+    Parses LOAD_CHUNK_LINES lines at a time as arrays, with the checks,
+    values and errors of parse_libsvm_line. A parse or decode error names
+    the path, then the line if known."""
+    chunks, pending, lineno = [], [], 1  # parsed chunks; lines read but not parsed, from line lineno
     try:
         with open_input(path) as f:
-            for lineno, raw in enumerate(f, start=1):
-                stripped = raw.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                label, idx, val = parse_libsvm_line(stripped, lineno)
-                labels.append(label)
-                indices += idx
-                values += val
-                indptr.append(len(indices))
+            try:
+                for raw in f:
+                    pending.append(raw)
+                    if len(pending) == LOAD_CHUNK_LINES:
+                        lines, pending = pending, []
+                        chunks.append(_parse_chunk(lines, lineno))
+                        lineno += len(lines)
+            finally:
+                # on a decode error too: the lines read before it are parsed first, as line by line
+                chunks.append(_parse_chunk(pending, lineno))
     except (LibsvmParseError, InputDecodeError) as exc:
         if isinstance(exc, InputDecodeError):
             exc = LibsvmParseError(str(exc.error), exc.lineno)
         error = LibsvmParseError(f"{path}: {exc}")
         error.lineno = exc.lineno
         raise error from None
-    indices = np.array(indices, dtype=np.int64)
-    return Dataset(np.array(labels, dtype=float), np.array(indptr, dtype=np.int64), indices,
-                   np.array(values, dtype=float), dim=int(indices.max(initial=0)))
+    labels, counts, indices, values = (np.concatenate(column) for column in zip(*chunks))
+    return Dataset(labels, np.concatenate(([0], np.cumsum(counts))), indices, values,
+                   dim=int(indices.max(initial=0)))
 
 
 def normalize_labels(dataset: Dataset, rule: dict[float, float] | None = None) -> Dataset:

@@ -121,6 +121,8 @@ class LogisticRegression(Problem):
     def __init__(self, dataset: Dataset, batch_size: int):
         if len(dataset) == 0:
             raise ValueError("dataset is empty")
+        if dataset.dim == 0:
+            raise ValueError("dataset has no features")
         bad = sorted(set(dataset.labels.tolist()) - {-1.0, 1.0})
         if bad:
             raise ValueError(f"labels must be -1 or +1 after normalization, found {bad}")
@@ -138,14 +140,17 @@ class LogisticRegression(Problem):
     def _grad_rows(self, w, rows) -> np.ndarray:
         """The mean gradient of one iterate w (d,) over rows (B,), or of R
         replicas w (R, d) each over its own rows (R, B)."""
-        Xb = self.X[rows]
-        yb = self.y[rows]
+        Xb = self.X.take(rows, axis=0)  # a copy: the weights are multiplied into it below
+        yb = self.y.take(rows)
         # a stacked matmul computes each replica's margins as Xb[r] @ w[r] does; einsum rounds differently
         margins = yb * (Xb @ w[..., None])[..., 0]
         # sigma(-m) = 1 / (1 + e^m) = e^-m / (1 + e^-m), from one e^-|m| that never overflows
         e = np.exp(-np.abs(margins))
         weights = np.where(margins >= 0, e, 1.0) / (1.0 + e)
-        return -(Xb * (yb * weights)[..., None]).mean(axis=-2)
+        Xb *= (yb * weights)[..., None]
+        g = np.add.reduce(Xb, axis=-2)  # .mean(axis=-2)'s sum and division, in place
+        g /= Xb.shape[-2]
+        return -g
 
     def grad_sample(self, w, states: list[MinibatchStream]) -> np.ndarray:
         rows = np.array([state.next_batch() for state in states])  # lockstep: equal batch sizes
@@ -153,7 +158,7 @@ class LogisticRegression(Problem):
         return self._grad_rows(w, rows).ravel()
 
     def grad_full(self, w) -> np.ndarray:
-        return self._grad_rows(np.asarray(w, dtype=float), slice(None))
+        return self._grad_rows(np.asarray(w, dtype=float), np.arange(self.n))
 
     def loss_full(self, w) -> float | np.ndarray:
         margins = self.y * (self.X @ np.asarray(w, dtype=float)[..., None])[..., 0]  # as in accuracy

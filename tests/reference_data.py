@@ -1,11 +1,19 @@
 """The per-example dataset operations as they were before datasets became
-CSR arrays, kept as the reference the array versions are tested against.
+CSR arrays, and the line-by-line LIBSVM loader as it was before it parsed
+chunks of lines as arrays, kept as the references the array versions are
+tested against.
 
-A dataset here is a list of (label, [(index, value), ...]) rows. Do not
-edit these to follow the package.
+A dataset here is a list of (label, [(index, value), ...]) rows, except
+that load_dataset returns the package's Dataset. Do not edit these to
+follow the package.
 """
 
+import math
+
 import numpy as np
+
+from gradagrad import Dataset, LibsvmParseError
+from gradagrad.data import InputDecodeError, open_input
 
 
 def to_dense(rows, dim) -> np.ndarray:
@@ -53,3 +61,63 @@ def serialize(rows) -> str:
         parts = [repr(float(label))] + [f"{idx}:{float(val)!r}" for idx, val in features]
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def parse_libsvm_line(line: str, lineno: int | None = None) -> tuple[float, list[int], list[float]]:
+    tokens = line.split()
+    if not tokens:
+        raise LibsvmParseError("empty line", lineno)
+    try:
+        label = float(tokens[0])
+    except ValueError:
+        raise LibsvmParseError(f"label is not numeric: {tokens[0]!r}", lineno) from None
+    if not math.isfinite(label):
+        raise LibsvmParseError(f"label is not finite: {tokens[0]!r}", lineno)
+    indices, values = [], []
+    prev_idx = 0
+    for token in tokens[1:]:
+        idx_s, sep, val_s = token.partition(":")
+        if not sep:
+            raise LibsvmParseError(f"malformed feature pair: {token!r}", lineno)
+        try:
+            idx = int(idx_s)
+            val = float(val_s)
+        except ValueError:
+            raise LibsvmParseError(f"non-numeric feature pair: {token!r}", lineno) from None
+        if not math.isfinite(val):
+            raise LibsvmParseError(f"non-finite feature value: {token!r}", lineno)
+        if idx <= prev_idx:
+            raise LibsvmParseError(
+                f"feature index {idx} not strictly increasing (previous {prev_idx})", lineno
+            )
+        if idx >= 2 ** 63:
+            raise LibsvmParseError(f"feature index {idx} exceeds {2 ** 63 - 1}", lineno)
+        indices.append(idx)
+        values.append(val)
+        prev_idx = idx
+    return label, indices, values
+
+
+def load_dataset(path) -> Dataset:
+    """data.load_dataset: the file parsed line by line, each line by parse_libsvm_line."""
+    labels, indptr, indices, values = [], [0], [], []
+    try:
+        with open_input(path) as f:
+            for lineno, raw in enumerate(f, start=1):
+                stripped = raw.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                label, idx, val = parse_libsvm_line(stripped, lineno)
+                labels.append(label)
+                indices += idx
+                values += val
+                indptr.append(len(indices))
+    except (LibsvmParseError, InputDecodeError) as exc:
+        if isinstance(exc, InputDecodeError):
+            exc = LibsvmParseError(str(exc.error), exc.lineno)
+        error = LibsvmParseError(f"{path}: {exc}")
+        error.lineno = exc.lineno
+        raise error from None
+    indices = np.array(indices, dtype=np.int64)
+    return Dataset(np.array(labels, dtype=float), np.array(indptr, dtype=np.int64), indices,
+                   np.array(values, dtype=float), dim=int(indices.max(initial=0)))

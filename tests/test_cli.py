@@ -159,6 +159,26 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err == f"error: {bad}: line 2: feature index 2 not strictly increasing (previous 3)\n"
 
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    @pytest.mark.parametrize("text,message", [
+        ("1\n-1\n1\n", "dataset has no features"),
+        ("", "dataset is empty"),
+        ("# only a comment\n\n", "dataset is empty"),
+    ])
+    def test_dataset_without_features_or_examples_names_its_file(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "f.libsvm"
+        path.write_text(text)
+        argv = [command, "--problem", "logistic", "--dataset", str(path), "--steps", "2",
+                "--optimizer", "adagrad", "--out", str(tmp_path / "out.csv")]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_batch_size_below_one_rejected(self, capsys):
+        assert run_cli(["run", "--problem", "logistic", "--dataset", str(BITS), "--steps", "2",
+                        "--batch-size", "0"]) == 2
+        assert capsys.readouterr().err == "error: --batch-size must be >= 1, got 0\n"
+
     @pytest.mark.parametrize("argv", [[], ["run", "--bogus"], ["run", "--problem", "cube"], ["check"]])
     def test_usage_error_returns_2(self, capsys, argv):
         assert cli.main(argv) == 2

@@ -151,6 +151,8 @@ class TestLogisticRegression:
     def test_rejects_empty_or_unnormalized(self):
         with pytest.raises(ValueError, match="empty"):
             LogisticRegression(csr_dataset([], dim=0), batch_size=1)
+        with pytest.raises(ValueError, match="dataset has no features"):
+            LogisticRegression(csr_dataset([(1.0, []), (-1.0, [])], dim=0), batch_size=1)
         bad = csr_dataset([(2.0, [(1, 1.0)])], dim=1)
         with pytest.raises(ValueError, match="labels"):
             LogisticRegression(bad, batch_size=1)
