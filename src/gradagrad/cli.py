@@ -34,6 +34,7 @@ TRACE_HEADER = ["k", "i", "g", "v_raw", "v_clipped", "branch", "r", "gamma", "al
 # the trace CSV column of each of FLOAT_COLUMNS, in that order
 FLOAT_FIELDS = [TRACE_HEADER.index(name.removesuffix("_after")) for name in FLOAT_COLUMNS]
 TRACE_CHUNK_ROWS = 1024  # trace CSV rows held as strings at once
+TRACE_FOLD_ROWS = 16 * TRACE_CHUNK_ROWS  # trace rows `check` and `trace-dump` hold as arrays at once
 CHECK_HEADER = ["name", "passed", "worst_violation", "step", "coord", "details"]
 
 GRID_PARAMS = ("gamma0", "rho", "beta", "g_inf", "d_inf")
@@ -47,14 +48,7 @@ OPTIMIZERS = {
     "sgd": (SGD, ("gamma0",)),
     "adam": (Adam, ("gamma0",)),
 }
-# the trace checks by name; each looks its verify function up when called, so that
-# wrappers patched onto verify apply
-TRACE_CHECKS = {
-    "errnegativity": lambda trace, d_inf: verify.check_errnegativity(trace),
-    "monotone": lambda trace, d_inf: verify.check_monotone_and_cap(trace, d_inf=d_inf),
-    "reparam": lambda trace, d_inf: verify.check_reparam_invariance(trace, d_inf=d_inf),
-}
-CHECK_NAMES = tuple(TRACE_CHECKS)
+CHECK_NAMES = tuple(verify.TRACE_CHECKS)
 DEFAULT_GRID = "0.015625,0.03125,0.0625,0.125,0.25,0.5,1,2,4"
 
 
@@ -359,14 +353,14 @@ def _parse(text: np.ndarray, dtype):
         return int(np.argmin(np.vectorize(parses, otypes=[bool])(text).all(axis=0)))
 
 
-def _read_csv(path, header, parse) -> list:
-    """The arrays parse(text) returns for each run of up to TRACE_CHUNK_ROWS
-    rows after a CSV's header, which must be header, each joined over the
-    runs along its last axis. text is a run's (columns, rows) object array
-    of fields, and parse returns (arrays, errors), errors a list of (row
-    index, message). A ConfigError names the line of the first bad row: one
-    with the wrong field count, or one of parse's errors (on a tie, the
-    field count, then parse's order)."""
+def _read_csv(path, header, parse, lines=None):
+    """Yield the arrays parse(text) returns for each run of up to
+    TRACE_CHUNK_ROWS rows after the header, which must be header, of the CSV
+    at path (or of its lines, if given); a CSV of no rows is one run. text
+    is a run's (columns, rows) object array of fields, and parse returns
+    (arrays, errors), errors a list of (row index, message). A ConfigError
+    names the line of the first bad row: one with the wrong field count, or
+    one of parse's errors (on a tie, the field count, then parse's order)."""
 
     def parsed(rows, line):
         (wrong,) = np.nonzero(np.fromiter(map(len, rows), int, len(rows)) != len(header))
@@ -381,8 +375,8 @@ def _read_csv(path, header, parse) -> list:
         return result
 
     kind = "trace" if header == TRACE_HEADER else "run record"
-    with open_input(path) as f:
-        first = f.readline()
+    with open_input(path) if lines is None else nullcontext(lines) as f:
+        first = next(f, "")
         if not first:
             raise ConfigError(f"{path}: empty {kind} file")
         found = first.rstrip("\r\n").split(",")
@@ -395,8 +389,10 @@ def _read_csv(path, header, parse) -> list:
         # the fields of each run of lines, in the CSV dialect this program
         # writes: unquoted fields, "\n", "\r\n" or "\r" line ends
         chunks = iter(lambda: [line.rstrip("\r\n").split(",") for line in itertools.islice(f, TRACE_CHUNK_ROWS)], [])
-        results = [parsed(rows, 2 + n * TRACE_CHUNK_ROWS) for n, rows in enumerate(chunks)]
-    return [np.concatenate(arrays, axis=-1) for arrays in zip(*results or [parsed([], 2)])]
+        # map drops each run's fields once parsed, before it reads the next run
+        runs = map(parsed, chunks, itertools.count(2, TRACE_CHUNK_ROWS))
+        yield next(runs, None) or parsed([], 2)
+        yield from runs
 
 
 def _trace_floats(text):
@@ -437,25 +433,48 @@ def _trace_fields(text):
     return (codes, ints, floats), errors
 
 
-def read_trace_csv(path) -> Trace:
-    """Parse a trace CSV column by column, TRACE_CHUNK_ROWS rows at a time.
-    Rows come in the order a run writes them: if step 0 has d rows, row n
-    (from 0) holds step n // d and coordinate n % d. A row out of place, or
-    a last step of fewer than d rows, is a ConfigError naming its line."""
-    codes, (k, i), floats = _read_csv(path, TRACE_HEADER, _trace_fields)
-    d = int(np.argmax(k != 0)) if k.any() else len(k)  # the rows of step 0
-    step, coord = np.divmod(np.arange(len(k)), max(d, 1))
-    (bad,) = np.nonzero((k != step) | (i != coord))
-    if bad.size:
-        n = bad[0]
-        raise ConfigError(f"{path}:{2 + n}: expected step {step[n]}, coordinate {coord[n]}, "
-                          f"got step {k[n]}, coordinate {i[n]}; a trace's rows run in (k, i) order")
-    if len(k) and i[-1] != d - 1:
-        raise ConfigError(f"{path}:{1 + len(k)}: the trace ends in step {k[-1]} after coordinate {i[-1]}; "
+def _trace_chunks(path, lines=None, rows=None):
+    """Yield the trace CSV at path (or its lines) as Traces of whole steps,
+    each of rows (TRACE_FOLD_ROWS if None) rows or more but the last, or one
+    of no rows. If step 0 has d rows, row n (from 0) must hold step n // d,
+    coordinate n % d, and the last step d rows: a ConfigError names the
+    first line that does not, once every line has parsed."""
+    d, n, s, error, held = None, 0, 0, None, []  # step 0's rows once known, rows read, steps yielded, runs held
+
+    def steps(count):  # the first count steps held, as one Trace
+        codes, floats = (np.concatenate(column, axis=-1) for column in zip(*held))
+        held[:] = [(codes[count * d:], floats[:, count * d:])]
+        return Trace(k=np.arange(s, s + count), branch=codes[:count * d].reshape(count, d),
+                     **dict(zip(FLOAT_COLUMNS, floats[:, :count * d].reshape(len(FLOAT_COLUMNS), count, d))))
+
+    for codes, (k, i), floats in _read_csv(path, TRACE_HEADER, _trace_fields, lines):
+        if error is None:
+            d = n + int(np.argmax(k != 0)) if d is None and k.any() else d
+            step, coord = np.divmod(np.arange(n, n + len(k)), max(1, n + len(k) if d is None else d))
+            (bad,) = np.nonzero((k != step) | (i != coord))
+            if bad.size:
+                b = bad[0]
+                error = ConfigError(f"{path}:{2 + n + b}: expected step {step[b]}, coordinate {coord[b]}, "
+                                    f"got step {k[b]}, coordinate {i[b]}; a trace's rows run in (k, i) order")
+            held.append((codes, floats))
+        n += len(k)
+        if error is None and d and n // d > s and n - s * d >= (rows or TRACE_FOLD_ROWS):
+            yield steps(n // d - s)
+            s = n // d
+    if error is not None:
+        raise error
+    d = n if d is None else d
+    if n % max(d, 1):
+        raise ConfigError(f"{path}:{1 + n}: the trace ends in step {(n - 1) // d} after coordinate {(n - 1) % d}; "
                           f"every step has one row per coordinate 0..{d - 1}")
-    steps = len(k) // d if d else 0
-    columns = floats.reshape(len(FLOAT_COLUMNS), steps, d)
-    return Trace(k=np.arange(steps), branch=codes.reshape(steps, d), **dict(zip(FLOAT_COLUMNS, columns)))
+    if n > s * d or not s:
+        yield steps(n // max(d, 1) - s)
+
+
+def read_trace_csv(path) -> Trace:
+    """The whole trace CSV at path as one Trace (see _trace_chunks)."""
+    [trace] = _trace_chunks(path, rows=math.inf)
+    return trace
 
 
 def _record_fields(text):
@@ -466,9 +485,9 @@ def _record_fields(text):
                                if isinstance(bad, int)]
 
 
-def _check_run_record(path, d_inf):
-    """verify.record_report of the run record at path."""
-    (step,), (gamma_max,) = _read_csv(path, RUN_HEADER, _record_fields)
+def _check_run_record(path, d_inf, lines=None):
+    """verify.record_report of the run record at path (or its lines), read whole."""
+    (step,), (gamma_max,) = map(np.hstack, zip(*_read_csv(path, RUN_HEADER, _record_fields, lines)))
     return verify.record_report(step, gamma_max, d_inf)
 
 
@@ -476,19 +495,21 @@ def cmd_check(args) -> int:
     if args.d_inf is not None and not args.d_inf > 0:  # NaN fails too; inf is allowed, a cap that never binds
         raise ConfigError(f"--d-inf must be positive, got {args.d_inf}")
     with open_input(args.trace) as f:
-        record = f.readline().rstrip("\r\n").split(",") == RUN_HEADER
-    checks = {"record": _check_run_record} if record else TRACE_CHECKS
-    names = list(checks) if args.checks == "all" else [
-        tok.strip() for tok in args.checks.split(",") if tok.strip()
-    ]
-    if not names:
-        raise ConfigError("no checks requested")
-    unknown = [name for name in names if name not in checks]
-    if unknown:
-        raise ConfigError("run record files support only the 'record' check" if record
-                          else f"unknown check {unknown[0]!r}; choose from {CHECK_NAMES} or 'all'")
-    source = args.trace if record else read_trace_csv(args.trace)
-    reports = [checks[name](source, args.d_inf) for name in names]
+        first = f.readline()  # the header, sniffed here and read again below
+        record = first.rstrip("\r\n").split(",") == RUN_HEADER
+        checks = {"record": _check_run_record} if record else verify.TRACE_CHECKS
+        names = list(checks) if args.checks == "all" else [
+            tok.strip() for tok in args.checks.split(",") if tok.strip()
+        ]
+        if not names:
+            raise ConfigError("no checks requested")
+        unknown = [name for name in names if name not in checks]
+        if unknown:
+            raise ConfigError("run record files support only the 'record' check" if record
+                              else f"unknown check {unknown[0]!r}; choose from {CHECK_NAMES} or 'all'")
+        lines = itertools.chain([first], f)
+        reports = ([_check_run_record(args.trace, args.d_inf, lines)] * len(names) if record
+                   else verify.fold_trace_checks(_trace_chunks(args.trace, lines), names, args.d_inf))
     for rep in reports:
         print(f"{rep.name}: {'PASS' if rep.passed else 'FAIL'} (worst={rep.worst_violation:g})", file=sys.stderr)
     rows = [[rep.name, rep.passed, rep.worst_violation, *(rep.location or (None, None)), rep.details]
@@ -500,21 +521,22 @@ def cmd_check(args) -> int:
 def cmd_trace_dump(args) -> int:
     if args.head < 0:
         raise ConfigError(f"--head must be >= 0, got {args.head}")
-    trace = read_trace_csv(args.trace)
-    steps, d = trace.branch.shape
-    counts = np.bincount(trace.branch.ravel(), minlength=len(BRANCHES))
+    steps, counts, lo, hi, head = 0, 0, np.inf, -np.inf, []  # lo and hi: gamma's and alpha's bounds
+    for trace in _trace_chunks(args.trace):
+        steps, d, both = steps + len(trace), trace.branch.shape[1], np.stack([trace.gamma_after, trace.alpha_after])
+        counts = counts + np.bincount(trace.branch.ravel(), minlength=len(BRANCHES))
+        lo, hi = np.minimum(lo, both.min((1, 2), initial=np.inf)), np.maximum(hi, both.max((1, 2), initial=-np.inf))
+        n = min(args.head - len(head), trace.branch.size)
+        if n:
+            cols = _trace_columns(trace[: -(-n // d)],
+                                  lambda floats: [[format(v, ".6g") for v in col] for col in floats.tolist()])
+            cols[6] = ["" if r == "nan" else r for r in cols[6]]  # no clip ran
+            head += ["  ".join(row) for row in zip(*cols)][:n]
     print(f"steps: {steps}  coordinates: {d}")
     print("branches: " + " ".join(f"{b}={n}" for b, n in zip(BRANCHES, counts.tolist())))
     if steps:
-        gammas, alphas = trace.gamma_after, trace.alpha_after
-        print(f"gamma in [{gammas.min():g}, {gammas.max():g}]  alpha in [{alphas.min():g}, {alphas.max():g}]")
-    print("  ".join(TRACE_HEADER))
-    n = min(args.head, steps * d)
-    if n:
-        cols = _trace_columns(trace[: -(-n // d)],
-                              lambda floats: [[format(v, ".6g") for v in col] for col in floats.tolist()])
-        cols[6] = ["" if r == "nan" else r for r in cols[6]]  # no clip ran
-        print("\n".join(["  ".join(row) for row in zip(*cols)][:n]))
+        print(f"gamma in [{lo[0]:g}, {hi[0]:g}]  alpha in [{lo[1]:g}, {hi[1]:g}]")
+    print("\n".join(["  ".join(TRACE_HEADER), *head]))
     return 0
 
 

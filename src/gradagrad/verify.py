@@ -7,7 +7,8 @@ is equivalent to worst_violation <= the check's tolerance.
 Trace-based checks take a run's Trace from step 0 on, since several
 identities relate step k to step k-1, and evaluate each identity on all
 rows at once, over shifted slices of the columns. A NaN among the values a
-check reads fails it at the first such (step, coordinate).
+check reads fails it at the first such (step, coordinate). With a Fold, a
+trace check takes a trace one chunk of steps at a time, in bounded memory.
 """
 
 from dataclasses import dataclass
@@ -50,13 +51,39 @@ def _worst(viol, checked, steps):
     return worst, (int(steps[t]), int(i))
 
 
-def _negative_after_first(trace: Trace) -> np.ndarray:
-    """Negative-branch mask of rows 1..n-1; the identities relate a negative
-    step to the one before it, so row 0 must not hold one."""
+@dataclass
+class Fold:
+    """A trace check's state over the chunks of a trace passed to it in turn:
+    the last step seen, the worst violation and its location as _worst finds
+    them over all, and the count and first three notes of its details."""
+
+    last: Trace | None = None
+    worst: float = 0.0
+    location: tuple[int, int] | None = None
+    count: int = 0
+    notes: tuple[str, ...] = ()
+
+    def previous(self, trace: Trace, name: str, first: np.ndarray) -> np.ndarray:
+        """trace's column name one step back: first stands before step 0."""
+        last = first if self.last is None else getattr(self.last, name)
+        return np.concatenate([last, getattr(trace, name)[:-1]])
+
+    def add(self, trace, viol, checked, count=0, notes=()):
+        """Fold in the chunk trace: _worst(viol, checked, trace.k), count and notes."""
+        worst, location = _worst(viol, checked, trace.k)
+        if not np.isnan(self.worst) and not worst <= self.worst:  # a NaN or a larger value, as np.argmax picks
+            self.worst, self.location = worst, location
+        self.count, self.notes = self.count + count, (self.notes + tuple(notes))[:3]
+        self.last = trace[-1:] if len(trace) else self.last
+
+
+def _negative(trace: Trace, fold: Fold) -> np.ndarray:
+    """Negative-branch mask of trace; the identities relate a negative step
+    to the one before it, so step 0 must not hold one."""
     neg = trace.branch == BRANCH_NEGATIVE
-    if neg[:1].any():
+    if fold.last is None and neg[:1].any():
         raise ValueError("negative branch in the first trace: traces must start at step 0")
-    return neg[1:]
+    return neg
 
 
 def _report(name, worst, tol, location=None, details=""):
@@ -70,7 +97,7 @@ def _report(name, worst, tol, location=None, details=""):
     )
 
 
-def check_errnegativity(trace: Trace) -> CheckReport:
+def check_errnegativity(trace: Trace, fold: Fold | None = None) -> CheckReport:
     """Restricted-increase inequality on every negative-branch step:
 
         g^2 / A_{k+1} - rho * g * m_prev / A_k <= 0
@@ -80,15 +107,16 @@ def check_errnegativity(trace: Trace) -> CheckReport:
     clip; a fixed clip r need not satisfy the inequality.
     Vacuously passes when no negative branch occurred.
     """
-    neg = _negative_after_first(trace)
+    fold = fold or Fold()
+    neg = _negative(trace, fold)
     with np.errstate(**_QUIET):
-        g_sq = np.float_power(trace.g[1:], 2.0)  # pow, not g * g: rounds as tests/reference_verify.py
-        term_new = g_sq / trace.a_after[1:]
-        term_old = (g_sq - trace.v_raw[1:]) / trace.a_after[:-1]
+        g_sq = np.float_power(trace.g, 2.0)  # pow, not g * g: rounds as tests/reference_verify.py
+        term_new = g_sq / trace.a_after
+        term_old = (g_sq - trace.v_raw) / fold.previous(trace, "a_after", trace.a_after[:1])
         scaled = (term_new - term_old) / np.maximum(1.0, np.maximum(abs(term_new), abs(term_old)))
-    worst, location = _worst(scaled, neg, trace.k[1:])
-    details = f"{np.count_nonzero(neg)} negative-branch coordinate-steps, tolerance {TOL_IDENTITY:g}"
-    return _report("errnegativity", worst, TOL_IDENTITY, location, details)
+    fold.add(trace, scaled, neg, np.count_nonzero(neg))
+    details = f"{fold.count} negative-branch coordinate-steps, tolerance {TOL_IDENTITY:g}"
+    return _report("errnegativity", fold.worst, TOL_IDENTITY, fold.location, details)
 
 
 def alpha_identity_sides(gs) -> tuple[float, float]:
@@ -199,16 +227,16 @@ def check_convergence_trend(
 
 
 def check_monotone_and_cap(
-    trace: Trace, d_inf: float | None = None, gamma0: float | None = None
+    trace: Trace, d_inf: float | None = None, gamma0: float | None = None, fold: Fold | None = None
 ) -> CheckReport:
     """alpha and gamma never decrease, gamma stays at or below the cap, and
     state changes match the branch taken (alpha moves only on init/capped/
-    positive branches, gamma only on negative ones). Row 0 is compared with
+    positive branches, gamma only on negative ones). Step 0 is compared with
     gamma0 (itself when gamma0 is None) and zero alpha."""
+    fold = fold or Fold()
     gamma, alpha = trace.gamma_after, trace.alpha_after
-    first = gamma[:1] if gamma0 is None else np.full_like(gamma[:1], gamma0)
-    gamma_prev = np.concatenate([first, gamma[:-1]])
-    alpha_prev = np.concatenate([np.zeros_like(alpha[:1]), alpha[:-1]])
+    gamma_prev = fold.previous(trace, "gamma_after", gamma[:1] if gamma0 is None else np.full_like(gamma[:1], gamma0))
+    alpha_prev = fold.previous(trace, "alpha_after", np.zeros_like(alpha[:1]))
     neg = trace.branch == BRANCH_NEGATIVE
     with np.errstate(**_QUIET):
         viol = np.maximum(
@@ -220,16 +248,15 @@ def check_monotone_and_cap(
         change = np.where(neg, alpha - alpha_prev, gamma - gamma_prev)  # must be 0
     moved = np.where(neg, alpha != alpha_prev, gamma != gamma_prev)
     viol = np.where(moved, np.maximum(viol, abs(change)), viol)
-    worst, location = _worst(viol, True, trace.k)
-    details = [
+    fold.add(trace, viol, True, notes=[
         f"alpha changed on a negative branch at k={trace.k[t]} i={i}" if neg[t, i]
         else f"gamma changed on a {BRANCHES[trace.branch[t, i]]} branch at k={trace.k[t]} i={i}"
         for t, i in np.argwhere(moved)[:3]
-    ]
-    return _report("monotone_and_cap", worst, 0.0, location, "; ".join(details))
+    ])
+    return _report("monotone_and_cap", fold.worst, 0.0, fold.location, "; ".join(fold.notes))
 
 
-def check_reparam_invariance(trace: Trace, d_inf: float | None = None) -> CheckReport:
+def check_reparam_invariance(trace: Trace, d_inf: float | None = None, fold: Fold | None = None) -> CheckReport:
     """On every negative-branch step where the cap did not bind,
 
         gamma_{k+1} / sqrt(alpha_k - v_clipped) = gamma_k / sqrt(alpha_k)
@@ -241,10 +268,11 @@ def check_reparam_invariance(trace: Trace, d_inf: float | None = None) -> CheckR
     below the uncapped rescale value (only an under-growth could hide
     there, and that direction is covered by the monotonicity check).
     """
-    neg = _negative_after_first(trace)
-    gamma_prev, gamma = trace.gamma_after[:-1], trace.gamma_after[1:]
-    alpha = trace.alpha_after[1:]  # unchanged on the negative branch
-    v = trace.v_clipped[1:]
+    fold = fold or Fold()
+    neg = _negative(trace, fold)
+    gamma_prev, gamma = fold.previous(trace, "gamma_after", trace.gamma_after[:1]), trace.gamma_after
+    alpha = trace.alpha_after  # unchanged on the negative branch
+    v = trace.v_clipped
     with np.errstate(**_QUIET):
         if d_inf is not None:
             capped = gamma >= d_inf  # the cap bound; the identity is intentionally broken
@@ -254,9 +282,32 @@ def check_reparam_invariance(trace: Trace, d_inf: float | None = None) -> CheckR
         rhs = gamma_prev / np.sqrt(alpha)
         rel = abs(lhs - rhs) / np.maximum(abs(lhs), abs(rhs))
     checked = neg & ~capped
-    worst, location = _worst(rel, checked, trace.k[1:])
-    details = f"{np.count_nonzero(checked)} uncapped negative steps"
-    return _report("reparam_invariance", worst, TOL_IDENTITY, location, details)
+    fold.add(trace, rel, checked, np.count_nonzero(checked))
+    details = f"{fold.count} uncapped negative steps"
+    return _report("reparam_invariance", fold.worst, TOL_IDENTITY, fold.location, details)
+
+
+# the trace checks by their `check` names; each looks its function up when
+# called, so that wrappers patched onto this module apply
+TRACE_CHECKS = {
+    "errnegativity": lambda trace, fold, d_inf: check_errnegativity(trace, fold=fold),
+    "monotone": lambda trace, fold, d_inf: check_monotone_and_cap(trace, d_inf=d_inf, fold=fold),
+    "reparam": lambda trace, fold, d_inf: check_reparam_invariance(trace, d_inf=d_inf, fold=fold),
+}
+
+
+def fold_trace_checks(chunks, names, d_inf=None) -> list[CheckReport]:
+    """The TRACE_CHECKS reports of names over chunks, a trace's chunks from step 0
+    on; a check's ValueError waits until chunks runs out, so that theirs wins."""
+    folds = [Fold() for _ in names]
+    try:
+        for chunk in chunks:
+            reports = [TRACE_CHECKS[name](chunk, fold, d_inf) for name, fold in zip(names, folds)]
+    except ValueError:
+        for _ in chunks:
+            pass
+        raise
+    return reports
 
 
 def record_report(step, gamma_max, d_inf) -> CheckReport:

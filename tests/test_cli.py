@@ -1057,6 +1057,30 @@ def test_trace_check_and_dump_bytes_match_golden(tmp_path, capsys, name):
         assert sha(capsys.readouterr().out.encode()) == dump_digest
 
 
+@pytest.mark.parametrize("steps", [1, 2, 7])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trace_check_and_dump_bytes_match_golden_chunk_by_chunk(tmp_path, capsys, monkeypatch, name, steps):
+    """check and trace-dump fold over chunks of steps steps to the golden bytes."""
+    import hashlib
+
+    run_args, check_args, head = GOLDEN_RUNS[name]
+    _, dump_digest, check_digest = GOLDEN[name]
+    out = tmp_path / f"{name}.csv"
+    assert run_cli(["run", *run_args, "--trace", "--out", str(out)]) == 0
+    trace = tmp_path / f"{name}.trace.csv"
+    rows = steps * cli.read_trace_csv(trace).branch.shape[1]
+    monkeypatch.setattr(cli, "TRACE_CHUNK_ROWS", rows)
+    monkeypatch.setattr(cli, "TRACE_FOLD_ROWS", rows)
+    if check_digest is not None:
+        report = tmp_path / "check.csv"
+        assert run_cli(["check", str(trace), *check_args, "--out", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == check_digest
+    if dump_digest is not None:
+        capsys.readouterr()
+        assert run_cli(["trace-dump", str(trace), "--head", str(head)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == dump_digest
+
+
 # SHA-256 of the run record, trace and grid CSVs on the bundled LIBSVM
 # fixtures, recorded before datasets became CSR arrays and before grid
 # loaded its dataset once; neither change may alter an output byte.

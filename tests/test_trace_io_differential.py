@@ -79,6 +79,14 @@ def test_writer_bytes_match_the_csv_writer(tmp_path, name):
     assert new.read_bytes() == old.read_bytes()
 
 
+@pytest.mark.parametrize("name", WRITER_CASES)
+def test_reader_and_commands_match_the_frozen_reader_on_written_traces(tmp_path, name):
+    trace = WRITER_CASES[name]()
+    path = tmp_path / "t.trace.csv"
+    ref.write_trace_csv(path, trace)
+    _assert_same_read(path, max(1, trace.branch.shape[1]))
+
+
 def _outcome(path, read_csv, trace_fields):
     """What the CLI makes of path with read_csv as its CSV reader and
     trace_fields as its trace field parser: the parsed trace or record
@@ -106,9 +114,22 @@ def _outcome(path, read_csv, trace_fields):
     return parsed, commands
 
 
-def _assert_same_read(path):
+def _frozen_read_csv(path, header, parse, lines=None):
+    """The frozen reader's arrays of the whole file, as one run of rows, from
+    which the CLI folds over the whole trace in one chunk."""
+    return [ref.read_csv(path, header, parse)]
+
+
+def _assert_same_read(path, d=3):
+    """The CLI reads path, a trace of width d or a run record, as the frozen
+    reader does, also at 1, 2 and 7 steps of d rows a chunk."""
     new = _outcome(path, cli._read_csv, cli._trace_fields)
-    assert new == _outcome(path, ref.read_csv, ref.trace_fields)
+    assert new == _outcome(path, _frozen_read_csv, ref.trace_fields)
+    for steps in (1, 2, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "TRACE_CHUNK_ROWS", steps * d)
+            mp.setattr(cli, "TRACE_FOLD_ROWS", steps * d)
+            assert _outcome(path, cli._read_csv, cli._trace_fields) == new, steps
     return new
 
 

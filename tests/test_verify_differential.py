@@ -1,7 +1,8 @@
 """Differential test: the columnar trace checks against the frozen loops.
 
 Every report field must match: passed, worst_violation bit for bit,
-location and details. The corpus is the make_fuzz_run family (a binding
+location and details, also where a check folds over chunks of 1, 2 or 7
+steps. The corpus is the make_fuzz_run family (a binding
 cap, momentum, theory mode), scalar traces, the corrupted traces of
 test_verify.py, and random finite corruptions that move values, flip
 branch codes and break the cap, so failing reports and their tie-breaking
@@ -27,6 +28,7 @@ from gradagrad import (
     record_run,
 )
 from gradagrad.core import BRANCH_NEGATIVE, BRANCH_POSITIVE, BRANCHES
+from gradagrad.verify import Fold
 
 
 def _assert_same_report(new, old):
@@ -38,19 +40,29 @@ def _assert_same_report(new, old):
     assert new.details == old.details, (new, old)
 
 
+def _folded(check, trace, steps, **kwargs):
+    """check's report on trace folded over chunks of steps steps, None for the whole trace at once."""
+    if steps is None:
+        return check(trace, **kwargs)
+    fold = Fold()
+    for start in range(0, len(trace), steps):
+        report = check(trace[start:start + steps], fold=fold, **kwargs)
+    return report
+
+
 def _assert_same_checks(trace, d_inf=None, gamma0=None):
     """All three trace checks, new against frozen, with and without the
-    optional arguments."""
+    optional arguments, on the whole trace and folded over chunks of 1, 2
+    and 7 steps."""
+    cases = [(check_errnegativity, ref.check_errnegativity, {})]
     for cap in {None, d_inf}:
-        for start in {None, gamma0}:
-            _assert_same_report(
-                check_monotone_and_cap(trace, d_inf=cap, gamma0=start),
-                ref.check_monotone_and_cap(trace, d_inf=cap, gamma0=start),
-            )
-        _assert_same_report(
-            check_reparam_invariance(trace, d_inf=cap), ref.check_reparam_invariance(trace, d_inf=cap)
-        )
-    _assert_same_report(check_errnegativity(trace), ref.check_errnegativity(trace))
+        cases += [(check_monotone_and_cap, ref.check_monotone_and_cap, {"d_inf": cap, "gamma0": start})
+                  for start in {None, gamma0}]
+        cases.append((check_reparam_invariance, ref.check_reparam_invariance, {"d_inf": cap}))
+    for check, frozen, kwargs in cases:
+        old = frozen(trace, **kwargs)
+        for steps in (None, 1, 2, 7):
+            _assert_same_report(_folded(check, trace, steps, **kwargs), old)
 
 
 FUZZ_CORPUS = list(itertools.product(
