@@ -38,16 +38,15 @@ TRACE_FOLD_ROWS = 16 * TRACE_CHUNK_ROWS  # trace rows `check` and `trace-dump` h
 CHECK_HEADER = ["name", "passed", "worst_violation", "step", "coord", "details"]
 
 GRID_PARAMS = ("gamma0", "rho", "beta", "g_inf", "d_inf")
-# each --optimizer's class and the grid parameters it reads (g_inf only in
-# theory mode); the GradaGrad steppers, those that read rho, take HyperParams
-# and write traces, and the baselines take --gamma0 as their rate
-OPTIMIZERS = {
-    "gradagrad": (GradaGrad, GRID_PARAMS),
-    "gradagrad-scalar": (ScalarGradaGrad, ("gamma0", "rho")),
-    "adagrad": (AdaGrad, ("gamma0",)),
-    "sgd": (SGD, ("gamma0",)),
-    "adam": (Adam, ("gamma0",)),
-}
+OPTIMIZERS = {"gradagrad": GradaGrad, "gradagrad-scalar": ScalarGradaGrad, "adagrad": AdaGrad, "sgd": SGD, "adam": Adam}
+RUN_CHOICES = {"optimizer": OPTIMIZERS, "problem": ("abs", "quadratic", "logistic"), "mode": ("theory", "practical")}
+# the flags (by dest) that only some runs read, each with the --optimizer, --problem and --mode values (and,
+# for d_inf, the checks) that read it: a run reads one if its value is in the set for each of the three the set
+# names. The GradaGrad steppers, which read rho, take HyperParams and write traces.
+READS = {"rho": {"gradagrad", "gradagrad-scalar"}, "trace": {"gradagrad", "gradagrad-scalar"},
+         "r": {"gradagrad-scalar"}, "beta": {"gradagrad"}, "mode": {"gradagrad"}, "g_inf": {"gradagrad", "theory"},
+         "d_inf": {"gradagrad", "monotone", "reparam", "record"}, "dim": {"abs", "quadratic"}, "diag": {"quadratic"},
+         "noise_std": {"quadratic"}, "dataset": {"logistic"}, "batch_size": {"logistic"}, "epochs": {"logistic"}}
 CHECK_NAMES = tuple(verify.TRACE_CHECKS)
 DEFAULT_GRID = "0.015625,0.03125,0.0625,0.125,0.25,0.5,1,2,4"
 
@@ -112,17 +111,30 @@ def _build_hyperparams(args) -> HyperParams:
     )
 
 
+def _reads(args, dest) -> bool:
+    """Whether the run that args configure reads the flag dest (see READS)."""
+    readers = READS.get(dest, set())
+    return all(getattr(args, name) in readers for name, values in RUN_CHOICES.items() if readers.intersection(values))
+
+
 def _build_optimizer(runs, x0):
     """One optimizer stepping a replica from x0 for each namespace in runs,
     in lockstep; each replica's hyperparameters come from its namespace."""
-    cls, reads = OPTIMIZERS[runs[0].optimizer]
-    params = [_build_hyperparams(run) if "rho" in reads else run.gamma0 for run in runs]
-    return cls(np.tile(x0, (len(runs), 1)), params if len(params) > 1 else params[0])
+    params = [_build_hyperparams(run) if _reads(run, "rho") else run.gamma0 for run in runs]
+    return OPTIMIZERS[runs[0].optimizer](np.tile(x0, (len(runs), 1)), params if len(params) > 1 else params[0])
 
 
 def _build_run(args):
     """(problem, x0, n_batches, steps, eval_every): a run but its optimizer and
-    seed. A default start point is a one-value --x0."""
+    seed. A default start point is a one-value --x0. A flag of READS that the
+    run does not read must keep its default (a --config key: at its line)."""
+    if args.problem is None:  # argparse choices guard every other value
+        raise ConfigError("--problem is required, as a flag or as a --config key")
+    for dest in READS:
+        if getattr(args, dest) != _flag_parser("run").get_default(dest) and not _reads(args, dest):
+            mode = f" in --mode {args.mode}" if args.optimizer in READS[dest] else ""  # the mode is why
+            raise ConfigError(f"{getattr(args, 'config_lines', {}).get(dest, '')}--{dest.replace('_', '-')} is not "
+                              f"read by --optimizer {args.optimizer} and --problem {args.problem}{mode}")
     n_batches = None
     if args.problem == "abs":
         problem, x0 = AbsValue(args.dim), [1.0]
@@ -131,7 +143,7 @@ def _build_run(args):
             raise ConfigError(f"dim must be >= 1, got {args.dim}")
         diag = np.array(args.diag) if args.diag is not None else np.ones(args.dim)
         problem, x0 = Quadratic(diag, noise_std=args.noise_std), [1.0]
-    elif args.problem == "logistic":
+    else:
         if args.dataset is None:
             raise ConfigError("--problem logistic requires --dataset")
         dataset = load_dataset(args.dataset)
@@ -142,8 +154,6 @@ def _build_run(args):
         except ValueError as exc:  # what the file holds is unusable: name it, as a parse error does
             raise ConfigError(f"{args.dataset}: {exc}") from None
         x0, n_batches = [0.0], math.ceil(problem.n / problem.batch_size)
-    else:  # argparse choices guard every other value
-        raise ConfigError("--problem is required, as a flag or as a --config key")
 
     x0 = args.x0 if args.x0 is not None else x0
     if not all(map(math.isfinite, x0)):
@@ -154,8 +164,6 @@ def _build_run(args):
 
     if (args.steps is None) == (args.epochs is None):
         raise ConfigError("exactly one of --steps or --epochs is required")
-    if args.epochs is not None and n_batches is None:
-        raise ConfigError("--epochs only applies to dataset problems; use --steps")
     flag, count = ("--steps", args.steps) if args.epochs is None else ("--epochs", args.epochs)
     if count < 1:
         raise ConfigError(f"{flag} must be >= 1")
@@ -187,12 +195,8 @@ def _eval_row(step, n_batches, problem, opt):
 def cmd_run(args) -> int:
     problem, x0, n_batches, steps, eval_every = _build_run(args)
     opt = _build_optimizer([args], x0)
-    if args.trace:
-        tracers = tuple(name for name, (_, reads) in OPTIMIZERS.items() if "rho" in reads)
-        if args.optimizer not in tracers:
-            raise ConfigError(f"--trace requires one of {tracers}")
-        if args.out is None:
-            raise ConfigError("--trace requires --out (the trace path derives from it)")
+    if args.trace and args.out is None:
+        raise ConfigError("--trace requires --out (the trace path derives from it)")
     rows = []
     trace = Trace.empty(steps, opt.gamma.size) if args.trace else None
     states = [problem.init_state(args.seed)]
@@ -302,9 +306,8 @@ def cmd_grid(args) -> int:
     if not values:
         raise ConfigError("empty grid")
     param = args.grid_param.replace("-", "_")
-    read = param in OPTIMIZERS[args.optimizer][1]
-    if not read or param == "g_inf" and args.mode == "practical":
-        mode = " in --mode practical" if read else ""
+    if not _reads(args, param):
+        mode = f" in --mode {args.mode}" if args.optimizer in READS[param] else ""  # the mode is why
         raise ConfigError(f"--grid-param {param} is not read by --optimizer {args.optimizer}{mode}")
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
@@ -507,6 +510,8 @@ def cmd_check(args) -> int:
         if unknown:
             raise ConfigError("run record files support only the 'record' check" if record
                               else f"unknown check {unknown[0]!r}; choose from {CHECK_NAMES} or 'all'")
+        if args.d_inf is not None and not READS["d_inf"].intersection(names):
+            raise ConfigError(f"--d-inf is not read by --checks {','.join(names)}")
         lines = itertools.chain([first], f)
         reports = ([_check_run_record(args.trace, args.d_inf, lines)] * len(names) if record
                    else verify.fold_trace_checks(_trace_chunks(args.trace, lines), names, args.d_inf))
@@ -545,7 +550,7 @@ def cmd_trace_dump(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_run_flags(p):
-    p.add_argument("--problem", choices=("abs", "quadratic", "logistic"))
+    p.add_argument("--problem", choices=RUN_CHOICES["problem"])
     p.add_argument("--dataset", help="LIBSVM file (logistic problem)")
     p.add_argument("--dim", type=int, default=1, help="dimension for synthetic problems")
     p.add_argument("--diag", type=_parse_floats, help="comma-separated quadratic diagonal (overrides --dim)")
@@ -560,7 +565,7 @@ def _add_run_flags(p):
     p.add_argument("--d-inf", type=float, default=HyperParams.d_inf)
     p.add_argument("--r", type=_parse_r, default=HyperParams.r_fixed,
                    help="scalar-variant clip: a number or 'adaptive'")
-    p.add_argument("--mode", choices=("theory", "practical"), default=HyperParams.mode)
+    p.add_argument("--mode", choices=RUN_CHOICES["mode"], default=HyperParams.mode)
     p.add_argument("--steps", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, default=32)
@@ -618,11 +623,12 @@ def _flag_parser(command) -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_flags(args) -> list[str]:
-    """The flags that the key=value lines of the file args.config set; its
-    keys are the subcommand's own flags, spelt without -- and with - or _.
-    A value the flag rejects is a ConfigError naming its line."""
-    path, flags, keys = args.config, [], vars(args).keys() - {"command", "config"}
+def _load_config_flags(args) -> tuple[list[str], dict[str, str]]:
+    """The flags that the key=value lines of the file args.config set, and
+    "path:line: " of each key's last line by dest; its keys are the subcommand's
+    own flags, spelt without -- and with - or _. A value the flag rejects is a
+    ConfigError naming its line."""
+    path, flags, where, keys = args.config, [], {}, vars(args).keys() - {"command", "config"}
     with open_input(path) as f:
         lines = list(f)
     for lineno, raw in enumerate(lines, start=1):
@@ -636,6 +642,7 @@ def _load_config_flags(args) -> list[str]:
         value = value.strip()
         if key.replace("-", "_") not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        where[key.replace("-", "_")] = f"{path}:{lineno}: "
         if key == "trace":
             if value.lower() in ("1", "true", "yes"):
                 flags.append("--trace")
@@ -648,7 +655,7 @@ def _load_config_flags(args) -> list[str]:
         except argparse.ArgumentError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
         flags.append(flag)
-    return flags
+    return flags, where
 
 
 def main(argv=None) -> int:
@@ -659,8 +666,8 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             # config values become flags ahead of the user's, so the
             # command line keeps the last word
-            argv = [argv[0]] + _load_config_flags(args) + argv[1:]
-            args = parser.parse_args(argv)
+            flags, where = _load_config_flags(args)
+            args = parser.parse_args([argv[0]] + flags + argv[1:], argparse.Namespace(config_lines=where))
         # looked up per call, not held by the cached parser, so a patched cmd_* applies
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as exc:  # argparse has printed a usage error (2) or --help (0)

@@ -239,6 +239,39 @@ class TestConfigErrors:
             "--steps", "5", "--r", "sometimes",
         ]) == 2
 
+    @pytest.mark.parametrize("argv,text,message", [
+        (["--problem", "abs", "--steps", "3", "--optimizer", "adagrad", "--rho", "7", "--beta", "0.5", "--r", "3",
+          "--d-inf", "2"], None, "--rho is not read by --optimizer adagrad and --problem abs"),
+        (["--problem", "abs", "--steps", "3", "--optimizer", "gradagrad-scalar", "--d-inf", "0.5"], None,
+         "--d-inf is not read by --optimizer gradagrad-scalar and --problem abs"),
+        (["--problem", "abs", "--steps", "3", "--noise-std", "2", "--batch-size", "7"], None,
+         "--noise-std is not read by --optimizer gradagrad and --problem abs"),
+        # not "theory mode needs gamma0 <= d_inf": the scalar stepper has no mode and no cap
+        (["--problem", "abs", "--steps", "3", "--optimizer", "gradagrad-scalar", "--mode", "theory",
+          "--gamma0", "2e10"], None, "--mode is not read by --optimizer gradagrad-scalar and --problem abs"),
+        (["--problem", "logistic", "--dataset", str(BITS), "--steps", "3", "--dim", "9"], None,
+         "--dim is not read by --optimizer gradagrad and --problem logistic"),
+        (["--problem", "abs", "--steps", "3", "--g-inf", "2"], None,
+         "--g-inf is not read by --optimizer gradagrad and --problem abs in --mode practical"),
+        (["--problem", "abs", "--steps", "3", "--optimizer", "sgd", "--trace"], None,
+         "--trace is not read by --optimizer sgd and --problem abs"),
+        (["--problem", "abs", "--epochs", "2"], None, "--epochs is not read by --optimizer gradagrad and --problem abs"),
+        (["--problem", "abs", "--steps", "3", "--optimizer", "sgd", "--config", "{path}"], "rho=7\n",
+         "{path}:1: --rho is not read by --optimizer sgd and --problem abs"),
+        (["--steps", "3", "--config", "{path}", "--optimizer", "adam"], "problem=quadratic\n\nbatch_size=8\n",
+         "{path}:3: --batch-size is not read by --optimizer adam and --problem quadratic"),
+        (["--config", "{path}", "--rho", "7"], "problem=abs\noptimizer=sgd\nsteps=3\n",
+         "--rho is not read by --optimizer sgd and --problem abs"),
+    ], ids=["adagrad-knobs", "scalar-d-inf", "abs-noise-batch", "scalar-theory", "logistic-dim", "practical-g-inf",
+            "sgd-trace", "abs-epochs", "config-rho", "config-batch-size", "flag-after-config"])
+    def test_an_unread_flag_is_rejected(self, tmp_path, capsys, argv, text, message):
+        path, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+        if text is not None:
+            path.write_text(text)
+        assert run_cli(["run", *[arg.format(path=path) for arg in argv], "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("command", ["run", "grid"])
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -299,6 +332,50 @@ LIST_VALUE_ERRORS = [
 
 def test_run_defaults_are_the_hyperparams_defaults():
     assert cli._build_hyperparams(cli.build_parser().parse_args(["run"])) == HyperParams()
+
+
+# the flags of cli.READS each optimizer and each problem reads (the diagonal
+# stepper reads g_inf only in theory mode), and a valid value off its default
+OPTIMIZER_READS = {"gradagrad": {"rho", "trace", "beta", "d_inf", "mode", "g_inf"},
+                   "gradagrad-scalar": {"rho", "trace", "r"}, "adagrad": set(), "sgd": set(), "adam": set()}
+PROBLEM_READS = {"abs": {"dim"}, "quadratic": {"dim", "diag", "noise_std"},
+                 "logistic": {"dataset", "batch_size", "epochs"}}
+READ_VALUES = {
+    "rho": ["--rho", "1.5"], "trace": ["--trace"], "r": ["--r", "0.5"], "beta": ["--beta", "0.3"],
+    "mode": ["--mode", "theory"], "g_inf": ["--g-inf", "2"], "d_inf": ["--d-inf", "5"],
+    "dim": ["--dim", "2"], "diag": ["--diag", "1,2"], "noise_std": ["--noise-std", "0.5"],
+    "dataset": ["--dataset", str(BITS)], "batch_size": ["--batch-size", "16"], "epochs": ["--epochs", "1"],
+}
+PAIRS = [(optimizer, problem) for optimizer in OPTIMIZER_READS for problem in PROBLEM_READS]
+
+
+def test_the_read_sets_cover_the_table():
+    assert READ_VALUES.keys() == cli.READS.keys() == set().union(*OPTIMIZER_READS.values(), *PROBLEM_READS.values())
+    assert OPTIMIZER_READS.keys() == cli.OPTIMIZERS.keys()
+
+
+@pytest.mark.parametrize("optimizer,problem", PAIRS)
+def test_every_flag_a_run_reads_is_accepted(tmp_path, optimizer, problem):
+    reads = OPTIMIZER_READS[optimizer] | PROBLEM_READS[problem]
+    argv = ["run", "--problem", problem, "--optimizer", optimizer, *(["--steps", "3"] if "epochs" not in reads else []),
+            *itertools.chain.from_iterable(READ_VALUES[dest] for dest in sorted(reads)), "--out", str(tmp_path / "r.csv")]
+    assert run_cli(argv) == 0
+    assert (tmp_path / "r.trace.csv").exists() == ("trace" in reads)
+
+
+@pytest.mark.parametrize("optimizer,problem,dest", [
+    (optimizer, problem, dest) for optimizer, problem in PAIRS for dest in READ_VALUES
+    if dest not in OPTIMIZER_READS[optimizer] - {"g_inf"} | PROBLEM_READS[problem]
+])
+def test_every_flag_a_run_does_not_read_is_rejected(tmp_path, capsys, optimizer, problem, dest):
+    """In the default --mode practical, where the diagonal stepper does not read g_inf."""
+    out = tmp_path / "r.csv"
+    argv = ["run", "--problem", problem, "--optimizer", optimizer, "--steps", "3", *READ_VALUES[dest], "--out", str(out)]
+    assert run_cli(argv) == 2
+    mode = " in --mode practical" if (optimizer, dest) == ("gradagrad", "g_inf") else ""
+    assert capsys.readouterr().err == (f"error: --{dest.replace('_', '-')} is not read by --optimizer {optimizer} "
+                                       f"and --problem {problem}{mode}\n")
+    assert not out.exists()
 
 
 class TestConfigFile:
@@ -555,6 +632,18 @@ class TestGrid:
         err = capsys.readouterr().err
         assert f"--grid-param {param} is not read by --optimizer {optimizer}" in err
         assert ("--mode practical" in err) == (optimizer == "gradagrad")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--optimizer", "adagrad", "--rho", "3"], "--rho is not read by --optimizer adagrad and --problem abs"),
+        (["--optimizer", "gradagrad-scalar", "--grid-param", "rho", "--d-inf", "2"],
+         "--d-inf is not read by --optimizer gradagrad-scalar and --problem abs"),
+        (["--optimizer", "sgd", "--mode", "theory"], "--mode is not read by --optimizer sgd and --problem abs"),
+    ], ids=["adagrad-rho", "scalar-d-inf", "sgd-mode"])
+    def test_an_unread_flag_that_is_not_swept_is_rejected(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "g.csv"
+        assert run_cli(["grid", "--problem", "abs", "--steps", "5", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_bad_grid_value_message_unchanged(self, capsys):
         assert run_cli([
@@ -917,6 +1006,16 @@ class TestCheck:
     def test_named_subset(self, tmp_path):
         trace = _make_trace(tmp_path)
         assert run_cli(["check", str(trace), "--checks", "reparam,monotone"]) == 0
+
+    @pytest.mark.parametrize("checks,code", [
+        ("errnegativity", 2), ("errnegativity, errnegativity", 2), ("errnegativity,monotone", 0), ("reparam", 0),
+    ])
+    def test_d_inf_needs_a_check_that_reads_it(self, tmp_path, capsys, checks, code):
+        trace = _make_trace(tmp_path)
+        capsys.readouterr()
+        assert run_cli(["check", str(trace), "--checks", checks, "--d-inf", "1e10"]) == code
+        err = capsys.readouterr().err
+        assert (err == f"error: --d-inf is not read by --checks {checks.replace(' ', '')}\n") == (code == 2)
 
     def test_run_record_check(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -4,7 +4,9 @@ attribute of the imported module nor through `from module import _name`;
 and each of the one-path rules holds: only verify._report builds a
 CheckReport, only core.drive steps an optimizer, only data.open_input and
 the writers open files, and no module imports csv (cli._write_csv writes
-every CSV)."""
+every CSV), and only cli._build_run compares a run's --optimizer,
+--problem or --mode with a string (cli.READS says which runs read which
+flag)."""
 
 import ast
 from pathlib import Path
@@ -172,3 +174,55 @@ def test_no_module_imports_csv(path):
 ])
 def test_the_scan_finds_imports(source, found):
     assert _imported_modules(source) == found
+
+
+RUN_FIELDS = {"optimizer", "problem", "mode"}
+
+
+def _literal_comparers(source: str) -> set[str]:
+    """The functions of source (None for module level) that compare
+    args.optimizer, args.problem or args.mode with a string literal, or with
+    a tuple, list or set that holds one; a comparison in a nested function
+    counts for the innermost named function around it."""
+    found = set()
+
+    def is_field(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+                and node.attr in RUN_FIELDS)
+
+    def is_literal(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(is_literal, node.elts))
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(is_field, operands)) and any(map(is_literal, operands)):
+                found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_build_run_compares_a_run_field_with_a_string():
+    comparers = {f"{path.stem}.{function}" for path in PACKAGE.glob("*.py")
+                 for function in _literal_comparers(path.read_text(encoding="utf-8"))}
+    assert comparers == {"cli._build_run"}
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def f(args):\n    return args.mode == 'theory'\n", {"f"}),
+    ("def f():\n    if 'sgd' != args.optimizer:\n        pass\n", {"f"}),
+    ("def f():\n    return args.problem in ('abs', 'quadratic')\n", {"f"}),
+    ("def f():\n    def g():\n        return lambda: 0 < len(x) and args.mode not in {'practical'}\n", {"g"}),
+    ("ok = args.optimizer == 'adam'\n", {None}),
+    ("def f():\n    return args.problem == name or self.mode == 'theory' or args.seed == '0'\n", set()),
+    ("def f():\n    return getattr(args, 'mode') in readers and args.mode.startswith('t')\n", set()),
+])
+def test_the_scan_finds_literal_comparisons(source, found):
+    assert _literal_comparers(source) == found
