@@ -14,8 +14,9 @@ import argparse
 import functools
 import itertools
 import math
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,9 @@ RUN_HEADER = [
 TRACE_HEADER = ["k", "i", "g", "v_raw", "v_clipped", "branch", "r", "gamma", "alpha", "a"]
 # the trace CSV column of each of FLOAT_COLUMNS, in that order
 FLOAT_FIELDS = [TRACE_HEADER.index(name.removesuffix("_after")) for name in FLOAT_COLUMNS]
-TRACE_CHUNK_ROWS = 1024  # trace CSV rows held as strings at once
-TRACE_FOLD_ROWS = 16 * TRACE_CHUNK_ROWS  # trace rows `check` and `trace-dump` hold as arrays at once
+TRACE_CHUNK_ROWS = 1024  # trace rows `run --trace` holds at once, as a ring of steps and as strings
+TRACE_READ_ROWS = 512  # trace CSV rows `check` and `trace-dump` hold as strings at once
+TRACE_FOLD_ROWS = 8 * TRACE_READ_ROWS  # trace rows `check` and `trace-dump` hold as arrays at once
 CHECK_HEADER = ["name", "passed", "worst_violation", "step", "coord", "details"]
 
 GRID_PARAMS = ("gamma0", "rho", "beta", "g_inf", "d_inf")
@@ -67,12 +69,13 @@ def _fmt(value) -> str:
     return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text or "\n" in text else text
 
 
-def _write_csv(path, header, chunks):
-    """Write header, then each chunk's rows of formatted fields in one write, to path or else stdout."""
+@contextmanager
+def _write_csv(path, header):
+    """Write header to path or else stdout, and give the with block a function
+    that writes a chunk of rows of formatted fields in one write."""
     with nullcontext(sys.stdout) if path is None else open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
-        for rows in chunks:
-            f.write("\n".join([*map(",".join, rows), ""]))
+        yield lambda rows: f.write("\n".join([*map(",".join, rows), ""]))
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -127,13 +130,14 @@ def _build_optimizer(runs, x0):
 def _build_run(args):
     """(problem, x0, n_batches, steps, eval_every): a run but its optimizer and
     seed. A default start point is a one-value --x0. A flag of READS that the
-    run does not read must keep its default (a --config key: at its line)."""
+    run does not read must not be in args.given, even at its default."""
     if args.problem is None:  # argparse choices guard every other value
         raise ConfigError("--problem is required, as a flag or as a --config key")
+    given = getattr(args, "given", {})
     for dest in READS:
-        if getattr(args, dest) != _flag_parser("run").get_default(dest) and not _reads(args, dest):
+        if dest in given and not _reads(args, dest):
             mode = f" in --mode {args.mode}" if args.optimizer in READS[dest] else ""  # the mode is why
-            raise ConfigError(f"{getattr(args, 'config_lines', {}).get(dest, '')}--{dest.replace('_', '-')} is not "
+            raise ConfigError(f"{given[dest]}--{dest.replace('_', '-')} is not "
                               f"read by --optimizer {args.optimizer} and --problem {args.problem}{mode}")
     n_batches = None
     if args.problem == "abs":
@@ -197,16 +201,25 @@ def cmd_run(args) -> int:
     opt = _build_optimizer([args], x0)
     if args.trace and args.out is None:
         raise ConfigError("--trace requires --out (the trace path derives from it)")
-    rows = []
-    trace = Trace.empty(steps, opt.gamma.size) if args.trace else None
-    states = [problem.init_state(args.seed)]
-    wall = drive(opt, lambda x: problem.grad_sample(x, states), steps,
-                 lambda k: rows.append(_eval_row(k, n_batches, problem, opt)), eval_every, trace)
-    _write_csv(args.out, RUN_HEADER, [(map(_fmt, row) for row in rows)])
-    if args.trace:
-        trace_path = Path(args.out).with_suffix(".trace.csv")
-        _write_trace_csv(trace_path, trace)
-        print(f"trace written to {trace_path}", file=sys.stderr)
+    rows, states = [], [problem.init_state(args.seed)]
+    # the trace goes, one ring of steps at a time, to a file that replaces the trace path once the record is written
+    trace_path = Path(args.out).with_suffix(".trace.csv") if args.trace else None
+    partial = trace_path and trace_path.with_name(f"{trace_path.name}.{os.getpid()}.tmp")
+    ring = Trace.empty(min(steps, max(1, TRACE_CHUNK_ROWS // opt.gamma.size)), opt.gamma.size) if args.trace else None
+    try:
+        with nullcontext() if partial is None else _write_csv(partial, TRACE_HEADER) as write_trace:
+            wall = drive(opt, lambda x: problem.grad_sample(x, states), steps,
+                         lambda k: rows.append(_eval_row(k, n_batches, problem, opt)), eval_every, ring,
+                         write_trace and (lambda chunk: write_trace(zip(*_trace_columns(chunk, _repr_fields)))))
+            with _write_csv(args.out, RUN_HEADER) as write:
+                write(map(_fmt, row) for row in rows)
+        if partial is not None:
+            partial.replace(trace_path)
+            print(f"trace written to {trace_path}", file=sys.stderr)
+    except BaseException:
+        if partial is not None:
+            partial.unlink(missing_ok=True)
+        raise
     final_loss = rows[-1][2]
     avg_loss = problem.loss_full(opt.averaged_iterate())
     print(
@@ -235,13 +248,6 @@ def _repr_fields(floats: np.ndarray) -> list[list[str]]:
     bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
     text = np.array(["" if v != v else repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
     return text[inverse.reshape(floats.shape)].tolist()
-
-
-def _write_trace_csv(path, trace: Trace):
-    """Write a trace CSV, its values formatted as _fmt formats them, about TRACE_CHUNK_ROWS rows a chunk."""
-    steps = max(1, TRACE_CHUNK_ROWS // max(1, trace.branch.shape[1]))
-    _write_csv(path, TRACE_HEADER, (zip(*_trace_columns(trace[start:start + steps], _repr_fields))
-                                    for start in range(0, len(trace), steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +331,8 @@ def cmd_grid(args) -> int:
 
     out_rows = [[args.grid_param, value, metric_kind, score, idx == best_idx]
                 for idx, (value, score) in enumerate(table)]
-    _write_csv(args.out, ["param", "value", "metric", "score", "winner"], [(map(_fmt, row) for row in out_rows)])
+    with _write_csv(args.out, ["param", "value", "metric", "score", "winner"]) as write:
+        write(map(_fmt, row) for row in out_rows)
     winner_value, winner_score = table[best_idx]
     print(
         f"grid complete: winner {args.grid_param}={winner_value!r} "
@@ -358,7 +365,7 @@ def _parse(text: np.ndarray, dtype):
 
 def _read_csv(path, header, parse, lines=None):
     """Yield the arrays parse(text) returns for each run of up to
-    TRACE_CHUNK_ROWS rows after the header, which must be header, of the CSV
+    TRACE_READ_ROWS rows after the header, which must be header, of the CSV
     at path (or of its lines, if given); a CSV of no rows is one run. text
     is a run's (columns, rows) object array of fields, and parse returns
     (arrays, errors), errors a list of (row index, message). A ConfigError
@@ -391,9 +398,9 @@ def _read_csv(path, header, parse, lines=None):
             )
         # the fields of each run of lines, in the CSV dialect this program
         # writes: unquoted fields, "\n", "\r\n" or "\r" line ends
-        chunks = iter(lambda: [line.rstrip("\r\n").split(",") for line in itertools.islice(f, TRACE_CHUNK_ROWS)], [])
+        chunks = iter(lambda: [line.rstrip("\r\n").split(",") for line in itertools.islice(f, TRACE_READ_ROWS)], [])
         # map drops each run's fields once parsed, before it reads the next run
-        runs = map(parsed, chunks, itertools.count(2, TRACE_CHUNK_ROWS))
+        runs = map(parsed, chunks, itertools.count(2, TRACE_READ_ROWS))
         yield next(runs, None) or parsed([], 2)
         yield from runs
 
@@ -461,7 +468,7 @@ def _trace_chunks(path, lines=None, rows=None):
                                     f"got step {k[b]}, coordinate {i[b]}; a trace's rows run in (k, i) order")
             held.append((codes, floats))
         n += len(k)
-        if error is None and d and n // d > s and n - s * d >= (rows or TRACE_FOLD_ROWS):
+        if error is None and d and (n // d - s) * d >= (rows or TRACE_FOLD_ROWS):
             yield steps(n // d - s)
             s = n // d
     if error is not None:
@@ -519,7 +526,8 @@ def cmd_check(args) -> int:
         print(f"{rep.name}: {'PASS' if rep.passed else 'FAIL'} (worst={rep.worst_violation:g})", file=sys.stderr)
     rows = [[rep.name, rep.passed, rep.worst_violation, *(rep.location or (None, None)), rep.details]
             for rep in reports]
-    _write_csv(args.out, CHECK_HEADER, [(map(_fmt, row) for row in rows)])
+    with _write_csv(args.out, CHECK_HEADER) as write:
+        write(map(_fmt, row) for row in rows)
     return 0 if all(rep.passed for rep in reports) else 1
 
 
@@ -643,7 +651,8 @@ def _load_config_flags(args) -> tuple[list[str], dict[str, str]]:
         if key.replace("-", "_") not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         where[key.replace("-", "_")] = f"{path}:{lineno}: "
-        if key == "trace":
+        if key == "trace":  # the last line wins, as for every key
+            flags = [flag for flag in flags if flag != "--trace"]
             if value.lower() in ("1", "true", "yes"):
                 flags.append("--trace")
             elif value.lower() not in ("0", "false", "no"):
@@ -663,11 +672,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            # config values become flags ahead of the user's, so the
-            # command line keeps the last word
-            flags, where = _load_config_flags(args)
-            args = parser.parse_args([argv[0]] + flags + argv[1:], argparse.Namespace(config_lines=where))
+        if hasattr(args, "config"):  # run and grid: args.given maps each flag given to "" or its config line
+            unset, parse = object(), _flag_parser(args.command).parse_args  # over unset, argv sets only its flags
+            given = vars(parse(argv[1:], argparse.Namespace(**dict.fromkeys(vars(args), unset))))
+            flags, where = _load_config_flags(args) if args.config else ([], {})
+            if flags:  # config values become flags ahead of the user's, so the command line keeps the last word
+                args = parser.parse_args([argv[0]] + flags + argv[1:])
+            args.given = {**{dest: "" for dest, value in given.items() if value is not unset}, **where}
         # looked up per call, not held by the cached parser, so a patched cmd_* applies
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as exc:  # argparse has printed a usage error (2) or --help (0)

@@ -28,10 +28,11 @@ so each replica steps exactly as it would alone.
 
 A run's trace is one columnar Trace of (steps, width) arrays, with width d
 for the diagonal stepper and 1 for the scalar one. The GradaGrad steppers
-take it as step(g, trace) and fill row k in place; untraced steps do no
-trace work. r = t^2 - 1 is exact (libm pow) wherever it is read: on every
-negative coordinate of a traced step, and where the clip can bind on an
-untraced one (_gradagrad_update gives the slack argument).
+take it as step(g, trace) and fill the row of step k in place (a whole run,
+or a ring of steps through drive); untraced steps do no trace work.
+r = t^2 - 1 is exact (libm pow) wherever it is read: on every negative
+coordinate of a traced step, and where the clip can bind on an untraced
+one (_gradagrad_update gives the slack argument).
 
 All state is double precision; numerators much below 1e-6 lose adaptivity
 in single precision.
@@ -169,9 +170,10 @@ class Trace:
         return Trace(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
     def record(self, k: int, **columns):
-        """Write row k of the named columns."""
+        """Write the named columns of step k, at row k - self.k[0]."""
+        row = k - self.k[0]
         for name, value in columns.items():
-            getattr(self, name)[k] = value
+            getattr(self, name)[row] = value
 
 
 def project(point, domain: Domain) -> np.ndarray:
@@ -556,12 +558,14 @@ class Adam(Optimizer):
 
 
 def drive(opt: Optimizer, grad, steps: int, on_eval=None, eval_every: int = 1,
-          trace: Trace | None = None) -> float:
+          trace: Trace | None = None, on_trace=None) -> float:
     """Step opt `steps` times on grad, which maps the flat iterate opt.x to
     the flat gradient, and call on_eval(k) after k of these steps at k = 0,
     every eval_every steps and the last step. Fill trace if given (only the
-    GradaGrad steppers take one). Returns the wall seconds of the steps and
-    of the evaluations after k = 0."""
+    GradaGrad steppers take one); with on_trace, trace is a ring whose filled
+    rows go to on_trace when it is full and after the last step, its k then
+    moved on by len(trace). Returns the wall seconds of the steps and of the
+    evaluations after k = 0, without on_trace's."""
     if eval_every < 1:
         raise ValueError(f"eval_every must be >= 1, got {eval_every}")
     trace_arg = () if trace is None else (trace,)
@@ -570,6 +574,11 @@ def drive(opt: Optimizer, grad, steps: int, on_eval=None, eval_every: int = 1,
     t0 = time.perf_counter()
     for k in range(1, steps + 1):
         opt.step(grad(opt.x), *trace_arg)
+        if on_trace is not None and (k % len(trace) == 0 or k == steps):
+            t = time.perf_counter()
+            on_trace(trace[:(k - 1) % len(trace) + 1])
+            trace.k += len(trace)
+            t0 += time.perf_counter() - t
         if k % eval_every == 0 or k == steps:
             on_eval(k)
     return time.perf_counter() - t0

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gradagrad import Dataset, GradaGrad, HyperParams, Trace
+from gradagrad import Dataset, GradaGrad, HyperParams, Trace, cli
 from gradagrad.core import BRANCHES
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
@@ -88,6 +88,15 @@ def traced_run(opt, grads) -> Trace:
 def traced_step(opt, g) -> Trace:
     """One step of a GradaGrad stepper; its trace row."""
     return traced_run(opt, [g])[0]
+
+
+def write_trace_csv(path, trace):
+    """Write trace as `run --trace` writes its ring of steps: TRACE_CHUNK_ROWS // d
+    steps a chunk, formatted by the CLI's trace formatter, through its CSV writer."""
+    steps = max(1, cli.TRACE_CHUNK_ROWS // max(1, trace.branch.shape[1]))
+    with cli._write_csv(path, cli.TRACE_HEADER) as write:
+        for start in range(0, len(trace), steps):
+            write(zip(*cli._trace_columns(trace[start:start + steps], cli._repr_fields)))
 
 
 def branch_names(row) -> list[str]:

@@ -190,6 +190,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("argv", [
         ["run", "--problem", "abs", "--steps", "3", "--out", "{name}"],
+        ["run", "--problem", "abs", "--steps", "3", "--trace", "--out", "{name}"],
         ["check", "{name}"],
         ["run", "--problem", "logistic", "--dataset", "{name}", "--steps", "3"],
     ])
@@ -262,8 +263,18 @@ class TestConfigErrors:
          "{path}:3: --batch-size is not read by --optimizer adam and --problem quadratic"),
         (["--config", "{path}", "--rho", "7"], "problem=abs\noptimizer=sgd\nsteps=3\n",
          "--rho is not read by --optimizer sgd and --problem abs"),
+        # given at its default value: still given, so still not read
+        (["--problem", "abs", "--steps", "3", "--optimizer", "adagrad", "--rho", "2"], None,
+         "--rho is not read by --optimizer adagrad and --problem abs"),
+        (["--problem", "abs", "--steps", "3", "--optimizer", "gradagrad-scalar", "--mode=practical"], None,
+         "--mode is not read by --optimizer gradagrad-scalar and --problem abs"),
+        (["--problem", "abs", "--steps", "3", "--optimizer", "adagrad", "--config", "{path}"], "rho = 2.0\n",
+         "{path}:1: --rho is not read by --optimizer adagrad and --problem abs"),
+        (["--problem", "abs", "--steps", "3", "--optimizer", "sgd", "--config", "{path}"], "trace=false\n",
+         "{path}:1: --trace is not read by --optimizer sgd and --problem abs"),
     ], ids=["adagrad-knobs", "scalar-d-inf", "abs-noise-batch", "scalar-theory", "logistic-dim", "practical-g-inf",
-            "sgd-trace", "abs-epochs", "config-rho", "config-batch-size", "flag-after-config"])
+            "sgd-trace", "abs-epochs", "config-rho", "config-batch-size", "flag-after-config", "default-rho",
+            "default-mode", "config-default-rho", "config-trace-false"])
     def test_an_unread_flag_is_rejected(self, tmp_path, capsys, argv, text, message):
         path, out = tmp_path / "run.cfg", tmp_path / "out.csv"
         if text is not None:
@@ -468,6 +479,15 @@ class TestConfigFile:
         assert run_cli(["run", "--problem", "quadratic", "--steps", "5",
                         "--config", str(cfg), "--out", str(out)]) == 0
         assert (tmp_path / "o.trace.csv").exists()
+
+    @pytest.mark.parametrize("lines,traced", [(["true", "false"], False), (["false", "true"], True),
+                                              (["yes", "no", "1"], True), (["1", "0"], False)])
+    def test_the_last_trace_line_wins(self, tmp_path, lines, traced):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("".join(f"trace={value}\n" for value in lines))
+        assert run_cli(["run", "--problem", "abs", "--steps", "3", "--config", str(cfg),
+                        "--out", str(tmp_path / "tt.csv")]) == 0
+        assert (tmp_path / "tt.trace.csv").exists() == traced
 
 
 def test_repeated_calls_share_one_parser_and_leak_nothing(tmp_path, monkeypatch, capsys):
@@ -1168,7 +1188,7 @@ def test_trace_check_and_dump_bytes_match_golden_chunk_by_chunk(tmp_path, capsys
     assert run_cli(["run", *run_args, "--trace", "--out", str(out)]) == 0
     trace = tmp_path / f"{name}.trace.csv"
     rows = steps * cli.read_trace_csv(trace).branch.shape[1]
-    monkeypatch.setattr(cli, "TRACE_CHUNK_ROWS", rows)
+    monkeypatch.setattr(cli, "TRACE_READ_ROWS", rows)
     monkeypatch.setattr(cli, "TRACE_FOLD_ROWS", rows)
     if check_digest is not None:
         report = tmp_path / "check.csv"
@@ -1211,6 +1231,86 @@ def test_logistic_run_and_grid_bytes_match_golden(tmp_path, name):
         "--batch-size", "64", "--seeds", "2", "--grid-values", "0.25,1,4", "--seed", "7", "--out", str(grid),
     ]) == 0
     assert (sha(run), sha(tmp_path / f"{name}.trace.csv"), sha(grid)) == LOGISTIC_GOLDEN[name]
+
+
+# `run --trace` writes its trace one ring of TRACE_CHUNK_ROWS // d steps at a
+# time; the ring's size must not change a byte of the trace or the record.
+LOGISTIC_RUN = ["--problem", "logistic", "--epochs", "2", "--batch-size", "50", "--seed", "5"]
+RING_RUNS = {
+    **{name: (GOLDEN_RUNS[name][0], 3 if name == "quad" else 1, GOLDEN[name][0]) for name in GOLDEN},
+    **{name: ([*LOGISTIC_RUN, "--dataset", str(BLOBS if name == "blobs" else BITS)],
+              load_dataset(BLOBS if name == "blobs" else BITS).dim, LOGISTIC_GOLDEN[name][1])
+       for name in LOGISTIC_GOLDEN},
+}
+
+
+def _spy_rings(monkeypatch):
+    """The length of each ring cli.drive gets, and of each chunk it passes on."""
+    rings, chunks, drive = [], [], cli.drive
+
+    def spy(opt, grad, steps, on_eval, eval_every, trace, on_trace):
+        rings.append(len(trace))
+        return drive(opt, grad, steps, on_eval, eval_every, trace,
+                     lambda chunk: (chunks.append(len(chunk)), on_trace(chunk)))
+
+    monkeypatch.setattr(cli, "drive", spy)
+    return rings, chunks
+
+
+@pytest.mark.parametrize("ring", [1, 2, 7])
+@pytest.mark.parametrize("name", sorted(RING_RUNS))
+def test_run_trace_bytes_match_golden_through_a_ring_of_steps(tmp_path, monkeypatch, name, ring):
+    """abs, quad and the logistic runs step the diagonal stepper, scalar the
+    scalar one; a ring of 7 steps divides none of their step counts."""
+    import hashlib
+
+    run_args, d, digest = RING_RUNS[name]
+    monkeypatch.setattr(cli, "TRACE_CHUNK_ROWS", ring * d)
+    rings, chunks = _spy_rings(monkeypatch)
+    out = tmp_path / f"{name}.csv"
+    assert run_cli(["run", *run_args, "--trace", "--out", str(out)]) == 0
+    steps = int(read_rows(out)[-1][0])
+    assert rings == [ring] and chunks == [ring] * (steps // ring) + [steps % ring] * (steps % ring > 0)
+    assert hashlib.sha256((tmp_path / f"{name}.trace.csv").read_bytes()).hexdigest() == digest
+    assert sorted(path.name for path in tmp_path.iterdir()) == [f"{name}.csv", f"{name}.trace.csv"]
+
+
+def test_a_step_wider_than_a_chunk_is_a_ring_of_its_own(tmp_path, monkeypatch):
+    argv = ["run", "--problem", "quadratic", "--dim", "1025", "--noise-std", "1", "--x0", "3", "--steps", "5",
+            "--seed", "2", "--trace"]
+    rings, chunks = _spy_rings(monkeypatch)
+    assert run_cli([*argv, "--out", str(tmp_path / "ring.csv")]) == 0
+    assert (rings, chunks) == ([1], [1] * 5)
+    monkeypatch.setattr(cli, "TRACE_CHUNK_ROWS", 10 ** 9)  # the whole run in one ring, as one chunk
+    assert run_cli([*argv, "--out", str(tmp_path / "whole.csv")]) == 0
+    assert (rings, chunks) == ([1, 5], [1] * 5 + [5])
+    for suffix in (".csv", ".trace.csv"):
+        assert (tmp_path / f"ring{suffix}").read_bytes() == (tmp_path / f"whole{suffix}").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_failed_traced_run_leaves_the_trace_path_as_it_found_it(tmp_path, monkeypatch, capsys, existing):
+    monkeypatch.setattr(cli, "TRACE_CHUNK_ROWS", 2)  # d = 2: a ring of one step, written before step 1 fails
+    rings, chunks = _spy_rings(monkeypatch)
+    trace = tmp_path / "div.trace.csv"
+    if existing:
+        trace.write_bytes(b"k,i\r\nan earlier trace\n")
+    assert run_cli(["run", "--problem", "quadratic", "--diag", "1e300,1", "--x0", "1e-300", "--gamma0", "1e300",
+                    "--steps", "50", "--trace", "--out", str(tmp_path / "div.csv")]) == 3
+    assert capsys.readouterr().err.endswith("error: step 1: gradient entry 0 is -inf; gradients must be finite\n")
+    assert (rings, chunks) == ([1], [1])
+    assert sorted(path.name for path in tmp_path.iterdir()) == (["div.trace.csv"] if existing else [])
+    if existing:
+        assert trace.read_bytes() == b"k,i\r\nan earlier trace\n"
+
+
+def test_a_trace_path_that_cannot_be_replaced_leaves_no_temporary_file(tmp_path, capsys):
+    (tmp_path / "d.trace.csv").mkdir()
+    assert run_cli(["run", "--problem", "abs", "--steps", "3", "--trace", "--out", str(tmp_path / "d.csv")]) == 2
+    assert f"'{tmp_path / 'd.trace.csv'}'" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["d.csv", "d.trace.csv"]
+    assert (tmp_path / "d.trace.csv").is_dir()
 
 
 # SHA-256 of short run records of every optimizer on a noisy quadratic

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import branch_names, make_fuzz_run, traced_step
+from conftest import branch_names, copy_trace, make_fuzz_run, traced_step
 from gradagrad import (
     SGD,
     AdaGrad,
@@ -17,6 +17,7 @@ from gradagrad import (
     drive,
     project,
 )
+from gradagrad import core
 from gradagrad.core import BRANCH_NEGATIVE, FLOAT_COLUMNS
 
 
@@ -529,6 +530,40 @@ class TestDrive:
         assert np.all(trace.branch[0] == 0) and np.isfinite(trace.gamma_after).all()
         assert np.all(opt.x[:3] > 0) and np.all(opt.x[3:] < 0)
 
+    @pytest.mark.parametrize("ring,scalar", [(1, False), (3, False), (8, False), (3, True), (20, True)])
+    def test_a_ring_passes_each_full_ring_and_the_last_partial_one(self, ring, scalar):
+        """The rings on_trace gets hold, in order, the rows of the whole-run trace."""
+        stepper = ScalarGradaGrad if scalar else GradaGrad
+
+        def run(trace, on_trace=None):
+            opt = stepper(np.array([1.0, -2.0]), HyperParams(gamma0=0.5, r_fixed=None))
+            grads = iter(np.random.default_rng(4).normal(0.5, 1.0, (8, 2)))
+            drive(opt, lambda x: next(grads), 8, trace=trace, on_trace=on_trace)
+
+        whole = Trace.empty(8, 1 if scalar else 2)
+        run(whole)
+        chunks = []
+        run(Trace.empty(ring, whole.branch.shape[1]), lambda chunk: chunks.append(copy_trace(chunk)))
+        assert [chunk.k.tolist() for chunk in chunks] == [list(range(8))[a:a + ring] for a in range(0, 8, ring)]
+        for name in ("k", "branch", *FLOAT_COLUMNS):
+            joined = np.concatenate([getattr(chunk, name) for chunk in chunks])
+            np.testing.assert_array_equal(joined, getattr(whole, name), err_msg=name)
+
+    def test_wall_seconds_leave_out_on_trace(self, monkeypatch):
+        clock = [0.0]
+
+        def perf_counter():
+            clock[0] += 1.0
+            return clock[0]
+
+        def on_trace(chunk):
+            clock[0] += 1000.0
+
+        monkeypatch.setattr(core.time, "perf_counter", perf_counter)
+        opt = GradaGrad(np.zeros(2))
+        wall = drive(opt, lambda x: x - 1.0, 5, trace=Trace.empty(2, 2), on_trace=on_trace)
+        assert wall < 1000.0 and clock[0] > 3000.0  # three rings: steps 0-1, 2-3 and 4
+
     @pytest.mark.parametrize("eval_every", [0, -3])
     def test_rejects_eval_every_below_one(self, eval_every):
         opt = SGD([0.0])
@@ -599,6 +634,19 @@ class TestTrace:
         tail = trace[2:]
         assert len(tail) == 3 and tail[0].k == 2
         assert [r.k for r in trace] == [0, 1, 2, 3, 4]  # iteration by index
+
+    def test_record_on_a_sub_trace_writes_the_row_of_its_step(self):
+        trace = Trace.empty(6, 2)
+        tail = trace[2:5]
+        tail.record(3, g=[1.0, 2.0], branch=[3, 1])
+        np.testing.assert_array_equal(trace.g[3], [1.0, 2.0])
+        np.testing.assert_array_equal(trace.branch[3], [3, 1])
+        assert np.isnan(np.delete(trace.g, 3, axis=0)).all()
+        ring = Trace.empty(2, 2)
+        ring.k += 4  # a ring moved on to steps 4 and 5
+        ring.record(5, gamma_after=[7.0, 8.0])
+        np.testing.assert_array_equal(ring.gamma_after[1], [7.0, 8.0])
+        assert np.isnan(ring.gamma_after[0]).all()
 
     def test_step_fills_row_k_and_returns_none(self):
         opt = GradaGrad([0.0, 0.0], HyperParams(rho=2.0))

@@ -93,12 +93,17 @@ def test_csv_bytes_match_the_csv_writer(tmp_path, capsysbinary, table, seed, chu
     def chunks():
         return _chunks(rows, seed) if chunked else [(map(cli._fmt, row) for row in rows)]
 
+    def write(path):
+        with cli._write_csv(path, header) as write_rows:
+            for rows_of_chunk in chunks():
+                write_rows(rows_of_chunk)
+
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    cli._write_csv(new, header, chunks())
+    write(new)
     _reference_write_csv(old, header, rows)
     assert new.read_bytes() == old.read_bytes()
 
-    cli._write_csv(None, header, chunks())
+    write(None)
     new_out = capsysbinary.readouterr().out
     _reference_write_csv(None, header, rows)
     assert new_out == capsysbinary.readouterr().out == old.read_bytes()

@@ -6,7 +6,7 @@ row carried over from the previous chunk can find, a check's error that
 must wait for a malformed line in a later chunk, a step 0 wider than a
 chunk, and `--head` rows spread over several chunks. Every report and
 dump must equal the one made from the whole trace in one chunk. Setting
-TRACE_CHUNK_ROWS and TRACE_FOLD_ROWS to n * d makes chunks of n steps.
+TRACE_READ_ROWS and TRACE_FOLD_ROWS to n * d makes chunks of n steps.
 """
 
 import contextlib
@@ -15,7 +15,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import copy_trace, first_branch, make_fuzz_run
+from conftest import copy_trace, first_branch, make_fuzz_run, write_trace_csv
 from gradagrad import cli, verify
 from gradagrad.core import BRANCH_NEGATIVE, BRANCH_POSITIVE, Trace
 
@@ -30,7 +30,7 @@ def _cli(argv):
 
 
 def _set_rows(monkeypatch, rows):
-    monkeypatch.setattr(cli, "TRACE_CHUNK_ROWS", rows)
+    monkeypatch.setattr(cli, "TRACE_READ_ROWS", rows)
     monkeypatch.setattr(cli, "TRACE_FOLD_ROWS", rows)
 
 
@@ -99,7 +99,7 @@ def test_equal_worst_violations_report_the_first_and_the_first_nan_wins(nans):
 
 def _write(tmp_path, trace, name="t.trace.csv"):
     path = tmp_path / name
-    cli._write_trace_csv(path, trace)
+    write_trace_csv(path, trace)
     return path
 
 
@@ -151,9 +151,9 @@ def test_a_chunk_holds_whole_steps_of_at_least_trace_fold_rows(tmp_path, monkeyp
     chunks = list(cli._trace_chunks(path))
     assert [int(chunk.k[0]) for chunk in chunks] == np.cumsum([0, *map(len, chunks[:-1])]).tolist()
     assert sum(map(len, chunks)) == 120
-    assert all(cli.TRACE_FOLD_ROWS <= chunk.branch.size < cli.TRACE_FOLD_ROWS + cli.TRACE_CHUNK_ROWS
+    assert all(cli.TRACE_FOLD_ROWS <= chunk.branch.size < cli.TRACE_FOLD_ROWS + cli.TRACE_READ_ROWS
                for chunk in chunks[:-1])
-    assert len(chunks) == (12000 // fold_rows if fold_rows else 1)  # trace-verify's trace is one chunk
+    assert len(chunks) == (12000 // fold_rows if fold_rows else 3)  # trace-verify's trace: 46, 46 and 28 steps
 
 
 @pytest.mark.parametrize("d", [50, 400])

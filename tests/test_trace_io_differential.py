@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import reference_trace_io as ref
-from conftest import make_fuzz_run, traced_run
+from conftest import make_fuzz_run, traced_run, write_trace_csv
 from gradagrad import HyperParams, ScalarGradaGrad, Trace, cli
 from gradagrad.core import BRANCHES, FLOAT_COLUMNS
 
@@ -74,7 +74,7 @@ WRITER_CASES = {
 def test_writer_bytes_match_the_csv_writer(tmp_path, name):
     trace = WRITER_CASES[name]()
     new, old = tmp_path / "new.trace.csv", tmp_path / "old.trace.csv"
-    cli._write_trace_csv(new, trace)
+    write_trace_csv(new, trace)
     ref.write_trace_csv(old, trace)
     assert new.read_bytes() == old.read_bytes()
 
@@ -127,7 +127,7 @@ def _assert_same_read(path, d=3):
     assert new == _outcome(path, _frozen_read_csv, ref.trace_fields)
     for steps in (1, 2, 7):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "TRACE_CHUNK_ROWS", steps * d)
+            mp.setattr(cli, "TRACE_READ_ROWS", steps * d)
             mp.setattr(cli, "TRACE_FOLD_ROWS", steps * d)
             assert _outcome(path, cli._read_csv, cli._trace_fields) == new, steps
     return new
@@ -302,7 +302,7 @@ def test_reader_matches_the_reference_where_clips_bind(tmp_path):
     reader reads it."""
     _, trace = make_fuzz_run(dim=10, steps=300, seed=0, d_inf=3.0)
     path = tmp_path / "t.trace.csv"
-    cli._write_trace_csv(path, trace)
+    write_trace_csv(path, trace)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     assert 0 < sum(row[3] != row[4] for row in rows) < len(rows)
     _, commands = _assert_same_read(path)
