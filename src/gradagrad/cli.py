@@ -1,43 +1,31 @@
 """Benchmark harness CLI: seeded runs, grid searches, and trace checks.
 
-Subcommands: run, grid, check, trace-dump. Run records and step traces are
-emitted as CSV with the fixed headers RUN_HEADER and TRACE_HEADER (missing
-values are empty fields). _write_csv writes every CSV; a field is quoted only
-where it holds ',', '"' or a newline, in practice a check report's details.
+Subcommands: run, grid, check, trace-dump. Run records, grids, check
+reports and step traces are CSV in the format that csvio owns; check
+applies verify's checks to what csvio reads.
 
-Exit codes: 0 success, 1 check/assertion failure, 2 usage/config error.
+Exit codes: 0 success, 1 check/assertion failure, 2 usage/config error,
+3 a run diverged (its gradient turned NaN or infinite).
 Output CSVs are byte-deterministic for a fixed seed; wall-clock timing only
 appears in the stderr summary.
 """
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, nullcontext
 from pathlib import Path
 
 import numpy as np
 
-from . import verify
-from .core import (BRANCHES, FLOAT_COLUMNS, SGD, Adam, AdaGrad, GradaGrad, HyperParams, NonFiniteGradient,
-                   ScalarGradaGrad, Trace, drive)
+from . import csvio, verify
+from .core import BRANCHES, SGD, Adam, AdaGrad, GradaGrad, HyperParams, NonFiniteGradient, ScalarGradaGrad, drive
+from .csvio import ConfigError
+from .csvio import read_trace_csv  # unused here, but perfbench/tracer.py patches cli.read_trace_csv by name
 from .data import load_dataset, normalize_labels, open_input
 from .problems import AbsValue, LogisticRegression, Quadratic
-
-RUN_HEADER = [
-    "step", "epoch", "loss", "accuracy",
-    "gamma_mean", "gamma_max", "alpha_mean", "alpha_max", "ainv_mean", "subopt",
-]
-TRACE_HEADER = ["k", "i", "g", "v_raw", "v_clipped", "branch", "r", "gamma", "alpha", "a"]
-# the trace CSV column of each of FLOAT_COLUMNS, in that order
-FLOAT_FIELDS = [TRACE_HEADER.index(name.removesuffix("_after")) for name in FLOAT_COLUMNS]
-TRACE_CHUNK_ROWS = 1024  # trace rows `run --trace` holds at once, as a ring of steps and as strings
-TRACE_READ_ROWS = 512  # trace CSV rows `check` and `trace-dump` hold as strings at once
-TRACE_FOLD_ROWS = 8 * TRACE_READ_ROWS  # trace rows `check` and `trace-dump` hold as arrays at once
-CHECK_HEADER = ["name", "passed", "worst_violation", "step", "coord", "details"]
 
 GRID_PARAMS = ("gamma0", "rho", "beta", "g_inf", "d_inf")
 OPTIMIZERS = {"gradagrad": GradaGrad, "gradagrad-scalar": ScalarGradaGrad, "adagrad": AdaGrad, "sgd": SGD, "adam": Adam}
@@ -51,31 +39,6 @@ READS = {"rho": {"gradagrad", "gradagrad-scalar"}, "trace": {"gradagrad", "grada
          "noise_std": {"quadratic"}, "dataset": {"logistic"}, "batch_size": {"logistic"}, "epochs": {"logistic"}}
 CHECK_NAMES = tuple(verify.TRACE_CHECKS)
 DEFAULT_GRID = "0.015625,0.03125,0.0625,0.125,0.25,0.5,1,2,4"
-
-
-class ConfigError(Exception):
-    """Bad configuration; maps to exit code 2."""
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return "" if math.isnan(value) else repr(value)
-    text = str(value)  # quoted where csv.writer quotes it: a lone "\r" stays bare
-    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text or "\n" in text else text
-
-
-@contextmanager
-def _write_csv(path, header):
-    """Write header to path or else stdout, and give the with block a function
-    that writes a chunk of rows of formatted fields in one write."""
-    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        yield lambda rows: f.write("\n".join([*map(",".join, rows), ""]))
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -120,6 +83,13 @@ def _reads(args, dest) -> bool:
     return all(getattr(args, name) in readers for name, values in RUN_CHOICES.items() if readers.intersection(values))
 
 
+def _check_read(args, dest, flag, run):
+    """Raise that flag is not read by run unless the run that args configure reads dest (see READS)."""
+    if not _reads(args, dest):
+        mode = f" in --mode {args.mode}" if args.optimizer in READS[dest] else ""  # the mode is why
+        raise ConfigError(f"{flag} is not read by {run}{mode}")
+
+
 def _build_optimizer(runs, x0):
     """One optimizer stepping a replica from x0 for each namespace in runs,
     in lockstep; each replica's hyperparameters come from its namespace."""
@@ -135,10 +105,9 @@ def _build_run(args):
         raise ConfigError("--problem is required, as a flag or as a --config key")
     given = getattr(args, "given", {})
     for dest in READS:
-        if dest in given and not _reads(args, dest):
-            mode = f" in --mode {args.mode}" if args.optimizer in READS[dest] else ""  # the mode is why
-            raise ConfigError(f"{given[dest]}--{dest.replace('_', '-')} is not "
-                              f"read by --optimizer {args.optimizer} and --problem {args.problem}{mode}")
+        if dest in given:
+            _check_read(args, dest, f"{given[dest]}--{dest.replace('_', '-')}",
+                        f"--optimizer {args.optimizer} and --problem {args.problem}")
     n_batches = None
     if args.problem == "abs":
         problem, x0 = AbsValue(args.dim), [1.0]
@@ -191,7 +160,7 @@ def _eval_row(step, n_batches, problem, opt):
         step // n_batches if n_batches else None,
         loss,
         problem.accuracy(opt.x),
-        *(stats.get(name) for name in RUN_HEADER[4:9]),
+        *(stats.get(name) for name in csvio.RUN_HEADER[4:9]),
         subopt,
     ]
 
@@ -205,14 +174,11 @@ def cmd_run(args) -> int:
     # the trace goes, one ring of steps at a time, to a file that replaces the trace path once the record is written
     trace_path = Path(args.out).with_suffix(".trace.csv") if args.trace else None
     partial = trace_path and trace_path.with_name(f"{trace_path.name}.{os.getpid()}.tmp")
-    ring = Trace.empty(min(steps, max(1, TRACE_CHUNK_ROWS // opt.gamma.size)), opt.gamma.size) if args.trace else None
     try:
-        with nullcontext() if partial is None else _write_csv(partial, TRACE_HEADER) as write_trace:
+        with nullcontext((None, None)) if partial is None else csvio.trace_sink(partial, steps, opt.gamma.size) as sink:
             wall = drive(opt, lambda x: problem.grad_sample(x, states), steps,
-                         lambda k: rows.append(_eval_row(k, n_batches, problem, opt)), eval_every, ring,
-                         write_trace and (lambda chunk: write_trace(zip(*_trace_columns(chunk, _repr_fields)))))
-            with _write_csv(args.out, RUN_HEADER) as write:
-                write(map(_fmt, row) for row in rows)
+                         lambda k: rows.append(_eval_row(k, n_batches, problem, opt)), eval_every, *sink)
+            csvio.write_rows(args.out, csvio.RUN_HEADER, rows)
         if partial is not None:
             partial.replace(trace_path)
             print(f"trace written to {trace_path}", file=sys.stderr)
@@ -228,26 +194,6 @@ def cmd_run(args) -> int:
         file=sys.stderr,
     )
     return 0
-
-
-def _trace_columns(trace: Trace, fmt) -> list[list[str]]:
-    """The trace CSV columns as strings, row-major over (step, coordinate);
-    fmt maps the (7, rows) array of FLOAT_COLUMNS to one list of strings each."""
-    steps, d = trace.branch.shape
-    # object arrays repeat one string per step and per branch, not a copy per row
-    k = np.array(list(map(str, trace.k.tolist())), dtype=object)
-    cols = [np.repeat(k, d).tolist(), list(map(str, range(d))) * steps,
-            *fmt(np.stack([getattr(trace, name).ravel() for name in FLOAT_COLUMNS]))]
-    cols.insert(5, np.take(np.array(BRANCHES, dtype=object), trace.branch.ravel()).tolist())
-    return cols
-
-
-def _repr_fields(floats: np.ndarray) -> list[list[str]]:
-    """floats formatted as _fmt formats a float, with one repr per distinct
-    64-bit pattern: -0.0 stays apart from 0.0, and every NaN is empty."""
-    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
-    text = np.array(["" if v != v else repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse.reshape(floats.shape)].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +258,7 @@ def cmd_grid(args) -> int:
     if not values:
         raise ConfigError("empty grid")
     param = args.grid_param.replace("-", "_")
-    if not _reads(args, param):
-        mode = f" in --mode {args.mode}" if args.optimizer in READS[param] else ""  # the mode is why
-        raise ConfigError(f"--grid-param {param} is not read by --optimizer {args.optimizer}{mode}")
+    _check_read(args, param, f"--grid-param {param}", f"--optimizer {args.optimizer}")
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
     if args.trace:
@@ -331,8 +275,7 @@ def cmd_grid(args) -> int:
 
     out_rows = [[args.grid_param, value, metric_kind, score, idx == best_idx]
                 for idx, (value, score) in enumerate(table)]
-    with _write_csv(args.out, ["param", "value", "metric", "score", "winner"]) as write:
-        write(map(_fmt, row) for row in out_rows)
+    csvio.write_rows(args.out, csvio.GRID_HEADER, out_rows)
     winner_value, winner_score = table[best_idx]
     print(
         f"grid complete: winner {args.grid_param}={winner_value!r} "
@@ -346,168 +289,12 @@ def cmd_grid(args) -> int:
 # check / trace-dump
 # ---------------------------------------------------------------------------
 
-def _parse(text: np.ndarray, dtype):
-    """A (columns, rows) object array of strings as dtype, empty fields as
-    NaN; if some field does not parse, the index of the first row with one."""
-    if dtype is float:
-        text = np.where(text == "", "nan", text)
-    try:
-        return text.astype(dtype)  # int() or float() of each string
-    except (ValueError, OverflowError):
-        def parses(field):
-            try:
-                np.array([field], dtype=object).astype(dtype)
-            except (ValueError, OverflowError):
-                return False
-            return True
-        return int(np.argmin(np.vectorize(parses, otypes=[bool])(text).all(axis=0)))
-
-
-def _read_csv(path, header, parse, lines=None):
-    """Yield the arrays parse(text) returns for each run of up to
-    TRACE_READ_ROWS rows after the header, which must be header, of the CSV
-    at path (or of its lines, if given); a CSV of no rows is one run. text
-    is a run's (columns, rows) object array of fields, and parse returns
-    (arrays, errors), errors a list of (row index, message). A ConfigError
-    names the line of the first bad row: one with the wrong field count, or
-    one of parse's errors (on a tie, the field count, then parse's order)."""
-
-    def parsed(rows, line):
-        (wrong,) = np.nonzero(np.fromiter(map(len, rows), int, len(rows)) != len(header))
-        short = int(wrong[0]) if wrong.size else len(rows)
-        errors = [(short, f"expected {len(header)} fields")] if short < len(rows) else []
-        rows = rows[:short]
-        fields = np.fromiter(itertools.chain.from_iterable(rows), object, len(rows) * len(header))
-        result, more = parse(fields.reshape(len(rows), len(header)).T)
-        if errors or more:
-            row, message = min(errors + more, key=lambda e: e[0])  # ties keep the order above
-            raise ConfigError(f"{path}:{line + row}: {message}")
-        return result
-
-    kind = "trace" if header == TRACE_HEADER else "run record"
-    with open_input(path) if lines is None else nullcontext(lines) as f:
-        first = next(f, "")
-        if not first:
-            raise ConfigError(f"{path}: empty {kind} file")
-        found = first.rstrip("\r\n").split(",")
-        if found != header:
-            missing = [c for c in header if c not in found]
-            raise ConfigError(
-                f"{path}: bad {kind} header, missing columns {missing}" if missing
-                else f"{path}: bad {kind} header {found}"
-            )
-        # the fields of each run of lines, in the CSV dialect this program
-        # writes: unquoted fields, "\n", "\r\n" or "\r" line ends
-        chunks = iter(lambda: [line.rstrip("\r\n").split(",") for line in itertools.islice(f, TRACE_READ_ROWS)], [])
-        # map drops each run's fields once parsed, before it reads the next run
-        runs = map(parsed, chunks, itertools.count(2, TRACE_READ_ROWS))
-        yield next(runs, None) or parsed([], 2)
-        yield from runs
-
-
-def _trace_floats(text):
-    """The (7, rows) FLOAT_COLUMNS of trace fields, or the index of the first
-    row with a non-numeric one, as _parse parses them. A run leaves only r
-    empty (where no clip ran) and writes v_clipped as v_raw's text where the
-    clip does not bind, so a direct parse reads only r's empty fields as NaN
-    and only the v_clipped fields that differ from v_raw's; where it rejects
-    a field, _parse parses all seven columns."""
-    floats = np.empty((len(FLOAT_FIELDS), text.shape[1]))
-    raw, clipped, r = (FLOAT_COLUMNS.index(name) for name in ("v_raw", "v_clipped", "r"))
-    try:
-        for row, column in enumerate(FLOAT_FIELDS):
-            if row not in (clipped, r):
-                floats[row] = text[column]  # float() of each string
-        given = text[FLOAT_FIELDS[r]] != ""
-        floats[r] = math.nan
-        floats[r, given] = text[FLOAT_FIELDS[r], given]
-        differs = text[FLOAT_FIELDS[clipped]] != text[FLOAT_FIELDS[raw]]
-        floats[clipped] = floats[raw]
-        floats[clipped, differs] = text[FLOAT_FIELDS[clipped], differs]
-    except ValueError:  # float() of a str never overflows
-        return _parse(text[FLOAT_FIELDS], float)
-    return floats
-
-
-def _trace_fields(text):
-    """Branch codes, k and i, and the float columns of trace fields; errors as _read_csv reads them."""
-    ints, floats = _parse(text[:2], int), _trace_floats(text)
-    errors = [(bad, "non-numeric field") for bad in (ints, floats) if isinstance(bad, int)]
-    branch = text[TRACE_HEADER.index("branch")]
-    codes = np.full(text.shape[1], -1, dtype=np.int8)
-    for code, name in enumerate(BRANCHES):
-        codes[branch == name] = code
-    if (codes < 0).any():
-        row = int(np.argmin(codes))
-        errors.append((row, f"unknown branch {branch[row]!r}; expected one of {list(BRANCHES)}"))
-    return (codes, ints, floats), errors
-
-
-def _trace_chunks(path, lines=None, rows=None):
-    """Yield the trace CSV at path (or its lines) as Traces of whole steps,
-    each of rows (TRACE_FOLD_ROWS if None) rows or more but the last, or one
-    of no rows. If step 0 has d rows, row n (from 0) must hold step n // d,
-    coordinate n % d, and the last step d rows: a ConfigError names the
-    first line that does not, once every line has parsed."""
-    d, n, s, error, held = None, 0, 0, None, []  # step 0's rows once known, rows read, steps yielded, runs held
-
-    def steps(count):  # the first count steps held, as one Trace
-        codes, floats = (np.concatenate(column, axis=-1) for column in zip(*held))
-        held[:] = [(codes[count * d:], floats[:, count * d:])]
-        return Trace(k=np.arange(s, s + count), branch=codes[:count * d].reshape(count, d),
-                     **dict(zip(FLOAT_COLUMNS, floats[:, :count * d].reshape(len(FLOAT_COLUMNS), count, d))))
-
-    for codes, (k, i), floats in _read_csv(path, TRACE_HEADER, _trace_fields, lines):
-        if error is None:
-            d = n + int(np.argmax(k != 0)) if d is None and k.any() else d
-            step, coord = np.divmod(np.arange(n, n + len(k)), max(1, n + len(k) if d is None else d))
-            (bad,) = np.nonzero((k != step) | (i != coord))
-            if bad.size:
-                b = bad[0]
-                error = ConfigError(f"{path}:{2 + n + b}: expected step {step[b]}, coordinate {coord[b]}, "
-                                    f"got step {k[b]}, coordinate {i[b]}; a trace's rows run in (k, i) order")
-            held.append((codes, floats))
-        n += len(k)
-        if error is None and d and (n // d - s) * d >= (rows or TRACE_FOLD_ROWS):
-            yield steps(n // d - s)
-            s = n // d
-    if error is not None:
-        raise error
-    d = n if d is None else d
-    if n % max(d, 1):
-        raise ConfigError(f"{path}:{1 + n}: the trace ends in step {(n - 1) // d} after coordinate {(n - 1) % d}; "
-                          f"every step has one row per coordinate 0..{d - 1}")
-    if n > s * d or not s:
-        yield steps(n // max(d, 1) - s)
-
-
-def read_trace_csv(path) -> Trace:
-    """The whole trace CSV at path as one Trace (see _trace_chunks)."""
-    [trace] = _trace_chunks(path, rows=math.inf)
-    return trace
-
-
-def _record_fields(text):
-    """The step and gamma_max columns of run-record fields, an empty
-    gamma_max as -inf, which no cap check fails; errors as _read_csv reads them."""
-    step, gamma_max = _parse(text[:1], int), _parse(np.where(text[5:6] == "", "-inf", text[5:6]), float)
-    return (step, gamma_max), [(bad, "non-numeric step or gamma_max") for bad in (step, gamma_max)
-                               if isinstance(bad, int)]
-
-
-def _check_run_record(path, d_inf, lines=None):
-    """verify.record_report of the run record at path (or its lines), read whole."""
-    (step,), (gamma_max,) = map(np.hstack, zip(*_read_csv(path, RUN_HEADER, _record_fields, lines)))
-    return verify.record_report(step, gamma_max, d_inf)
-
-
 def cmd_check(args) -> int:
     if args.d_inf is not None and not args.d_inf > 0:  # NaN fails too; inf is allowed, a cap that never binds
         raise ConfigError(f"--d-inf must be positive, got {args.d_inf}")
-    with open_input(args.trace) as f:
-        first = f.readline()  # the header, sniffed here and read again below
-        record = first.rstrip("\r\n").split(",") == RUN_HEADER
-        checks = {"record": _check_run_record} if record else verify.TRACE_CHECKS
+    with closing(csvio.read_input(args.trace, (csvio.RUN_HEADER, csvio.TRACE_HEADER))) as contents:
+        record = next(contents) == csvio.RUN_HEADER  # the header, read from the one handle that reads on below
+        checks = ["record"] if record else CHECK_NAMES
         names = list(checks) if args.checks == "all" else [
             tok.strip() for tok in args.checks.split(",") if tok.strip()
         ]
@@ -519,15 +306,13 @@ def cmd_check(args) -> int:
                               else f"unknown check {unknown[0]!r}; choose from {CHECK_NAMES} or 'all'")
         if args.d_inf is not None and not READS["d_inf"].intersection(names):
             raise ConfigError(f"--d-inf is not read by --checks {','.join(names)}")
-        lines = itertools.chain([first], f)
-        reports = ([_check_run_record(args.trace, args.d_inf, lines)] * len(names) if record
-                   else verify.fold_trace_checks(_trace_chunks(args.trace, lines), names, args.d_inf))
+        reports = ([verify.record_report(*next(contents), args.d_inf)] * len(names) if record
+                   else verify.fold_trace_checks(contents, names, args.d_inf))
     for rep in reports:
         print(f"{rep.name}: {'PASS' if rep.passed else 'FAIL'} (worst={rep.worst_violation:g})", file=sys.stderr)
     rows = [[rep.name, rep.passed, rep.worst_violation, *(rep.location or (None, None)), rep.details]
             for rep in reports]
-    with _write_csv(args.out, CHECK_HEADER) as write:
-        write(map(_fmt, row) for row in rows)
+    csvio.write_rows(args.out, csvio.CHECK_HEADER, rows)
     return 0 if all(rep.passed for rep in reports) else 1
 
 
@@ -535,21 +320,20 @@ def cmd_trace_dump(args) -> int:
     if args.head < 0:
         raise ConfigError(f"--head must be >= 0, got {args.head}")
     steps, counts, lo, hi, head = 0, 0, np.inf, -np.inf, []  # lo and hi: gamma's and alpha's bounds
-    for trace in _trace_chunks(args.trace):
+    for trace in csvio.trace_chunks(args.trace):
         steps, d, both = steps + len(trace), trace.branch.shape[1], np.stack([trace.gamma_after, trace.alpha_after])
         counts = counts + np.bincount(trace.branch.ravel(), minlength=len(BRANCHES))
         lo, hi = np.minimum(lo, both.min((1, 2), initial=np.inf)), np.maximum(hi, both.max((1, 2), initial=-np.inf))
         n = min(args.head - len(head), trace.branch.size)
         if n:
-            cols = _trace_columns(trace[: -(-n // d)],
-                                  lambda floats: [[format(v, ".6g") for v in col] for col in floats.tolist()])
-            cols[6] = ["" if r == "nan" else r for r in cols[6]]  # no clip ran
+            cols = csvio.trace_columns(trace[: -(-n // d)],
+                                       lambda floats: [[format(v, ".6g") for v in col] for col in floats.tolist()])
             head += ["  ".join(row) for row in zip(*cols)][:n]
     print(f"steps: {steps}  coordinates: {d}")
     print("branches: " + " ".join(f"{b}={n}" for b, n in zip(BRANCHES, counts.tolist())))
     if steps:
         print(f"gamma in [{lo[0]:g}, {hi[0]:g}]  alpha in [{lo[1]:g}, {hi[1]:g}]")
-    print("\n".join(["  ".join(TRACE_HEADER), *head]))
+    print("\n".join(["  ".join(csvio.TRACE_HEADER), *head]))
     return 0
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gradagrad import Dataset, GradaGrad, HyperParams, Trace, cli
+from gradagrad import Dataset, GradaGrad, HyperParams, Trace, csvio
 from gradagrad.core import BRANCHES
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
@@ -91,12 +91,11 @@ def traced_step(opt, g) -> Trace:
 
 
 def write_trace_csv(path, trace):
-    """Write trace as `run --trace` writes its ring of steps: TRACE_CHUNK_ROWS // d
-    steps a chunk, formatted by the CLI's trace formatter, through its CSV writer."""
-    steps = max(1, cli.TRACE_CHUNK_ROWS // max(1, trace.branch.shape[1]))
-    with cli._write_csv(path, cli.TRACE_HEADER) as write:
-        for start in range(0, len(trace), steps):
-            write(zip(*cli._trace_columns(trace[start:start + steps], cli._repr_fields)))
+    """Write trace as `run --trace` writes it: through csvio's trace sink, one
+    chunk the length of its ring at a time."""
+    with csvio.trace_sink(path, len(trace), trace.branch.shape[1]) as (ring, write):
+        for start in range(0, len(trace), max(1, len(ring))):  # an empty trace's ring holds no step
+            write(trace[start:start + len(ring)])
 
 
 def branch_names(row) -> list[str]:

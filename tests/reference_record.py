@@ -1,5 +1,5 @@
 """Frozen reference run-record check for the differential test of
-gradagrad.cli._check_run_record.
+`check` on a run record: csvio.read_input, then verify.record_report.
 
 This is the row-by-row loop the record check ran before it moved onto the
 step and gamma_max columns. Do not edit it to follow the package.
@@ -8,7 +8,7 @@ step and gamma_max columns. Do not edit it to follow the package.
 import csv
 import math
 
-from gradagrad.cli import RUN_HEADER, ConfigError
+from gradagrad.csvio import RUN_HEADER, ConfigError
 from gradagrad.verify import CheckReport
 
 

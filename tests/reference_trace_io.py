@@ -1,5 +1,5 @@
 """Frozen reference trace CSV I/O for the differential tests of
-gradagrad.cli's trace writer and CSV reader.
+gradagrad.csvio's trace writer and CSV reader.
 
 This is the writer and reader the CLI used while trace rows went through
 the csv module: csv.writer over rows formatted column by column, and
@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from gradagrad.cli import TRACE_CHUNK_ROWS, TRACE_HEADER, ConfigError
+from gradagrad.csvio import TRACE_CHUNK_ROWS, TRACE_HEADER, ConfigError
 from gradagrad.core import BRANCHES, FLOAT_COLUMNS
 
 
@@ -40,7 +40,7 @@ def write_trace_csv(path, trace):
 
 
 def read_csv(path, header, parse) -> list:
-    """gradagrad.cli._read_csv as it was on csv.reader."""
+    """gradagrad.csvio._read_csv as it was on csv.reader."""
 
     def parsed(rows, line):
         short = next((n for n, row in enumerate(rows) if len(row) != len(header)), len(rows))
@@ -70,7 +70,7 @@ def read_csv(path, header, parse) -> list:
 
 
 def parse(text, dtype):
-    """gradagrad.cli._parse as it was: a (columns, rows) object array of
+    """gradagrad.csvio._parse as it was: a (columns, rows) object array of
     strings as dtype, empty fields as NaN, or the first row with a field
     that does not parse."""
     if dtype is float:
@@ -88,7 +88,7 @@ def parse(text, dtype):
 
 
 def trace_fields(text):
-    """gradagrad.cli._trace_fields as it was, all seven float columns parsed alike."""
+    """gradagrad.csvio._trace_fields as it was, all seven float columns parsed alike."""
     ints, floats = parse(text[:2], int), parse(text[[2, 3, 4, 6, 7, 8, 9]], float)
     errors = [(bad, "non-numeric field") for bad in (ints, floats) if isinstance(bad, int)]
     codes = np.full(text.shape[1], -1, dtype=np.int8)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import BITS, BLOBS, GRID_CASES
-from gradagrad import HyperParams, cli, load_dataset
+from gradagrad import HyperParams, cli, csvio, load_dataset
 
 
 def run_cli(argv):
@@ -27,7 +27,7 @@ class TestRun:
         ])
         assert code == 0
         rows = read_rows(out)
-        assert rows[0] == cli.RUN_HEADER
+        assert rows[0] == csvio.RUN_HEADER
         steps = [int(r[0]) for r in rows[1:]]
         assert steps == sorted(steps) and len(set(steps)) == len(steps)
         assert steps[0] == 0 and steps[-1] == 500
@@ -78,7 +78,7 @@ class TestRun:
         code = run_cli(["run", "--problem", "abs", "--steps", "5"])
         assert code == 0
         captured = capsys.readouterr()
-        assert captured.out.splitlines()[0] == ",".join(cli.RUN_HEADER)
+        assert captured.out.splitlines()[0] == ",".join(csvio.RUN_HEADER)
 
     def test_recorded_step_size_adapts_up_only_for_gradagrad(self, tmp_path):
         # |x| from x0=1 with a poor gamma0: the recorded mean inverse
@@ -104,7 +104,7 @@ class TestRun:
             "--out", str(out), "--trace",
         ])
         rows = read_rows(tmp_path / "r.trace.csv")
-        assert rows[0] == cli.TRACE_HEADER
+        assert rows[0] == csvio.TRACE_HEADER
         assert len(rows) == 1 + 20 * 2
         branches = {r[5] for r in rows[1:]}
         assert branches <= {"init", "capped", "positive", "negative"}
@@ -316,7 +316,7 @@ def test_negative_dim_rejected(capsys, command, problem):
     (["run", "--problem", "logistic", "--dataset", str(BITS), "--epochs", "0"], None, "--epochs must be >= 1"),
     (["run", "--problem", "abs", "--steps", "0"], None, "--steps must be >= 1"),
     (["grid", "--problem", "abs", "--steps", "5", "--seeds", "0"], None, "--seeds must be >= 1"),
-    (["check", "{path}", "--checks", ","], ",".join(cli.TRACE_HEADER) + "\n", "no checks requested"),
+    (["check", "{path}", "--checks", ","], ",".join(csvio.TRACE_HEADER) + "\n", "no checks requested"),
     (["run", "--config", "{path}"], "problem=abs\nsteps 5\n", "{path}:2: expected key=value"),
     (["run", "--config", "{path}"], "problem=abs\ntrace=maybe\nsteps=5\n", "{path}:2: trace must be true or false"),
 ], ids=["x0-length", "epochs-0", "steps-0", "seeds-0", "no-checks", "config-no-equals", "config-trace-maybe"])
@@ -681,7 +681,7 @@ def test_non_utf8_input_names_its_path(tmp_path, capsys, kind):
     """The error names the path, the line and the byte's offset in the file,
     whichever line ends the file uses."""
     path = tmp_path / "input"
-    header = cli.TRACE_HEADER if kind.startswith("trace") else cli.RUN_HEADER
+    header = csvio.TRACE_HEADER if kind.startswith("trace") else csvio.RUN_HEADER
     lines = {"config": [b"steps = 3", b"# x", b"\xff = 1"], "libsvm": [b"1 1:1", b"-1 1:2", b"\xff 2:1"]}.get(
         kind, [",".join(header).encode(), b"0,1", b"0,\xff"])
     argv = {
@@ -739,7 +739,7 @@ class TestCheck:
         code = run_cli(["check", str(trace), "--out", str(report_csv)])
         assert code == 0
         rows = read_rows(report_csv)
-        assert rows[0] == cli.CHECK_HEADER
+        assert rows[0] == csvio.CHECK_HEADER
         assert {r[0] for r in rows[1:]} == {"errnegativity", "monotone_and_cap", "reparam_invariance"}
         assert all(r[1] == "true" for r in rows[1:])
         err = capsys.readouterr().err
@@ -808,7 +808,7 @@ class TestCheck:
         """A trace of one row per step, row n at step steps[n] (n by default)
         and coordinate coords[n]."""
         steps = range(len(coords)) if steps is None else steps
-        rows = [cli.TRACE_HEADER] + [[str(k), str(i), "1.0", "1.0", "1.0", "positive", "", "1.0", "1.0", "1.0"]
+        rows = [csvio.TRACE_HEADER] + [[str(k), str(i), "1.0", "1.0", "1.0", "positive", "", "1.0", "1.0", "1.0"]
                                      for k, i in zip(steps, coords)]
         TestCheck._write_rows(path, rows)
 
@@ -1058,6 +1058,10 @@ class TestTraceDump:
         assert "steps: 150  coordinates: 3" in out
         assert "branches:" in out
         assert "gamma in" in out
+        # a hand-edited empty g dumps as nan, and an empty r as an empty field: no clip ran
+        trace.write_text(",".join(csvio.TRACE_HEADER) + "\n0,0,,1,1,init,,1,1,1\n")
+        assert run_cli(["trace-dump", str(trace)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "0  0  nan  1  1  init    1  1  1"
 
     def test_missing_file(self):
         assert run_cli(["trace-dump", "/nope.trace.csv"]) == 2
@@ -1073,7 +1077,7 @@ class TestTraceDump:
         trace = _make_trace(tmp_path)
         capsys.readouterr()
         assert run_cli(["trace-dump", str(trace), "--head", "0"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "  ".join(cli.TRACE_HEADER)
+        assert capsys.readouterr().out.splitlines()[-1] == "  ".join(csvio.TRACE_HEADER)
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -1188,8 +1192,8 @@ def test_trace_check_and_dump_bytes_match_golden_chunk_by_chunk(tmp_path, capsys
     assert run_cli(["run", *run_args, "--trace", "--out", str(out)]) == 0
     trace = tmp_path / f"{name}.trace.csv"
     rows = steps * cli.read_trace_csv(trace).branch.shape[1]
-    monkeypatch.setattr(cli, "TRACE_READ_ROWS", rows)
-    monkeypatch.setattr(cli, "TRACE_FOLD_ROWS", rows)
+    monkeypatch.setattr(csvio, "TRACE_READ_ROWS", rows)
+    monkeypatch.setattr(csvio, "TRACE_FOLD_ROWS", rows)
     if check_digest is not None:
         report = tmp_path / "check.csv"
         assert run_cli(["check", str(trace), *check_args, "--out", str(report)]) == 0
@@ -1265,7 +1269,7 @@ def test_run_trace_bytes_match_golden_through_a_ring_of_steps(tmp_path, monkeypa
     import hashlib
 
     run_args, d, digest = RING_RUNS[name]
-    monkeypatch.setattr(cli, "TRACE_CHUNK_ROWS", ring * d)
+    monkeypatch.setattr(csvio, "TRACE_CHUNK_ROWS", ring * d)
     rings, chunks = _spy_rings(monkeypatch)
     out = tmp_path / f"{name}.csv"
     assert run_cli(["run", *run_args, "--trace", "--out", str(out)]) == 0
@@ -1281,7 +1285,7 @@ def test_a_step_wider_than_a_chunk_is_a_ring_of_its_own(tmp_path, monkeypatch):
     rings, chunks = _spy_rings(monkeypatch)
     assert run_cli([*argv, "--out", str(tmp_path / "ring.csv")]) == 0
     assert (rings, chunks) == ([1], [1] * 5)
-    monkeypatch.setattr(cli, "TRACE_CHUNK_ROWS", 10 ** 9)  # the whole run in one ring, as one chunk
+    monkeypatch.setattr(csvio, "TRACE_CHUNK_ROWS", 10 ** 9)  # the whole run in one ring, as one chunk
     assert run_cli([*argv, "--out", str(tmp_path / "whole.csv")]) == 0
     assert (rings, chunks) == ([1, 5], [1] * 5 + [5])
     for suffix in (".csv", ".trace.csv"):
@@ -1291,7 +1295,7 @@ def test_a_step_wider_than_a_chunk_is_a_ring_of_its_own(tmp_path, monkeypatch):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("existing", [False, True])
 def test_a_failed_traced_run_leaves_the_trace_path_as_it_found_it(tmp_path, monkeypatch, capsys, existing):
-    monkeypatch.setattr(cli, "TRACE_CHUNK_ROWS", 2)  # d = 2: a ring of one step, written before step 1 fails
+    monkeypatch.setattr(csvio, "TRACE_CHUNK_ROWS", 2)  # d = 2: a ring of one step, written before step 1 fails
     rings, chunks = _spy_rings(monkeypatch)
     trace = tmp_path / "div.trace.csv"
     if existing:

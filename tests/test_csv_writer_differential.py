@@ -1,7 +1,7 @@
-"""Differential test: cli._write_csv against the frozen csv-module writer.
+"""Differential test: csvio._write_csv against the frozen csv-module writer.
 
 Run records, grids and check reports went out through csv.writer over
-_fmt-formatted fields. cli._write_csv now joins the fields itself, and
+_fmt-formatted fields. csvio._write_csv now joins the fields itself, and
 _fmt quotes a text field where csv.writer quoted it. On a seeded corpus of
 rows built from the values those tables hold, and from hostile ones, the
 bytes written to a file and to stdout must equal the frozen writer's.
@@ -15,11 +15,11 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from gradagrad import cli
+from gradagrad import csvio
 
 
 def _reference_fmt(value) -> str:
-    """gradagrad.cli._fmt as it was while csv.writer quoted its fields."""
+    """gradagrad.csvio._fmt as it was while csv.writer quoted its fields."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -31,7 +31,7 @@ def _reference_fmt(value) -> str:
 
 
 def _reference_write_csv(path, header, rows):
-    """gradagrad.cli._write_csv as it was on csv.writer."""
+    """gradagrad.csvio._write_csv as it was on csv.writer."""
     with nullcontext(sys.stdout) if path is None else open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
@@ -50,9 +50,9 @@ TEXTS = [
 VALUES = FLOATS + OTHERS + TEXTS
 
 TABLES = {
-    "run-record": cli.RUN_HEADER,
+    "run-record": csvio.RUN_HEADER,
     "grid": ["param", "value", "metric", "score", "winner"],
-    "check-report": cli.CHECK_HEADER,
+    "check-report": csvio.CHECK_HEADER,
 }
 
 
@@ -81,7 +81,7 @@ def _chunks(rows, seed):
     lengths, some empty."""
     rng = np.random.default_rng(seed)
     cuts = np.sort(rng.integers(0, len(rows) + 1, size=6))
-    return [(map(cli._fmt, row) for row in rows[a:b]) for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+    return [(map(csvio._fmt, row) for row in rows[a:b]) for a, b in zip([0, *cuts], [*cuts, len(rows)])]
 
 
 @pytest.mark.parametrize("table", TABLES)
@@ -91,10 +91,10 @@ def test_csv_bytes_match_the_csv_writer(tmp_path, capsysbinary, table, seed, chu
     header, rows = TABLES[table], _corpus(TABLES[table], seed)
 
     def chunks():
-        return _chunks(rows, seed) if chunked else [(map(cli._fmt, row) for row in rows)]
+        return _chunks(rows, seed) if chunked else [(map(csvio._fmt, row) for row in rows)]
 
     def write(path):
-        with cli._write_csv(path, header) as write_rows:
+        with csvio._write_csv(path, header) as write_rows:
             for rows_of_chunk in chunks():
                 write_rows(rows_of_chunk)
 
@@ -119,4 +119,4 @@ def test_csv_bytes_match_the_csv_writer(tmp_path, capsysbinary, table, seed, chu
     ("", ""),
 ])
 def test_fmt_quotes_only_commas_quotes_and_newlines(text, field):
-    assert cli._fmt(text) == field
+    assert csvio._fmt(text) == field

@@ -3,10 +3,11 @@ _-prefixed (private) name of another gradagrad module, neither as an
 attribute of the imported module nor through `from module import _name`;
 and each of the one-path rules holds: only verify._report builds a
 CheckReport, only core.drive steps an optimizer, only data.open_input and
-the writers open files, and no module imports csv (cli._write_csv writes
-every CSV), and only cli._build_run compares a run's --optimizer,
---problem or --mode with a string (cli.READS says which runs read which
-flag)."""
+the writers open files, only csvio._read_csv (every CSV),
+cli._load_config_flags and data.load_dataset call data.open_input, no
+module imports csv (csvio._write_csv writes every CSV), and only
+cli._build_run compares a run's --optimizer, --problem or --mode with a
+string (cli.READS says which runs read which flag)."""
 
 import ast
 from pathlib import Path
@@ -99,7 +100,7 @@ def test_the_scan_finds_callers(source, found):
 
 # every input file is opened by data.open_input, which reports a file that is
 # not UTF-8 at its line; only the writers open a file themselves
-WRITERS = {"cli._write_csv", "data.save_dataset"}
+WRITERS = {"csvio._write_csv", "data.save_dataset"}
 
 
 @pytest.mark.parametrize("name,owners", [("open", {"data.open_input", *WRITERS}), ("read_bytes", {"data.open_input"})],
@@ -108,6 +109,12 @@ def test_only_the_input_reader_and_the_writers_open_files(name, owners):
     callers = {f"{path.stem}.{function}" for path in PACKAGE.glob("*.py")
                for function in _callers(path.read_text(encoding="utf-8"), name)}
     assert callers == owners
+
+
+def test_only_the_csv_config_and_libsvm_readers_open_input_files():
+    callers = {f"{path.stem}.{function}" for path in PACKAGE.glob("*.py")
+               for function in _callers(path.read_text(encoding="utf-8"), "open_input")}
+    assert callers == {"csvio._read_csv", "cli._load_config_flags", "data.load_dataset"}
 
 
 def _catchers(source: str, name: str) -> set[str]:

@@ -14,7 +14,7 @@ import random
 import pytest
 
 import reference_record as ref
-from gradagrad import cli
+from gradagrad import cli, csvio, verify
 from gradagrad.cli import ConfigError
 
 OPTIMIZERS = ("gradagrad", "gradagrad-scalar", "adagrad", "sgd", "adam")
@@ -55,6 +55,12 @@ def _edited(rng, rows):
     return rows
 
 
+def _check_run_record(path, d_inf):
+    """The report `check` makes of the run record at path."""
+    _, columns = csvio.read_input(path, (csvio.RUN_HEADER,))
+    return verify.record_report(*columns, d_inf)
+
+
 def _outcome(check, path, d_inf):
     try:
         return check(path, d_inf)
@@ -71,7 +77,7 @@ def test_edited_records_match_reference(records, seed):
         with open(path, "w", newline="", encoding="utf-8") as f:
             csv.writer(f, lineterminator="\n").writerows(_edited(rng, rows[rng.choice(OPTIMIZERS)]))
         d_inf = rng.choice(CAPS)
-        new, old = _outcome(cli._check_run_record, path, d_inf), _outcome(ref.check_run_record, path, d_inf)
+        new, old = _outcome(_check_run_record, path, d_inf), _outcome(ref.check_run_record, path, d_inf)
         if isinstance(old, str):
             assert new == old
             continue

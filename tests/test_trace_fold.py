@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import copy_trace, first_branch, make_fuzz_run, write_trace_csv
-from gradagrad import cli, verify
+from gradagrad import cli, csvio, verify
 from gradagrad.core import BRANCH_NEGATIVE, BRANCH_POSITIVE, Trace
 
 WHOLE = 10 ** 9  # rows that hold any trace here in one chunk
@@ -30,8 +30,8 @@ def _cli(argv):
 
 
 def _set_rows(monkeypatch, rows):
-    monkeypatch.setattr(cli, "TRACE_READ_ROWS", rows)
-    monkeypatch.setattr(cli, "TRACE_FOLD_ROWS", rows)
+    monkeypatch.setattr(csvio, "TRACE_READ_ROWS", rows)
+    monkeypatch.setattr(csvio, "TRACE_FOLD_ROWS", rows)
 
 
 def _chunked(monkeypatch, rows, argv):
@@ -136,7 +136,7 @@ def test_a_step_0_wider_than_a_chunk(tmp_path, monkeypatch, d, rows):
     argvs = (["check", str(path)], ["check", str(path), "--d-inf", "3"], ["trace-dump", str(path), "--head", "25"])
     whole = [_chunked(monkeypatch, WHOLE, argv) for argv in argvs]
     _set_rows(monkeypatch, rows)
-    assert [len(chunk) for chunk in cli._trace_chunks(path)] == [1] * 6
+    assert [len(chunk) for chunk in csvio.trace_chunks(path)] == [1] * 6
     assert [_cli(argv) for argv in argvs] == whole
     read = cli.read_trace_csv(path)
     assert np.array_equal(read.k, np.arange(6)) and np.array_equal(read.branch, trace.branch)
@@ -147,11 +147,11 @@ def test_a_chunk_holds_whole_steps_of_at_least_trace_fold_rows(tmp_path, monkeyp
     _, trace = make_fuzz_run(dim=100, steps=120, seed=0, d_inf=3.0)
     path = _write(tmp_path, trace)
     if fold_rows:
-        monkeypatch.setattr(cli, "TRACE_FOLD_ROWS", fold_rows)
-    chunks = list(cli._trace_chunks(path))
+        monkeypatch.setattr(csvio, "TRACE_FOLD_ROWS", fold_rows)
+    chunks = list(csvio.trace_chunks(path))
     assert [int(chunk.k[0]) for chunk in chunks] == np.cumsum([0, *map(len, chunks[:-1])]).tolist()
     assert sum(map(len, chunks)) == 120
-    assert all(cli.TRACE_FOLD_ROWS <= chunk.branch.size < cli.TRACE_FOLD_ROWS + cli.TRACE_READ_ROWS
+    assert all(csvio.TRACE_FOLD_ROWS <= chunk.branch.size < csvio.TRACE_FOLD_ROWS + csvio.TRACE_READ_ROWS
                for chunk in chunks[:-1])
     assert len(chunks) == (12000 // fold_rows if fold_rows else 3)  # trace-verify's trace: 46, 46 and 28 steps
 
@@ -170,7 +170,7 @@ def test_the_reader_copies_each_row_a_bounded_number_of_times(tmp_path, monkeypa
 
     monkeypatch.setattr(np, "concatenate", counted)
     _set_rows(monkeypatch, 2)
-    assert [len(chunk) for chunk in cli._trace_chunks(path)] == [1] * 4
+    assert [len(chunk) for chunk in csvio.trace_chunks(path)] == [1] * 4
     assert sum(copied) <= 2 * trace.branch.size * 8  # each row's code and seven floats, twice at most
 
 
@@ -195,8 +195,8 @@ def test_check_opens_its_input_once(tmp_path, monkeypatch, kind):
         opened.append(path)
         return real(path)
 
-    real = cli.open_input
-    monkeypatch.setattr(cli, "open_input", open_input)
+    real = csvio.open_input
+    monkeypatch.setattr(csvio, "open_input", open_input)
     path = str(tmp_path / "r.trace.csv") if kind == "trace" else str(out)
     assert _cli(["check", path])[0] == 0
     assert opened == [path]

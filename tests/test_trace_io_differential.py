@@ -19,7 +19,7 @@ import pytest
 
 import reference_trace_io as ref
 from conftest import make_fuzz_run, traced_run, write_trace_csv
-from gradagrad import HyperParams, ScalarGradaGrad, Trace, cli
+from gradagrad import HyperParams, ScalarGradaGrad, Trace, cli, csvio, verify
 from gradagrad.core import BRANCHES, FLOAT_COLUMNS
 
 
@@ -92,13 +92,14 @@ def _outcome(path, read_csv, trace_fields):
     trace_fields as its trace field parser: the parsed trace or record
     report, or the error, and every command's exit code and output."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_read_csv", read_csv)
-        mp.setattr(cli, "_trace_fields", trace_fields)
+        mp.setattr(csvio, "_read_csv", read_csv)
+        mp.setattr(csvio, "_trace_fields", trace_fields)
         with cli.open_input(path) as f:
-            record = f.readline().rstrip("\r\n").split(",") == cli.RUN_HEADER
+            record = f.readline().rstrip("\r\n").split(",") == csvio.RUN_HEADER
         try:
             if record:
-                parsed = repr(cli._check_run_record(path, 3.0))
+                _, columns = csvio.read_input(path, (csvio.RUN_HEADER,))
+                parsed = repr(verify.record_report(*columns, 3.0))
             else:
                 trace = cli.read_trace_csv(path)
                 parsed = [(f.name, getattr(trace, f.name).dtype, getattr(trace, f.name).shape,
@@ -114,22 +115,28 @@ def _outcome(path, read_csv, trace_fields):
     return parsed, commands
 
 
-def _frozen_read_csv(path, header, parse, lines=None):
-    """The frozen reader's arrays of the whole file, as one run of rows, from
-    which the CLI folds over the whole trace in one chunk."""
-    return [ref.read_csv(path, header, parse)]
+READ_CSV = csvio._read_csv  # the package's reader, which _outcome patches
+
+
+def _frozen_read_csv(path, headers):
+    """The header the package's reader picks from headers, then the frozen
+    reader's arrays of the whole file, as one run of rows, from which the
+    CLI folds over the whole trace in one chunk."""
+    header = next(READ_CSV(path, headers))
+    parse = csvio._trace_fields if header == csvio.TRACE_HEADER else csvio._record_fields
+    return iter([header, ref.read_csv(path, header, parse)])
 
 
 def _assert_same_read(path, d=3):
     """The CLI reads path, a trace of width d or a run record, as the frozen
     reader does, also at 1, 2 and 7 steps of d rows a chunk."""
-    new = _outcome(path, cli._read_csv, cli._trace_fields)
+    new = _outcome(path, csvio._read_csv, csvio._trace_fields)
     assert new == _outcome(path, _frozen_read_csv, ref.trace_fields)
     for steps in (1, 2, 7):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "TRACE_READ_ROWS", steps * d)
-            mp.setattr(cli, "TRACE_FOLD_ROWS", steps * d)
-            assert _outcome(path, cli._read_csv, cli._trace_fields) == new, steps
+            mp.setattr(csvio, "TRACE_READ_ROWS", steps * d)
+            mp.setattr(csvio, "TRACE_FOLD_ROWS", steps * d)
+            assert _outcome(path, csvio._read_csv, csvio._trace_fields) == new, steps
     return new
 
 
@@ -286,8 +293,8 @@ def test_reader_matches_the_csv_reader_on_random_edits(tmp_path, files, seed):
 def test_a_quoted_field_is_malformed_at_its_line(tmp_path, capsys, files, kind, line, column, quoted, message):
     path = tmp_path / ("t.trace.csv" if kind == "trace" else "r.csv")
     path.write_text(_set_field(line, column, quoted)(files[kind]))
-    header = cli.TRACE_HEADER if kind == "trace" else cli.RUN_HEADER
-    parse = cli._trace_fields if kind == "trace" else cli._record_fields
+    header = csvio.TRACE_HEADER if kind == "trace" else csvio.RUN_HEADER
+    parse = csvio._trace_fields if kind == "trace" else csvio._record_fields
     ref.read_csv(path, header, parse)  # csv.reader unquoted the field
     for argv in (["check", str(path)], ["trace-dump", str(path)]) if kind == "trace" else (["check", str(path)],):
         assert cli.main(argv) == 2
