@@ -7,6 +7,13 @@ only where it holds ',', '"' or a newline, in practice a check report's
 details. The readers read run records and traces in the dialect the writer
 writes them in, a chunk at a time, as arrays and Traces; what those must
 satisfy is verify's to check.
+
+A float is spelled as repr spells it, and NaN as an empty field. A trace's
+floats go through orjson's number codec both ways: the writer keeps
+orjson's shortest digits where they are spelled as repr spells them (±0
+and finite |x| in [1e-4, 1e16)) and calls repr for the rest. The trace
+reader parses fields with orjson where each is a JSON number that int()
+or float() reads alike, and with int() and float() where one is not.
 """
 
 import itertools
@@ -15,6 +22,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
+import orjson
 
 from .core import BRANCHES, FLOAT_COLUMNS, Trace
 from .data import open_input
@@ -81,11 +89,18 @@ def trace_columns(trace: Trace, fmt) -> list[list[str]]:
 
 
 def _repr_fields(floats: np.ndarray) -> list[list[str]]:
-    """floats formatted as _fmt formats a float, with one repr per distinct
-    64-bit pattern: -0.0 stays apart from 0.0, and every NaN is empty."""
-    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
-    text = np.array(["" if v != v else repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse.reshape(floats.shape)].tolist()
+    """floats formatted as _fmt formats a float. orjson writes Ryu's shortest
+    digits, spelled as repr spells them for ±0 and finite values with |x| in
+    [1e-4, 1e16); repr spells every other value, and every NaN is empty."""
+    flat = floats.ravel()
+    # orjson writes "null" for NaN and ±inf
+    fields = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).replace(b"null", b"").decode()[1:-1].split(",")
+    size = np.abs(flat)
+    outside = np.flatnonzero((size < 1e-4) & (size != 0) | (size >= 1e16))  # NaN is neither
+    for j, value in zip(outside.tolist(), flat[outside].tolist()):
+        fields[j] = repr(value)
+    n = floats.shape[1]
+    return [fields[row * n:(row + 1) * n] for row in range(len(floats))]
 
 
 @contextmanager
@@ -163,33 +178,53 @@ def _read_csv(path, headers):
         yield from runs
 
 
+# what orjson reads that int() and float() do not: JSON strings, arrays,
+# objects, true, false and null
+_NOT_NUMBERS = ('"', "[", "{", "u", "a")
+
+
+def _loads(fields: np.ndarray, dtype):
+    """An array of strings as dtype by one orjson parse, or None unless it
+    reads each string as int() or float() does. Past _NOT_NUMBERS orjson
+    reads only JSON numbers, and rejects one that float() rounds to ±inf;
+    it reads the JSON int -0 as 0, so float() reads each zero."""
+    text = ",".join(fields.ravel().tolist())
+    if any(s in text for s in _NOT_NUMBERS):
+        return None
+    try:
+        values = np.array(orjson.loads("[" + text + "]"), dtype=None if dtype is int else float)
+    except orjson.JSONDecodeError:
+        return None
+    if values.dtype != dtype or values.size != fields.size:  # a JSON float as an int; an empty field
+        return None
+    if dtype is float:
+        (zero,) = np.nonzero(values == 0)
+        values[zero] = [float(field) for field in fields.ravel()[zero].tolist()]
+    return values.reshape(fields.shape)
+
+
 def _trace_floats(text):
     """The (7, rows) FLOAT_COLUMNS of trace fields, or the index of the first
     row with a non-numeric one, as _parse parses them. A run leaves only r
-    empty (where no clip ran) and writes v_clipped as v_raw's text where the
-    clip does not bind, so a direct parse reads only r's empty fields as NaN
-    and only the v_clipped fields that differ from v_raw's; where it rejects
-    a field, _parse parses all seven columns."""
-    floats = np.empty((len(FLOAT_FIELDS), text.shape[1]))
-    raw, clipped, r = (FLOAT_COLUMNS.index(name) for name in ("v_raw", "v_clipped", "r"))
-    try:
-        for row, column in enumerate(FLOAT_FIELDS):
-            if row not in (clipped, r):
-                floats[row] = text[column]  # float() of each string
-        given = text[FLOAT_FIELDS[r]] != ""
-        floats[r] = math.nan
-        floats[r, given] = text[FLOAT_FIELDS[r], given]
-        differs = text[FLOAT_FIELDS[clipped]] != text[FLOAT_FIELDS[raw]]
-        floats[clipped] = floats[raw]
-        floats[clipped, differs] = text[FLOAT_FIELDS[clipped], differs]
-    except ValueError:  # float() of a str never overflows
-        return _parse(text[FLOAT_FIELDS], float)
+    empty (where no clip ran), so one orjson parse reads the given fields and
+    an empty r is NaN; where it does not read a field as float() does, _parse
+    parses all seven columns."""
+    fields = text[FLOAT_FIELDS]
+    given = np.ones(fields.shape, dtype=bool)
+    r = FLOAT_COLUMNS.index("r")
+    given[r] = fields[r] != ""
+    values = _loads(fields[given], float)
+    if values is None:
+        return _parse(fields, float)
+    floats = np.full(fields.shape, math.nan)
+    floats[given] = values
     return floats
 
 
 def _trace_fields(text):
     """Branch codes, k and i, and the float columns of trace fields; errors as _read_csv reads them."""
-    ints, floats = _parse(text[:2], int), _trace_floats(text)
+    ints = _loads(text[:2], int)
+    ints, floats = _parse(text[:2], int) if ints is None else ints, _trace_floats(text)
     errors = [(bad, "non-numeric field") for bad in (ints, floats) if isinstance(bad, int)]
     branch = text[TRACE_HEADER.index("branch")]
     codes = np.full(text.shape[1], -1, dtype=np.int8)

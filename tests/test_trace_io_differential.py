@@ -317,3 +317,71 @@ def test_reader_matches_the_reference_where_clips_bind(tmp_path):
     read = cli.read_trace_csv(path)
     for name in FLOAT_COLUMNS:
         assert np.array_equal(getattr(read, name), getattr(trace, name), equal_nan=True), name
+
+
+def _codec_edges():
+    """Values at the edges of the band where orjson's spelling is repr's: ±0,
+    subnormals, 1e-4 and 1e16 with their neighbours, ±inf and SPECIAL's NaNs."""
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-4, 1e16, 1e15, 1e17, np.inf]
+    near = [np.nextafter(x, toward) for x in edges[4:8] for toward in (0.0, np.inf)]
+    return np.array([*edges, *near, *(-x for x in [*edges, *near]), *SPECIAL])
+
+
+def test_repr_fields_spells_every_value_as_repr():
+    """The writer's codec spells each value as repr does, and NaN empty: on
+    random 64-bit patterns over every exponent, on normal magnitudes across
+    the band's edges and on the edge values themselves."""
+    rng = np.random.default_rng(22)
+    patterns = rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64)
+    magnitudes = rng.standard_normal(40_000) * 10.0 ** rng.uniform(-7, 19, 40_000)
+    values = np.concatenate([patterns, magnitudes, np.resize(_codec_edges(), 7 * 40)])
+    floats = values[: values.size // 7 * 7].reshape(7, -1)
+    expected = [["" if v != v else repr(v) for v in row] for row in floats.tolist()]
+    assert csvio._repr_fields(floats) == expected
+    assert csvio._repr_fields(np.empty((7, 0))) == [[]] * 7
+
+
+# spellings a trace field can hold that JSON and float() or int() read
+# otherwise, or that only one of them reads
+HOSTILE = ["-0", "-0.0", "0", "5", "9007199254740993", "1" * 400, "1e400", "-1e400", "1e-400", "-1e-400",
+           "true", "false", "null", '"1.5"', "[1]", "{}", " 1.5", "1.5 ", " -0 ", "-0\t", "+1", ".5", "5.",
+           "01", "00001.5", "1_0", "١", "inf", "nan", "Infinity", "NaN", "0x1p3", "1E+05",
+           "1.7976931348623159e308", "18446744073709551615", "18446744073709551616"]
+
+
+@pytest.fixture(scope="module")
+def small_trace(tmp_path_factory):
+    """The text of a trace of d=3 over 12 steps, some r fields empty."""
+    path = tmp_path_factory.mktemp("small") / "t.trace.csv"
+    ref.write_trace_csv(path, make_fuzz_run(dim=3, steps=12, seed=5, d_inf=3.0)[1])
+    text = path.read_text()
+    assert ",," in text
+    return text
+
+
+@pytest.mark.parametrize("token", HOSTILE, ids=lambda t: repr(t) if len(t) < 30 else f"{len(t)}-digits")
+@pytest.mark.parametrize("column", [0, 1, 2, 3, 4, 6, 7, 8, 9], ids=lambda c: csvio.TRACE_HEADER[c])
+def test_reader_matches_the_frozen_reader_on_hostile_tokens(tmp_path, small_trace, token, column):
+    """A token in one numeric field reads as the frozen field parser and the
+    frozen reader read it, or fails with their message, whether orjson or
+    float() and int() parse it."""
+    path = tmp_path / "t.trace.csv"
+    path.write_text(_set_field(9, column, token)(small_trace))
+    new = _outcome(path, csvio._read_csv, csvio._trace_fields)
+    assert new == _outcome(path, csvio._read_csv, ref.trace_fields)
+    if '"' not in token:  # csv.reader unquotes a field (test_a_quoted_field_is_malformed_at_its_line)
+        assert new == _outcome(path, _frozen_read_csv, ref.trace_fields)
+
+
+def test_a_written_trace_is_read_without_the_fallback(tmp_path, monkeypatch):
+    """orjson parses every field of a trace a run writes, empty r fields and
+    all, so the field-by-field parse of _parse never runs on it."""
+    path = tmp_path / "t.trace.csv"
+    write_trace_csv(path, make_fuzz_run(dim=10, steps=300, seed=3, d_inf=3.0)[1])
+    expected = ref.read_csv(path, csvio.TRACE_HEADER, ref.trace_fields)
+    assert csvio._loads(np.array([""], dtype=object), float) is None  # "[]" holds no value
+    monkeypatch.setattr(csvio, "_parse", lambda text, dtype: pytest.fail(f"_parse of {text.shape} as {dtype}"))
+    runs = list(csvio._read_csv(path, (csvio.TRACE_HEADER,)))[1:]
+    assert len(runs) > 1
+    for new, old in zip([np.concatenate(arrays, axis=-1) for arrays in zip(*runs)], expected):
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
