@@ -3,7 +3,8 @@
 Runs `run --problem quadratic --dim 1000 --noise-std 1 --steps STEPS
 --trace` into a temporary directory, then `check` and `trace-dump --head 0`
 on its trace, each in a child process of its own that reports its peak
-resident set (ru_maxrss, KiB on Linux). `run` writes its trace one ring of
+resident set (ru_maxrss, KiB on Linux) and its wall seconds (the command
+alone, not the child's start). `run` writes its trace one ring of
 steps at a time, and the other two read it one chunk at a time, so no
 peak grows with the trace; a writer or reader that holds the whole trace
 goes past LIMIT_MIB at these sizes. Exits 1 if a command fails or peaks
@@ -22,21 +23,22 @@ STEPS = 300  # 41 MB of trace; a whole-trace writer peaks near 54 MiB here, a wh
 LIMIT_MIB = 45.0
 
 # a child runs one command, with its output discarded, then prints its exit
-# code and its own peak resident set
+# code, its own peak resident set and the command's wall seconds
 CHILD = """
-import contextlib, os, resource, sys
+import contextlib, os, resource, sys, time
 from gradagrad import cli
+start = time.perf_counter()
 with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
     code = cli.main(sys.argv[1:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, time.perf_counter() - start)
 """
 
 
-def peak_mib(argv) -> tuple[int, float]:
-    """(exit code, peak resident MiB) of the gradagrad command argv in a child process."""
+def peak_mib(argv) -> tuple[int, float, float]:
+    """(exit code, peak resident MiB, wall seconds) of the gradagrad command argv in a child process."""
     result = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True, check=True)
-    code, kib = result.stdout.split()
-    return int(code), int(kib) / 1024
+    code, kib, seconds = result.stdout.split()
+    return int(code), int(kib) / 1024, float(seconds)
 
 
 def main() -> int:
@@ -46,10 +48,11 @@ def main() -> int:
         failed = False
         for argv in (["run", "--problem", "quadratic", "--dim", "1000", "--noise-std", "1", "--steps", str(STEPS),
                       "--trace", "--out", str(out)], ["check", trace], ["trace-dump", trace, "--head", "0"]):
-            code, mib = peak_mib(argv)
+            code, mib, seconds = peak_mib(argv)
             over = mib > LIMIT_MIB
             failed |= over or code != 0
-            print(f"{argv[0]:10s} exit {code}  peak {mib:6.1f} MiB  (limit {LIMIT_MIB:g}){'  OVER' if over else ''}")
+            print(f"{argv[0]:10s} exit {code}  peak {mib:6.1f} MiB  (limit {LIMIT_MIB:g})  wall {seconds:6.2f} s"
+                  f"{'  OVER' if over else ''}")
             if argv[0] == "run":
                 if code != 0:
                     return 1

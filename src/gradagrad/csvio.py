@@ -12,13 +12,19 @@ A float is spelled as repr spells it, and NaN as an empty field. A trace's
 floats go through orjson's number codec both ways: the writer keeps
 orjson's shortest digits where they are spelled as repr spells them (±0
 and finite |x| in [1e-4, 1e16)) and calls repr for the rest. The trace
-reader parses fields with orjson where each is a JSON number that int()
-or float() reads alike, and with int() and float() where one is not.
+reader parses each run of lines as one byte block: its branch words become
+codes in place and one orjson parse reads all ten columns. A run it does
+not take (one with a line that is not nine commas and a "\n" around a
+branch word and JSON numbers that int() or float() read alike, r alone
+empty: a short or long row, a blank line, "\r", 1e400, +1, nan, a JSON
+float in k) is split line by line and parsed field by field by int() and
+float(), as before.
 """
 
 import itertools
 import math
 import sys
+from array import array
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
@@ -35,7 +41,7 @@ TRACE_HEADER = ["k", "i", "g", "v_raw", "v_clipped", "branch", "r", "gamma", "al
 # the trace CSV column of each of FLOAT_COLUMNS, in that order
 FLOAT_FIELDS = [TRACE_HEADER.index(name.removesuffix("_after")) for name in FLOAT_COLUMNS]
 TRACE_CHUNK_ROWS = 1024  # trace rows `run --trace` holds at once, as a ring of steps and as strings
-TRACE_READ_ROWS = 512  # trace CSV rows `check` and `trace-dump` hold as strings at once
+TRACE_READ_ROWS = 512  # trace CSV lines `check` and `trace-dump` hold, and parse as one block, at once
 TRACE_FOLD_ROWS = 8 * TRACE_READ_ROWS  # trace rows `check` and `trace-dump` hold as arrays at once
 CHECK_HEADER = ["name", "passed", "worst_violation", "step", "coord", "details"]
 GRID_HEADER = ["param", "value", "metric", "score", "winner"]
@@ -141,9 +147,14 @@ def _read_csv(path, headers):
     (arrays, errors), errors a list of (row index, message). A ConfigError
     names the line of the first bad row: one with the wrong field count, or
     one of the parser's errors (on a tie, the field count, then the
-    parser's order)."""
+    parser's order). A trace's run that _trace_block reads is not split."""
 
-    def parsed(rows, line):
+    def parsed(lines, line):
+        if header == TRACE_HEADER and (result := _trace_block(lines)):
+            return result
+        # the fields of each line, in the CSV dialect this program writes:
+        # unquoted fields, "\n", "\r\n" or "\r" line ends
+        rows = [row.rstrip("\r\n").split(",") for row in lines]
         (wrong,) = np.nonzero(np.fromiter(map(len, rows), int, len(rows)) != len(header))
         short = int(wrong[0]) if wrong.size else len(rows)
         errors = [(short, f"expected {len(header)} fields")] if short < len(rows) else []
@@ -169,62 +180,74 @@ def _read_csv(path, headers):
                 f"{path}: bad {kind} header, missing columns {missing}" if missing
                 else f"{path}: bad {kind} header {found}"
             )
-        # the fields of each run of lines, in the CSV dialect this program
-        # writes: unquoted fields, "\n", "\r\n" or "\r" line ends
-        chunks = iter(lambda: [line.rstrip("\r\n").split(",") for line in itertools.islice(f, TRACE_READ_ROWS)], [])
-        # map drops each run's fields once parsed, before it reads the next run
+        chunks = iter(lambda: list(itertools.islice(f, TRACE_READ_ROWS)), [])
+        # map drops each run's lines once parsed, before it reads the next run
         runs = map(parsed, chunks, itertools.count(2, TRACE_READ_ROWS))
         yield next(runs, None) or parsed([], 2)
         yield from runs
 
 
-# what orjson reads that int() and float() do not: JSON strings, arrays,
-# objects, true, false and null
-_NOT_NUMBERS = ('"', "[", "{", "u", "a")
+# a branch word's code by its first byte, and its bytes, zero-padded
+_BRANCH_CODES = np.full(256, -1, dtype=np.int8)
+_BRANCH_CODES[[ord(name[0]) for name in BRANCHES]] = range(len(BRANCHES))
+_BRANCH_LENGTHS = np.array([len(name) for name in BRANCHES])
+_BRANCH_BYTES = np.array([list(name.encode().ljust(max(_BRANCH_LENGTHS), b"\0")) for name in BRANCHES], np.uint8)
+_SEPARATORS = np.frombuffer(b"," * 9 + b"\n", dtype=np.uint8)  # of each trace line
 
 
-def _loads(fields: np.ndarray, dtype):
-    """An array of strings as dtype by one orjson parse, or None unless it
-    reads each string as int() or float() does. Past _NOT_NUMBERS orjson
-    reads only JSON numbers, and rejects one that float() rounds to ±inf;
-    it reads the JSON int -0 as 0, so float() reads each zero."""
-    text = ",".join(fields.ravel().tolist())
-    if any(s in text for s in _NOT_NUMBERS):
+def _trace_block(lines):
+    """_trace_fields' arrays of a run of trace lines, parsed as one byte
+    block, or None where the block is not TRACE_HEADER's ten fields a line,
+    nine of them JSON numbers that int() or float() read alike and a
+    BRANCHES word, with r alone empty where empty. Each branch word is
+    rewritten as its code digit, space-padded; an empty r takes a 0 from
+    the word's bytes and is NaN once parsed. orjson reads the JSON int -0
+    as 0, so float() reads each float zero from its text."""
+    text = "".join(lines).encode()
+    block = np.frombuffer(text, dtype=np.uint8).copy()
+    rows = len(lines)
+    seps = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
+    if seps.size != 10 * rows:
+        return None
+    seps = seps.reshape(rows, 10)
+    start = seps[:, 4] + 1
+    codes = _BRANCH_CODES[block[start]]
+    at = start[:, None] + np.arange(_BRANCH_BYTES.shape[1])
+    inside = at < seps[:, 5:6]
+    # each line's own nine commas and "\n", not only the block's count, and its branch word
+    if (block[seps] != _SEPARATORS).any() or (codes < 0).any() or (
+            seps[:, 5] - start != _BRANCH_LENGTHS[codes]).any() or (
+            (block.take(at, mode="clip") != _BRANCH_BYTES[codes]) & inside).any():
+        return None
+    block[at[inside]] = ord(" ")
+    block[start] = codes + ord("0")
+    (empty,) = np.nonzero(seps[:, 6] == seps[:, 5] + 1)  # an empty r: "c,0" and spaces up to r's comma
+    block[start[empty] + 1], block[start[empty] + 2], block[seps[empty, 5]] = ord(","), ord("0"), ord(" ")
+    block[seps[:, 9]] = ord(",")
+    numbers = block[:-1].tobytes()
+    if numbers.translate(None, b"0123456789+-.eE, \t\n"):  # true, null, strings, NUL, non-ASCII
         return None
     try:
-        values = np.array(orjson.loads("[" + text + "]"), dtype=None if dtype is int else float)
+        values = orjson.loads(b"[" + numbers + b"]")
     except orjson.JSONDecodeError:
         return None
-    if values.dtype != dtype or values.size != fields.size:  # a JSON float as an int; an empty field
+    if len(values) != 10 * rows:
         return None
-    if dtype is float:
-        (zero,) = np.nonzero(values == 0)
-        values[zero] = [float(field) for field in fields.ravel()[zero].tolist()]
-    return values.reshape(fields.shape)
-
-
-def _trace_floats(text):
-    """The (7, rows) FLOAT_COLUMNS of trace fields, or the index of the first
-    row with a non-numeric one, as _parse parses them. A run leaves only r
-    empty (where no clip ran), so one orjson parse reads the given fields and
-    an empty r is NaN; where it does not read a field as float() does, _parse
-    parses all seven columns."""
-    fields = text[FLOAT_FIELDS]
-    given = np.ones(fields.shape, dtype=bool)
-    r = FLOAT_COLUMNS.index("r")
-    given[r] = fields[r] != ""
-    values = _loads(fields[given], float)
-    if values is None:
-        return _parse(fields, float)
-    floats = np.full(fields.shape, math.nan)
-    floats[given] = values
-    return floats
+    try:  # array("q") takes no float, and no int past int64
+        ints = array("q", values[0::10] + values[1::10])
+    except (TypeError, OverflowError):
+        return None
+    floats = np.fromiter(values, float, len(values)).reshape(rows, 10).T[FLOAT_FIELDS]
+    floats[FLOAT_COLUMNS.index("r"), empty] = math.nan
+    for column, row in zip(*np.nonzero(floats == 0)):
+        field = FLOAT_FIELDS[column]
+        floats[column, row] = float(text[seps[row, field - 1] + 1:seps[row, field]])
+    return codes, np.frombuffer(ints, dtype=np.int64).reshape(2, rows), floats
 
 
 def _trace_fields(text):
     """Branch codes, k and i, and the float columns of trace fields; errors as _read_csv reads them."""
-    ints = _loads(text[:2], int)
-    ints, floats = _parse(text[:2], int) if ints is None else ints, _trace_floats(text)
+    ints, floats = _parse(text[:2], int), _parse(text[FLOAT_FIELDS], float)
     errors = [(bad, "non-numeric field") for bad in (ints, floats) if isinstance(bad, int)]
     branch = text[TRACE_HEADER.index("branch")]
     codes = np.full(text.shape[1], -1, dtype=np.int8)

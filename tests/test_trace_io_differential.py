@@ -176,7 +176,8 @@ def _swap(a, b):
 
 
 # each edit maps a well-formed file's text to a malformed (or still
-# well-formed) one; lines 1026 and 1027 are the second chunk's first two
+# well-formed) one; lines 1026 and 1027 are the third run's first two, of
+# TRACE_READ_ROWS lines each
 EDITS = {
     "as-written": lambda text: text,
     "short-row": lambda text: _edit_line(text, 40, lambda row: row.rsplit(",", 1)[0]),
@@ -230,6 +231,18 @@ EDITS = {
     "clip-binds-same-value-other-text": _set_field(100, 4, "-6.25e-2"),
     "clip-binds-and-empty-r-later": lambda text: _set_field(101, 4, "-0.0625")(_set_field(102, 6, "")(text)),
     "bad-r-and-clip-binds": lambda text: _set_field(103, 6, "r")(_set_field(103, 4, "-0.5")(text)),
+    # a line one field short beside one a field long, before branch: the block's field count is right
+    "misaligned-pair": lambda text: _edit_line(_edit_line(text, 40, lambda row: row.rsplit(",", 1)[0]), 41,
+                                               lambda row: ",".join(row.split(",")[:5] + ["1.0"] + row.split(",")[5:])),
+    "branch-word-in-float-column": _set_field(45, 2, "init"),
+    "digit-branch": _set_field(46, 5, "0"),
+    "branch-leading-space": _set_field(47, 5, " init"),
+    "branch-trailing-space": _set_field(48, 5, "init "),
+    "branch-truncated": _set_field(49, 5, "negativ"),
+    "branch-last-letter-wrong": _set_field(52, 5, "negativo"),
+    **{f"zeros-{zero}": _set_fields(50, (2, 3, 4, 6, 7, 8, 9), zero) for zero in ("-0", "0.0", "-0.0", "-0e0")},
+    "non-ascii-field": _set_field(51, 7, "é"),
+    "blank-line-starts-second-run": lambda text: _edit_line(text, 514, lambda row: "\n" + row),
 }
 RECORD_EDITS = {
     name: EDITS[name] for name in (
@@ -374,12 +387,14 @@ def test_reader_matches_the_frozen_reader_on_hostile_tokens(tmp_path, small_trac
 
 
 def test_a_written_trace_is_read_without_the_fallback(tmp_path, monkeypatch):
-    """orjson parses every field of a trace a run writes, empty r fields and
-    all, so the field-by-field parse of _parse never runs on it."""
+    """_trace_block reads every run of lines of a trace a run writes, empty
+    r fields and all, so the field-by-field parse of _parse never runs on it."""
     path = tmp_path / "t.trace.csv"
     write_trace_csv(path, make_fuzz_run(dim=10, steps=300, seed=3, d_inf=3.0)[1])
     expected = ref.read_csv(path, csvio.TRACE_HEADER, ref.trace_fields)
-    assert csvio._loads(np.array([""], dtype=object), float) is None  # "[]" holds no value
+    lines = path.read_text().splitlines(keepends=True)[1:]
+    assert all(csvio._trace_block(lines[n:n + csvio.TRACE_READ_ROWS]) is not None
+               for n in range(0, len(lines), csvio.TRACE_READ_ROWS))
     monkeypatch.setattr(csvio, "_parse", lambda text, dtype: pytest.fail(f"_parse of {text.shape} as {dtype}"))
     runs = list(csvio._read_csv(path, (csvio.TRACE_HEADER,)))[1:]
     assert len(runs) > 1
