@@ -2,13 +2,14 @@
 
 Runs `run --problem quadratic --dim 1000 --noise-std 1 --steps STEPS
 --trace` into a temporary directory, then `check` and `trace-dump --head 0`
-on its trace, each in a child process of its own that reports its peak
-resident set (ru_maxrss, KiB on Linux) and its wall seconds (the command
-alone, not the child's start). `run` writes its trace one ring of
-steps at a time, and the other two read it one chunk at a time, so no
-peak grows with the trace; a writer or reader that holds the whole trace
-goes past LIMIT_MIB at these sizes. Exits 1 if a command fails or peaks
-above LIMIT_MIB.
+on its trace, and `check` on a copy of the trace with "\r\n" line ends,
+which the reader parses line by line, each in a child process of its own
+that reports its peak resident set (ru_maxrss, KiB on Linux) and its wall
+seconds (the command alone, not the child's start). `run` writes its trace
+one ring of steps at a time, and the others read it one chunk at a time,
+so no peak grows with the trace; a writer or reader that holds the whole
+trace goes past LIMIT_MIB at these sizes. Exits 1 if a command fails or
+peaks above LIMIT_MIB.
 
 Run from a checkout: PYTHONPATH=src python scripts/trace_memory.py
 """
@@ -46,17 +47,23 @@ def main() -> int:
         out = Path(tmp) / "wide.csv"
         trace = str(out.with_suffix(".trace.csv"))
         failed = False
+        crlf = str(Path(tmp) / "wide-crlf.trace.csv")
         for argv in (["run", "--problem", "quadratic", "--dim", "1000", "--noise-std", "1", "--steps", str(STEPS),
-                      "--trace", "--out", str(out)], ["check", trace], ["trace-dump", trace, "--head", "0"]):
+                      "--trace", "--out", str(out)], ["check", trace], ["trace-dump", trace, "--head", "0"],
+                     ["check", crlf]):
             code, mib, seconds = peak_mib(argv)
             over = mib > LIMIT_MIB
             failed |= over or code != 0
-            print(f"{argv[0]:10s} exit {code}  peak {mib:6.1f} MiB  (limit {LIMIT_MIB:g})  wall {seconds:6.2f} s"
+            name = f"{argv[0]}{' crlf' if argv[1] == crlf else ''}"
+            print(f"{name:10s} exit {code}  peak {mib:6.1f} MiB  (limit {LIMIT_MIB:g})  wall {seconds:6.2f} s"
                   f"{'  OVER' if over else ''}")
             if argv[0] == "run":
                 if code != 0:
                     return 1
                 print(f"trace: d=1000, {STEPS} steps, {os.path.getsize(trace) / 1e6:.1f} MB")
+                with open(trace, "rb") as src, open(crlf, "wb") as dst:
+                    for line in src:
+                        dst.write(line.replace(b"\n", b"\r\n"))
     return 1 if failed else 0
 
 

@@ -237,7 +237,8 @@ def _run_grid(args, param, values):
         elif k == steps:
             evals["loss"].append(problem.loss_full(x))
 
-    drive(opt, grad, steps, on_eval, eval_every)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a diverged replica scores NaN below
+        drive(opt, grad, steps, on_eval, eval_every)
     kind = "accuracy" if evals["accuracy"] else "loss"
     if diverged.any():
         evals[kind] = [np.where(diverged, math.nan, scores) for scores in evals[kind]]
@@ -326,8 +327,10 @@ def cmd_trace_dump(args) -> int:
         lo, hi = np.minimum(lo, both.min((1, 2), initial=np.inf)), np.maximum(hi, both.max((1, 2), initial=-np.inf))
         n = min(args.head - len(head), trace.branch.size)
         if n:
-            cols = csvio.trace_columns(trace[: -(-n // d)],
-                                       lambda floats: [[format(v, ".6g") for v in col] for col in floats.tolist()])
+            # an r of NaN, where no clip ran, is empty, as in the CSV
+            cols = csvio.trace_columns(trace[: -(-n // d)], lambda floats: [
+                [format(v, ".6g") if v == v or name != "r" else "" for v in col]
+                for name, col in zip(csvio.FLOAT_COLUMNS, floats.tolist())])
             head += ["  ".join(row) for row in zip(*cols)][:n]
     print(f"steps: {steps}  coordinates: {d}")
     print("branches: " + " ".join(f"{b}={n}" for b, n in zip(BRANCHES, counts.tolist())))

@@ -9,18 +9,21 @@ writes them in, a chunk at a time, as arrays and Traces; what those must
 satisfy is verify's to check.
 
 A float is spelled as repr spells it, and NaN as an empty field. A trace's
-floats go through orjson's number codec both ways: the writer keeps
-orjson's shortest digits where they are spelled as repr spells them (±0
-and finite |x| in [1e-4, 1e16)) and calls repr for the rest. The trace
-reader parses each run of lines as one byte block: its branch words become
-codes in place and one orjson parse reads all ten columns. A run it does
-not take (one with a line that is not nine commas and a "\n" around a
-branch word and JSON numbers that int() or float() read alike, r alone
-empty: a short or long row, a blank line, "\r", 1e400, +1, nan, a JSON
-float in k) is split line by line and parsed field by field by int() and
-float(), as before.
+floats go through orjson's number codec both ways. The writer formats
+v_clipped only where its bits differ from v_raw's and r only where it is
+not NaN, keeps orjson's shortest digits where repr spells them alike (±0
+and finite |x| in [1e-4, 1e16)), calls repr for the rest and empties NaN
+fields by index. The trace reader reads TRACE_READ_CHARS characters and
+the rest of their line at a time, and parses that block's bytes at once:
+its branch words become codes in place and one orjson parse reads all ten
+columns. A block it does not take (one with a line that is not nine
+commas and a "\n" around a branch word and JSON numbers that int() or
+float() read alike, r alone empty: a short or long row, a blank line,
+"\r", 1e400, +1, nan, a JSON float in k) is split into lines as
+newline="" splits them and parsed field by field by int() and float().
 """
 
+import io
 import itertools
 import math
 import sys
@@ -41,8 +44,8 @@ TRACE_HEADER = ["k", "i", "g", "v_raw", "v_clipped", "branch", "r", "gamma", "al
 # the trace CSV column of each of FLOAT_COLUMNS, in that order
 FLOAT_FIELDS = [TRACE_HEADER.index(name.removesuffix("_after")) for name in FLOAT_COLUMNS]
 TRACE_CHUNK_ROWS = 1024  # trace rows `run --trace` holds at once, as a ring of steps and as strings
-TRACE_READ_ROWS = 512  # trace CSV lines `check` and `trace-dump` hold, and parse as one block, at once
-TRACE_FOLD_ROWS = 8 * TRACE_READ_ROWS  # trace rows `check` and `trace-dump` hold as arrays at once
+TRACE_READ_CHARS = 1 << 16  # trace CSV characters `check` and `trace-dump` read, to a line end, as one block
+TRACE_FOLD_ROWS = 4096  # trace rows `check` and `trace-dump` hold as arrays at once, plus up to a block's
 CHECK_HEADER = ["name", "passed", "worst_violation", "step", "coord", "details"]
 GRID_HEADER = ["param", "value", "metric", "score", "winner"]
 
@@ -81,32 +84,36 @@ def write_rows(path, header, rows) -> None:
 def trace_columns(trace: Trace, fmt) -> list[list[str]]:
     """The trace CSV columns as strings, row-major over (step, coordinate);
     fmt maps the (7, rows) array of FLOAT_COLUMNS to one list of strings
-    each. An r of NaN, where no clip ran, is an empty field whatever fmt
-    makes of it."""
+    each."""
     steps, d = trace.branch.shape
     floats = np.stack([getattr(trace, name).ravel() for name in FLOAT_COLUMNS])
     # object arrays repeat one string per step and per branch, not a copy per row
     k = np.array(list(map(str, trace.k.tolist())), dtype=object)
     cols = [np.repeat(k, d).tolist(), list(map(str, range(d))) * steps, *fmt(floats)]
     cols.insert(5, np.take(np.array(BRANCHES, dtype=object), trace.branch.ravel()).tolist())
-    r = FLOAT_COLUMNS.index("r")
-    cols[FLOAT_FIELDS[r]] = np.where(np.isnan(floats[r]), "", np.array(cols[FLOAT_FIELDS[r]], dtype=object)).tolist()
     return cols
 
 
 def _repr_fields(floats: np.ndarray) -> list[list[str]]:
-    """floats formatted as _fmt formats a float. orjson writes Ryu's shortest
-    digits, spelled as repr spells them for ±0 and finite values with |x| in
-    [1e-4, 1e16); repr spells every other value, and every NaN is empty."""
-    flat = floats.ravel()
-    # orjson writes "null" for NaN and ±inf
-    fields = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).replace(b"null", b"").decode()[1:-1].split(",")
-    size = np.abs(flat)
-    outside = np.flatnonzero((size < 1e-4) & (size != 0) | (size >= 1e16))  # NaN is neither
-    for j, value in zip(outside.tolist(), flat[outside].tolist()):
-        fields[j] = repr(value)
-    n = floats.shape[1]
-    return [fields[row * n:(row + 1) * n] for row in range(len(floats))]
+    """floats, in FLOAT_COLUMNS' order, formatted as _fmt formats a float.
+    orjson writes Ryu's shortest digits, spelled as repr spells them for ±0
+    and finite |x| in [1e-4, 1e16); repr spells every other value, and every
+    NaN is empty. v_clipped repeats v_raw's field where their bits agree."""
+    g, v_raw, v_clipped, r, *rest = floats
+    clipped = np.flatnonzero(v_clipped.view(np.int64) != v_raw.view(np.int64))
+    n, ran = len(g), np.flatnonzero(r == r)  # r is NaN where no clip ran
+    values = np.concatenate([g, v_raw, *rest, v_clipped[clipped], r[ran]])
+    fields = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    size = np.abs(values)
+    outside = np.flatnonzero((size < 1e-4) & (size != 0) | ~(size < 1e16))  # orjson writes NaN and ±inf as null
+    for j, value in zip(outside.tolist(), values[outside].tolist()):
+        fields[j] = repr(value) if value == value else ""
+    g, v_raw, *rest = [fields[m * n:(m + 1) * n] for m in range(2 + len(rest))]
+    full, v_clipped, r = (2 + len(rest)) * n, v_raw.copy(), [""] * n  # full: the fields g, v_raw and rest take
+    for column, at, parts in ((v_clipped, clipped, fields[full:]), (r, ran, fields[full + clipped.size:])):
+        for j, field in zip(at.tolist(), parts):
+            column[j] = field
+    return [g, v_raw, v_clipped, r, *rest]
 
 
 @contextmanager
@@ -141,19 +148,21 @@ def _read_csv(path, headers):
     """Yield the header of the CSV at path: the first of headers
     (TRACE_HEADER, RUN_HEADER or both) that its first line holds, else the
     last, which that line must hold. Then yield the arrays that header's
-    parser (_trace_fields or _record_fields) returns for each run of up to
-    TRACE_READ_ROWS rows after it; a CSV of no rows is one run. A parser
-    takes a run's (columns, rows) object array of fields and returns
-    (arrays, errors), errors a list of (row index, message). A ConfigError
-    names the line of the first bad row: one with the wrong field count, or
-    one of the parser's errors (on a tie, the field count, then the
-    parser's order). A trace's run that _trace_block reads is not split."""
+    parser (_trace_fields or _record_fields) returns for each block after
+    it: TRACE_READ_CHARS characters and the rest of their line, or one
+    empty block. A parser takes a block's (columns, rows) object array of
+    fields and returns (arrays, errors), errors a list of (row index,
+    message). A ConfigError names the line of the first bad row: one with
+    the wrong field count, or one of the parser's errors (on a tie, the
+    field count, then the parser's order). A trace's block that
+    _trace_block reads is not split into lines."""
 
-    def parsed(lines, line):
-        if header == TRACE_HEADER and (result := _trace_block(lines)):
-            return result
+    def parsed(block, line):  # the arrays of block, which starts at line, and its line count
+        if header == TRACE_HEADER and (result := _trace_block(block)):
+            return result, len(result[0])
         # the fields of each line, in the CSV dialect this program writes:
-        # unquoted fields, "\n", "\r\n" or "\r" line ends
+        # unquoted fields, "\n", "\r\n" or "\r" line ends, split as newline="" splits them
+        lines = list(io.StringIO(block, newline=""))
         rows = [row.rstrip("\r\n").split(",") for row in lines]
         (wrong,) = np.nonzero(np.fromiter(map(len, rows), int, len(rows)) != len(header))
         short = int(wrong[0]) if wrong.size else len(rows)
@@ -164,7 +173,7 @@ def _read_csv(path, headers):
         if errors or more:
             row, message = min(errors + more, key=lambda e: e[0])  # ties keep the order above
             raise ConfigError(f"{path}:{line + row}: {message}")
-        return result
+        return result, len(lines)
 
     with open_input(path) as f:
         first = next(f, "")
@@ -180,11 +189,11 @@ def _read_csv(path, headers):
                 f"{path}: bad {kind} header, missing columns {missing}" if missing
                 else f"{path}: bad {kind} header {found}"
             )
-        chunks = iter(lambda: list(itertools.islice(f, TRACE_READ_ROWS)), [])
-        # map drops each run's lines once parsed, before it reads the next run
-        runs = map(parsed, chunks, itertools.count(2, TRACE_READ_ROWS))
-        yield next(runs, None) or parsed([], 2)
-        yield from runs
+        line, blocks = 2, iter(lambda: f.read(TRACE_READ_CHARS) + f.readline(), "")  # readline keeps "\r\n" whole
+        for block in itertools.chain([next(blocks, "")], blocks):
+            result, lines = parsed(block, line)
+            line += lines
+            yield result
 
 
 # a branch word's code by its first byte, and its bytes, zero-padded
@@ -195,19 +204,19 @@ _BRANCH_BYTES = np.array([list(name.encode().ljust(max(_BRANCH_LENGTHS), b"\0"))
 _SEPARATORS = np.frombuffer(b"," * 9 + b"\n", dtype=np.uint8)  # of each trace line
 
 
-def _trace_block(lines):
-    """_trace_fields' arrays of a run of trace lines, parsed as one byte
-    block, or None where the block is not TRACE_HEADER's ten fields a line,
-    nine of them JSON numbers that int() or float() read alike and a
+def _trace_block(text):
+    """_trace_fields' arrays of a block of whole trace lines, parsed as one
+    byte block, or None where the block is not TRACE_HEADER's ten fields a
+    line, nine of them JSON numbers that int() or float() read alike and a
     BRANCHES word, with r alone empty where empty. Each branch word is
     rewritten as its code digit, space-padded; an empty r takes a 0 from
     the word's bytes and is NaN once parsed. orjson reads the JSON int -0
     as 0, so float() reads each float zero from its text."""
-    text = "".join(lines).encode()
+    text = text.encode()
     block = np.frombuffer(text, dtype=np.uint8).copy()
-    rows = len(lines)
     seps = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
-    if seps.size != 10 * rows:
+    rows, extra = divmod(seps.size, 10)
+    if extra or block.size != (seps[-1] + 1 if rows else 0):  # the last line ends the block
         return None
     seps = seps.reshape(rows, 10)
     start = seps[:, 4] + 1

@@ -10,6 +10,7 @@ densifying, label normalization and serialization work on whole arrays.
 
 import math
 import re
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -128,22 +129,24 @@ LOAD_CHUNK_LINES = 4096
 _TWO_COLONS = re.compile(r":[^ ]*:")
 
 
-def _chunk_arrays(rows: list[list[str]]):
-    """(labels, row lengths, indices, values) of split lines, or None where
-    parse_libsvm_line would reject one. Each column is cast by one
-    object-array astype, which calls the int() or float() it calls."""
-    tokens = [token for row in rows for token in row[1:]]
-    pairs = " ".join(tokens)
-    if pairs.count(":") != len(tokens) or _TWO_COLONS.search(pairs):  # not one ':' in each
+def _chunk_arrays(lines: list[str]):
+    """(labels, row lengths, indices, values) of raw lines but blank and '#'
+    ones, or None where parse_libsvm_line would reject one. Each column is
+    cast by one object-array astype, which calls its int() or float()."""
+    rows = [row for row in map(str.split, lines) if row and not row[0].startswith("#")]
+    labels = [row[0] for row in rows]
+    counts = np.array([len(row) - 1 for row in rows], dtype=np.int64)
+    pairs = " ".join([token for row in rows for token in row[1:]])
+    del rows  # the tokens, before flat spells them again
+    if pairs.count(":") != counts.sum() or _TWO_COLONS.search(pairs):  # not one ':' in each
         return None
-    flat = pairs.replace(":", " ").split(" ") if tokens else []  # index, value, index, ...
+    flat = pairs.replace(":", " ").split(" ") if pairs else []  # index, value, index, ...
     try:
-        labels = np.array([row[0] for row in rows], dtype=object).astype(float)
+        labels = np.array(labels, dtype=object).astype(float)
         indices = np.array(flat[0::2], dtype=object).astype(np.int64)  # >= 2**63 overflows
         values = np.array(flat[1::2], dtype=object).astype(float)
     except (ValueError, OverflowError):
         return None
-    counts = np.array([len(row) - 1 for row in rows], dtype=np.int64)
     prev = np.empty_like(indices)  # the index before each in its row, 0 before a row's first
     prev[1:] = indices[:-1]
     prev[(np.cumsum(counts) - counts)[counts > 0]] = 0
@@ -155,20 +158,27 @@ def _chunk_arrays(rows: list[list[str]]):
 def _parse_chunk(lines: list[str], lineno: int):
     """(labels, row lengths, indices, values) of raw lines, the first of them
     line lineno."""
-    kept = [(n, s) for n, s in enumerate(map(str.strip, lines), start=lineno) if s and not s.startswith("#")]
-    arrays = _chunk_arrays([s.split() for _, s in kept])
+    arrays = _chunk_arrays(lines)
     if arrays is None:  # some line is bad: parse_libsvm_line raises at the first
-        for n, s in kept:
-            parse_libsvm_line(s, n)
+        for n, s in enumerate(map(str.strip, lines), start=lineno):
+            if s and not s.startswith("#"):
+                parse_libsvm_line(s, n)
     return arrays
 
 
 def load_dataset(path) -> Dataset:
     """Load a LIBSVM file; labels are kept verbatim (see normalize_labels).
     Parses LOAD_CHUNK_LINES lines at a time as arrays, with the checks,
-    values and errors of parse_libsvm_line. A parse or decode error names
-    the path, then the line if known."""
-    chunks, pending, lineno = [], [], 1  # parsed chunks; lines read but not parsed, from line lineno
+    values and errors of parse_libsvm_line, into growable buffers that hold
+    the result once. A parse or decode error names the path, then the line."""
+    # labels, row ends, indices and values; lines read but not parsed, from line lineno
+    columns, pending, lineno = (array("d"), array("q", [0]), array("q"), array("d")), [], 1
+
+    def append(lines):
+        labels, counts, indices, values = _parse_chunk(lines, lineno)
+        for column, chunk in zip(columns, (labels, np.cumsum(counts) + columns[1][-1], indices, values)):
+            column.frombytes(chunk.data.cast("B"))
+
     try:
         with open_input(path) as f:
             try:
@@ -176,20 +186,19 @@ def load_dataset(path) -> Dataset:
                     pending.append(raw)
                     if len(pending) == LOAD_CHUNK_LINES:
                         lines, pending = pending, []
-                        chunks.append(_parse_chunk(lines, lineno))
+                        append(lines)
                         lineno += len(lines)
             finally:
                 # on a decode error too: the lines read before it are parsed first, as line by line
-                chunks.append(_parse_chunk(pending, lineno))
+                append(pending)
     except (LibsvmParseError, InputDecodeError) as exc:
         if isinstance(exc, InputDecodeError):
             exc = LibsvmParseError(str(exc.error), exc.lineno)
         error = LibsvmParseError(f"{path}: {exc}")
         error.lineno = exc.lineno
         raise error from None
-    labels, counts, indices, values = (np.concatenate(column) for column in zip(*chunks))
-    return Dataset(labels, np.concatenate(([0], np.cumsum(counts))), indices, values,
-                   dim=int(indices.max(initial=0)))
+    labels, indptr, indices, values = (np.frombuffer(column, dtype=column.typecode) for column in columns)
+    return Dataset(labels, indptr, indices, values, dim=int(indices.max(initial=0)))
 
 
 def normalize_labels(dataset: Dataset, rule: dict[float, float] | None = None) -> Dataset:
@@ -256,6 +265,11 @@ def minibatch_iter(dataset, batch_size: int, epoch_seed) -> list[np.ndarray]:
     return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
+def _words(value: int) -> list[int]:
+    """value as SeedSequence takes an int into its entropy: 32-bit words, low word first, one word for 0."""
+    return np.frombuffer(value.to_bytes(4 * max(1, -(-value.bit_length() // 32)), "little"), np.uint32).tolist()
+
+
 class MinibatchStream:
     """Endless minibatch index source: epoch e is a fresh permutation seeded
     from (seed, e), partitioned in order. Deterministic given the seed."""
@@ -269,12 +283,13 @@ class MinibatchStream:
         self.batch_size = batch_size
         self.seed = seed
         self.epoch = 0
-        self._batches = iter(())  # the rest of the current epoch
+        self._seed_words = _words(int(seed))
+        self._perm, self._pos = None, n  # the current epoch's permutation, and where its next batch starts
 
     def next_batch(self) -> np.ndarray:
-        for batch in self._batches:
-            return batch
-        epoch_seed = np.random.SeedSequence([int(self.seed), self.epoch])
-        self._batches = iter(minibatch_iter(self.n, self.batch_size, epoch_seed))
-        self.epoch += 1
-        return next(self._batches)
+        if self._pos >= self.n:  # a new epoch, seeded as SeedSequence([seed, epoch]) is, from the seed's words
+            entropy = np.array(self._seed_words + _words(self.epoch), dtype=np.uint32)
+            self._perm, self._pos = np.random.default_rng(np.random.SeedSequence(entropy)).permutation(self.n), 0
+            self.epoch += 1
+        self._pos += self.batch_size
+        return self._perm[self._pos - self.batch_size:self._pos]

@@ -591,7 +591,6 @@ class TestGrid:
         ]) == 0
         assert loads == [str(BITS)]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_a_diverging_value_scores_nan_and_the_others_still_select(self, tmp_path, capsys):
         """gamma0 = 1e155 overflows the iterate at step 2, so its gradient is
         infinite from step 3 on; the other values step as they would alone."""
@@ -605,6 +604,16 @@ class TestGrid:
         assert sum(r[4] == "true" for r in rows[1:]) == 1
         finite, diverging = capsys.readouterr().err.splitlines()
         assert diverging == finite and finite.startswith("grid complete: winner gamma0=0.5 ")
+
+    @pytest.mark.parametrize("optimizer", list(cli.OPTIMIZERS))
+    def test_a_diverging_value_prints_no_warning(self, capsys, optimizer):
+        """A replica that overflows scores NaN by design, so grid steps with
+        numpy's overflow, invalid and divide warnings off (the suite makes a
+        warning an error)."""
+        assert run_cli(["grid", "--problem", "quadratic", "--dim", "2", "--optimizer", optimizer, "--steps", "6",
+                        "--grid-values", "1,1e155", "--seeds", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[2].startswith("gamma0,1e+155,loss,") and "Warning" not in err
 
     @pytest.mark.parametrize("kind,scores,winner", [
         ("loss", [np.array([np.nan, np.nan, 2.0, 1.0])], 1),
@@ -1192,7 +1201,7 @@ def test_trace_check_and_dump_bytes_match_golden_chunk_by_chunk(tmp_path, capsys
     assert run_cli(["run", *run_args, "--trace", "--out", str(out)]) == 0
     trace = tmp_path / f"{name}.trace.csv"
     rows = steps * cli.read_trace_csv(trace).branch.shape[1]
-    monkeypatch.setattr(csvio, "TRACE_READ_ROWS", rows)
+    monkeypatch.setattr(csvio, "TRACE_READ_CHARS", 1)  # one line a block
     monkeypatch.setattr(csvio, "TRACE_FOLD_ROWS", rows)
     if check_digest is not None:
         report = tmp_path / "check.csv"

@@ -7,6 +7,7 @@ from conftest import csr_dataset
 from gradagrad import (
     LibsvmParseError,
     MinibatchStream,
+    data,
     load_dataset,
     minibatch_iter,
     normalize_labels,
@@ -246,3 +247,21 @@ class TestMinibatchStream:
         b = MinibatchStream(20, 6, seed=77)
         for _ in range(10):
             np.testing.assert_array_equal(a.next_batch(), b.next_batch())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("epoch", [0, 1, 2**32])
+    def test_seed_words_are_seed_sequence_entropy(self, seed, epoch):
+        """An epoch's SeedSequence, built from the seed's words and the epoch's, is SeedSequence([seed, epoch])."""
+        words = np.array(data._words(seed) + data._words(epoch), dtype=np.uint32)
+        np.testing.assert_array_equal(np.random.SeedSequence(words).generate_state(4),
+                                      np.random.SeedSequence([seed, epoch]).generate_state(4))
+
+    @pytest.mark.parametrize("n,batch_size", [(10, 4), (11, 3), (7, 7), (3, 10), (1, 2)])
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+    def test_batches_equal_minibatch_iter_over_ragged_epochs(self, n, batch_size, seed):
+        stream = MinibatchStream(n, batch_size, seed=seed)
+        for epoch in range(4):
+            for batch in minibatch_iter(n, batch_size, np.random.SeedSequence([seed, epoch])):
+                got = stream.next_batch()
+                assert got.dtype == batch.dtype
+                np.testing.assert_array_equal(got, batch)

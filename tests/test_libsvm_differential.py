@@ -10,6 +10,8 @@ errors on both sides of a chunk boundary. The short-file cases also run with
 chunks of 1 and 3 lines, so they cross many chunk boundaries.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,25 @@ def test_a_parse_error_and_a_decode_error_resolve_as_line_by_line(tmp_path, pars
     lines[decode_error_line - 1] = b"1 1:\xff\n"
     outcome = _compare(tmp_path / "d.libsvm", b"".join(lines))
     assert outcome[0] == "error"
+
+
+def test_a_loaded_dataset_is_held_once(tmp_path, monkeypatch):
+    """Each chunk's arrays go into the result's buffers as the chunk is
+    parsed, so the peak is the result once, and one chunk's tokens, not the
+    result twice: 20,000 lines of up to 14 pairs, in chunks of 512 lines."""
+    rng = np.random.default_rng(38)
+    counts = rng.integers(0, 15, 20_000)
+    features = [np.sort(rng.choice(np.arange(1, 100), count, replace=False)).tolist() for count in counts]
+    rows = [(float(rng.choice([-1.0, 1.0])), [(i, float(rng.standard_normal())) for i in idx]) for idx in features]
+    path = tmp_path / "d.libsvm"
+    path.write_text(serialize_dataset(csr_dataset(rows, 99)))
+    monkeypatch.setattr(data, "LOAD_CHUNK_LINES", 512)
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == csr_dataset(rows, 99)
+    nbytes = sum(array.nbytes for array in (loaded.labels, loaded.indptr, loaded.indices, loaded.values))
+    assert nbytes > 2 * 2**20 and peak < 1.5 * nbytes, peak / nbytes

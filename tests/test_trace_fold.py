@@ -6,7 +6,8 @@ row carried over from the previous chunk can find, a check's error that
 must wait for a malformed line in a later chunk, a step 0 wider than a
 chunk, and `--head` rows spread over several chunks. Every report and
 dump must equal the one made from the whole trace in one chunk. Setting
-TRACE_READ_ROWS and TRACE_FOLD_ROWS to n * d makes chunks of n steps.
+TRACE_READ_CHARS to 1, which reads one line a block, and TRACE_FOLD_ROWS
+to n * d makes chunks of n steps.
 """
 
 import contextlib
@@ -30,7 +31,7 @@ def _cli(argv):
 
 
 def _set_rows(monkeypatch, rows):
-    monkeypatch.setattr(csvio, "TRACE_READ_ROWS", rows)
+    monkeypatch.setattr(csvio, "TRACE_READ_CHARS", 1 if rows < WHOLE else WHOLE)  # a line a block, or the file
     monkeypatch.setattr(csvio, "TRACE_FOLD_ROWS", rows)
 
 
@@ -151,9 +152,13 @@ def test_a_chunk_holds_whole_steps_of_at_least_trace_fold_rows(tmp_path, monkeyp
     chunks = list(csvio.trace_chunks(path))
     assert [int(chunk.k[0]) for chunk in chunks] == np.cumsum([0, *map(len, chunks[:-1])]).tolist()
     assert sum(map(len, chunks)) == 120
-    assert all(csvio.TRACE_FOLD_ROWS <= chunk.branch.size < csvio.TRACE_FOLD_ROWS + csvio.TRACE_READ_ROWS
+    # a chunk ends at the first step end past TRACE_FOLD_ROWS rows after the block that crossed them
+    lines = path.read_text().splitlines(keepends=True)[1:]
+    block_rows = (csvio.TRACE_READ_CHARS + max(map(len, lines))) // min(map(len, lines))
+    assert all(csvio.TRACE_FOLD_ROWS <= chunk.branch.size < csvio.TRACE_FOLD_ROWS + block_rows + 100
                for chunk in chunks[:-1])
-    assert len(chunks) == (12000 // fold_rows if fold_rows else 3)  # trace-verify's trace: 46, 46 and 28 steps
+    # trace-verify's trace, in blocks of about 580 rows: 45, 41 and 34 steps by default
+    assert len(chunks) == {1000: 11, 3000: 4, None: 3}[fold_rows]
 
 
 @pytest.mark.parametrize("d", [50, 400])

@@ -127,16 +127,26 @@ def _frozen_read_csv(path, headers):
     return iter([header, ref.read_csv(path, header, parse)])
 
 
+def _first_row_chars(path):
+    """The characters of the first line after path's header, its line end included (1 if there is none)."""
+    with open(path, newline="", encoding="utf-8", errors="replace") as f:
+        next(f, "")
+        return max(1, len(next(f, "")))
+
+
 def _assert_same_read(path, d=3):
     """The CLI reads path, a trace of width d or a run record, as the frozen
-    reader does, also at 1, 2 and 7 steps of d rows a chunk."""
+    reader does, also in blocks of one character (a line each, with the
+    blank lines before it) folded at 7 steps of d rows a chunk, and in
+    blocks of seven lines folded at 1 step. (The block-edge test below
+    tries every block size up to a line.)"""
     new = _outcome(path, csvio._read_csv, csvio._trace_fields)
     assert new == _outcome(path, _frozen_read_csv, ref.trace_fields)
-    for steps in (1, 2, 7):
+    for chars, steps in ((1, 7), (7 * _first_row_chars(path), 1)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(csvio, "TRACE_READ_ROWS", steps * d)
+            mp.setattr(csvio, "TRACE_READ_CHARS", chars)
             mp.setattr(csvio, "TRACE_FOLD_ROWS", steps * d)
-            assert _outcome(path, csvio._read_csv, csvio._trace_fields) == new, steps
+            assert _outcome(path, csvio._read_csv, csvio._trace_fields) == new, (chars, steps)
     return new
 
 
@@ -176,8 +186,9 @@ def _swap(a, b):
 
 
 # each edit maps a well-formed file's text to a malformed (or still
-# well-formed) one; lines 1026 and 1027 are the third run's first two, of
-# TRACE_READ_ROWS lines each
+# well-formed) one; the file's default blocks end at lines 576 and 1151,
+# and blocks of one character and of seven lines put other lines at a
+# block's edge
 EDITS = {
     "as-written": lambda text: text,
     "short-row": lambda text: _edit_line(text, 40, lambda row: row.rsplit(",", 1)[0]),
@@ -243,6 +254,9 @@ EDITS = {
     **{f"zeros-{zero}": _set_fields(50, (2, 3, 4, 6, 7, 8, 9), zero) for zero in ("-0", "0.0", "-0.0", "-0e0")},
     "non-ascii-field": _set_field(51, 7, "é"),
     "blank-line-starts-second-run": lambda text: _edit_line(text, 514, lambda row: "\n" + row),
+    # str.splitlines also ends a line at these; newline="" reading and csv.reader do not
+    **{f"line-break-{ord(char):x}-in-field": _set_field(33, 2, f"1{char}5") for char in "\x0b\x0c\x1c\x85\u2028"},
+    "one-field-last-line-without-newline": lambda text: text + "7",
 }
 RECORD_EDITS = {
     name: EDITS[name] for name in (
@@ -343,14 +357,24 @@ def _codec_edges():
 def test_repr_fields_spells_every_value_as_repr():
     """The writer's codec spells each value as repr does, and NaN empty: on
     random 64-bit patterns over every exponent, on normal magnitudes across
-    the band's edges and on the edge values themselves."""
+    the band's edges and on the edge values themselves, and where v_clipped
+    and r are formatted only in part."""
     rng = np.random.default_rng(22)
     patterns = rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64)
     magnitudes = rng.standard_normal(40_000) * 10.0 ** rng.uniform(-7, 19, 40_000)
     values = np.concatenate([patterns, magnitudes, np.resize(_codec_edges(), 7 * 40)])
     floats = values[: values.size // 7 * 7].reshape(7, -1)
-    expected = [["" if v != v else repr(v) for v in row] for row in floats.tolist()]
-    assert csvio._repr_fields(floats) == expected
+    # blocks whose v_clipped (row 2) repeats v_raw's value but not its bits (±0 for ∓0, other NaN
+    # payloads), and whose r (row 3) mixes NaN with ±0, ±inf and values outside [1e-4, 1e16)
+    clipped = floats.copy()
+    clipped[1, :4000] = np.resize([0.0, -0.0, *NANS], 4000)
+    clipped[2] = np.where(rng.random(clipped.shape[1]) < 0.5, clipped[1], floats[2])
+    clipped[2, :4000:3] = np.resize([-0.0, 0.0, *NANS[::-1]], clipped[2, :4000:3].size)
+    outside = [0.0, -0.0, np.inf, -np.inf, 1e-5, -5e-324, 9.99e-5, 1e16, -1.5e300, 0.5]
+    clipped[3] = np.where(rng.random(clipped.shape[1]) < 0.7, np.nan, np.resize(outside, clipped.shape[1]))
+    for block in (floats, clipped, clipped[:, :1], clipped[:, 4000:4100]):
+        expected = [["" if v != v else repr(v) for v in row] for row in block.tolist()]
+        assert csvio._repr_fields(np.ascontiguousarray(block)) == expected
     assert csvio._repr_fields(np.empty((7, 0))) == [[]] * 7
 
 
@@ -387,16 +411,75 @@ def test_reader_matches_the_frozen_reader_on_hostile_tokens(tmp_path, small_trac
 
 
 def test_a_written_trace_is_read_without_the_fallback(tmp_path, monkeypatch):
-    """_trace_block reads every run of lines of a trace a run writes, empty
+    """_trace_block reads every block of lines of a trace a run writes, empty
     r fields and all, so the field-by-field parse of _parse never runs on it."""
     path = tmp_path / "t.trace.csv"
     write_trace_csv(path, make_fuzz_run(dim=10, steps=300, seed=3, d_inf=3.0)[1])
     expected = ref.read_csv(path, csvio.TRACE_HEADER, ref.trace_fields)
-    lines = path.read_text().splitlines(keepends=True)[1:]
-    assert all(csvio._trace_block(lines[n:n + csvio.TRACE_READ_ROWS]) is not None
-               for n in range(0, len(lines), csvio.TRACE_READ_ROWS))
+    blocks, trace_block = [], csvio._trace_block
+    monkeypatch.setattr(csvio, "_trace_block", lambda text: blocks.append(trace_block(text)) or blocks[-1])
     monkeypatch.setattr(csvio, "_parse", lambda text, dtype: pytest.fail(f"_parse of {text.shape} as {dtype}"))
     runs = list(csvio._read_csv(path, (csvio.TRACE_HEADER,)))[1:]
-    assert len(runs) > 1
+    assert len(runs) == len(blocks) > 1 and all(block is not None for block in blocks)
     for new, old in zip([np.concatenate(arrays, axis=-1) for arrays in zip(*runs)], expected):
         assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+
+
+def _line_ends(text, ends):
+    """text with the line end of its line n (from 1) set to ends[n % len(ends)]."""
+    return "".join(line + ends[n % len(ends)] for n, line in enumerate(text.split("\n")[:-1], 1))
+
+
+# the small trace's text with other line ends: blank lines ("\n", "\r\n" and "\r"), "\r\n" pairs
+# and lone "\r"s on every few lines, no final line end, and a lone "\r" at the end
+LINE_END_CASES = {
+    "lf": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "mixed": lambda text: _line_ends(text, ["\n", "\r\n", "\r", "\r\n\n", "\n\r\n", "\r\r"]),
+    "crlf-no-final-newline": lambda text: text.rstrip("\n").replace("\n", "\r\n"),
+    "crlf-trailing-cr": lambda text: text.replace("\n", "\r\n") + "\r",
+    "blank-lines": lambda text: _line_ends(text, ["\n", "\n\n"]),
+}
+
+
+@pytest.mark.parametrize("name", LINE_END_CASES)
+def test_reader_matches_the_frozen_reader_at_every_block_edge(tmp_path, small_trace, name):
+    """A block ends wherever a read of TRACE_READ_CHARS characters ends and
+    then at the end of that line; with every size up to a line and a
+    character, the first read ends at each character of the first row and
+    the later reads at others: inside a "\r\n" pair, after a trailing "\r",
+    before a blank line that then opens the next block. Each size, and
+    seven lines, reads as the frozen reader does."""
+    path = tmp_path / "t.trace.csv"
+    path.write_bytes(LINE_END_CASES[name](small_trace).encode())
+    expected = _outcome(path, _frozen_read_csv, ref.trace_fields)
+    line = _first_row_chars(path)
+    for chars in [*range(1, line + 2), 7 * line]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(csvio, "TRACE_READ_CHARS", chars)
+            assert _outcome(path, csvio._read_csv, csvio._trace_fields) == expected, chars
+
+
+def test_non_utf8_byte_in_a_later_block_names_its_line(tmp_path, capsys):
+    """A byte that is not UTF-8, read in the first block or a later one, is
+    named by the line and the offset that test_cli's
+    test_non_utf8_byte_far_into_a_trace_names_its_line expects."""
+    out = tmp_path / "t.csv"
+    assert cli.main(["run", "--problem", "quadratic", "--dim", "3", "--steps", "2000", "--trace",
+                     "--out", str(out)]) == 0
+    trace = tmp_path / "t.trace.csv"
+    content = bytearray(trace.read_bytes())
+    content[20000] = 0xFF
+    for newline in (b"\n", b"\r\n"):
+        edited = bytes(content).replace(b"\n", newline)
+        trace.write_bytes(edited)
+        line = len(edited.split(newline)[1]) + len(newline)
+        for chars in (csvio.TRACE_READ_CHARS, 1, line, 7 * line):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(csvio, "TRACE_READ_CHARS", chars)
+                for command in ("check", "trace-dump"):
+                    capsys.readouterr()
+                    assert cli.main([command, str(trace)]) == 2
+                    err = capsys.readouterr().err
+                    assert err.startswith(f"error: {trace}:509: ") and f"position {edited.index(0xFF)}:" in err, err
