@@ -28,7 +28,6 @@ from .data import (
 from .problems import AbsValue, LogisticRegression, Problem, Quadratic
 from .verify import (
     CheckReport,
-    RunHistory,
     alpha_identity_sides,
     check_adagrad_equivalence,
     check_alpha_identity_rho1,
@@ -38,7 +37,6 @@ from .verify import (
     check_momentum_identities,
     check_monotone_and_cap,
     check_reparam_invariance,
-    record_run,
 )
 
 __version__ = "0.1.0"

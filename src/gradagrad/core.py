@@ -562,12 +562,22 @@ def drive(opt: Optimizer, grad, steps: int, on_eval=None, eval_every: int = 1,
     """Step opt `steps` times on grad, which maps the flat iterate opt.x to
     the flat gradient, and call on_eval(k) after k of these steps at k = 0,
     every eval_every steps and the last step. Fill trace if given (only the
-    GradaGrad steppers take one); with on_trace, trace is a ring whose filled
-    rows go to on_trace when it is full and after the last step, its k then
-    moved on by len(trace). Returns the wall seconds of the steps and of the
-    evaluations after k = 0, without on_trace's."""
+    GradaGrad steppers take one), its k first moved to start at opt.k; with
+    on_trace, trace is a ring whose filled rows go to on_trace when it is
+    full and after the last step, its k then moved on by len(trace). Returns
+    the wall seconds of the steps and of the evaluations after k = 0,
+    without on_trace's."""
     if eval_every < 1:
         raise ValueError(f"eval_every must be >= 1, got {eval_every}")
+    if trace is not None:
+        if not isinstance(opt, (GradaGrad, ScalarGradaGrad)):
+            raise ValueError(f"{type(opt).__name__} fills no trace; GradaGrad and ScalarGradaGrad do")
+        if len(trace) < (steps if on_trace is None else min(steps, 1)):
+            kind = "trace" if on_trace is None else "trace ring"
+            raise ValueError(f"a {kind} of {len(trace)} rows is too short for {steps} steps")
+        trace.k = np.arange(opt.k, opt.k + len(trace))
+    elif on_trace is not None:
+        raise ValueError("on_trace needs a trace ring to fill")
     trace_arg = () if trace is None else (trace,)
     on_eval = on_eval or (lambda k: None)
     on_eval(0)

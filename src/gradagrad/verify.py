@@ -1,8 +1,9 @@
 """Executable checks for the optimizer's identities, inequalities and rates.
 
-Checks are pure functions over traces, runs, or gradient sequences; they
-never mutate optimizer state. Each returns a CheckReport whose passed flag
-is equivalent to worst_violation <= the check's tolerance.
+Checks are functions over traces, runs, or gradient sequences; only
+check_momentum_identities steps an optimizer it is given. Each returns a
+CheckReport whose passed flag is equivalent to worst_violation <= the
+check's tolerance.
 
 Trace-based checks take a run's Trace from step 0 on, since several
 identities relate step k to step k-1, and evaluate each identity on all
@@ -70,11 +71,15 @@ class Fold:
 
     def add(self, trace, viol, checked, count=0, notes=()):
         """Fold in the chunk trace: _worst(viol, checked, trace.k), count and notes."""
-        worst, location = _worst(viol, checked, trace.k)
-        if not np.isnan(self.worst) and not worst <= self.worst:  # a NaN or a larger value, as np.argmax picks
-            self.worst, self.location = worst, location
+        self.keep(*_worst(viol, checked, trace.k))
         self.count, self.notes = self.count + count, (self.notes + tuple(notes))[:3]
         self.last = trace[-1:] if len(trace) else self.last
+
+    def keep(self, worst, location):
+        """Take (worst, location), found after those kept so far, if worst is
+        a NaN or a larger value, as np.argmax picks over both."""
+        if not np.isnan(self.worst) and not worst <= self.worst:
+            self.worst, self.location = worst, location
 
 
 def _negative(trace: Trace, fold: Fold) -> np.ndarray:
@@ -326,46 +331,31 @@ def record_report(step, gamma_max, d_inf) -> CheckReport:
     return _report("run_record", worst, 0.0, location, "; ".join(details) or f"steps strictly increasing{cap_note}")
 
 
-@dataclass
-class RunHistory:
-    """Full history of a diagonal run: iterates x and auxiliary iterates z
-    from x0 on, (steps + 1, d); directions m, (steps, d); the trace; and
-    beta, (d,), the momentum each entry of x stepped with."""
-
-    x: np.ndarray
-    z: np.ndarray
-    m: np.ndarray
-    trace: Trace
-    beta: np.ndarray
-
-
-def record_run(opt: GradaGrad, grad_fn, steps: int) -> RunHistory:
-    """Step a diagonal optimizer `steps` times, recording everything the
-    identity checks need. grad_fn maps the current iterate to a gradient."""
-    trace = Trace.empty(opt.k + steps, opt.dim)  # the stepper writes row opt.k
-    x, z, m = (np.empty((steps + 1, opt.dim)) for _ in range(3))  # row k: the state after k steps
-
-    def on_eval(k):
-        x[k], z[k], m[k] = opt.x, opt.z, opt.m_prev
-
-    drive(opt, grad_fn, steps, on_eval, trace=trace)
-    return RunHistory(x=x, z=z, m=m[1:], trace=trace[opt.k - steps:], beta=opt._beta)
-
-
-def check_momentum_identities(run: RunHistory) -> CheckReport:
-    """The two coupling identities of the momentum form:
+def check_momentum_identities(opt: GradaGrad, grad_fn, steps: int) -> CheckReport:
+    """Step the diagonal opt `steps` times on grad_fn, which maps the
+    iterate to a gradient, and check the two coupling identities of the
+    momentum form after each step, with k counting this call's steps:
 
         z_k = x_k / (1 - beta) - beta * x_{k-1} / (1 - beta)   (k >= 1)
         m_k = A_{k+1} * (x_k - x_{k+1})                         (every k)
-    """
-    beta, x = run.beta, run.x
-    z_expected = x[1:] / (1.0 - beta) - beta * x[:-1] / (1.0 - beta)
-    rel_z = abs(run.z[1:] - z_expected) / np.maximum(1.0, abs(z_expected))  # steps 1..n
-    expected = run.trace.a_after * (x[:-1] - x[1:])
-    rel_m = abs(run.m - expected) / np.maximum(1.0, abs(expected))  # steps 0..n-1
-    # z rows first: a tie keeps the z-identity's location
-    steps = [*range(1, len(x)), *range(len(run.m))]
-    worst, location = _worst(np.concatenate([rel_z, rel_m]), True, steps)
-    details = (f"z-identity worst {rel_z.max(initial=0.0):g}, "
-               f"direction-identity worst {rel_m.max(initial=0.0):g}")
-    return _report("momentum_identities", worst, TOL_MOMENTUM, location, details)
+
+    A is the a_after column of drive's one-step ring; x, z and m come from
+    opt, and only x_{k-1} is kept from one step to the next."""
+    if not isinstance(opt, GradaGrad):
+        raise ValueError(f"the momentum identities need a diagonal GradaGrad, got {type(opt).__name__}")
+    z_fold, m_fold = Fold(), Fold()
+    start, beta, x_prev = opt.k, opt._beta, opt.x[None].copy()
+
+    def on_trace(ring):
+        nonlocal x_prev
+        k, x = int(ring.k[0]) - start, opt.x[None]  # ring holds step k, from x_prev to x
+        z_expected = x / (1.0 - beta) - beta * x_prev / (1.0 - beta)
+        z_fold.keep(*_worst(abs(opt.z - z_expected) / np.maximum(1.0, abs(z_expected)), True, [k + 1]))
+        expected = ring.a_after * (x_prev - x)
+        m_fold.keep(*_worst(abs(opt.m_prev - expected) / np.maximum(1.0, abs(expected)), True, [k]))
+        x_prev = x.copy()
+
+    drive(opt, grad_fn, steps, trace=Trace.empty(1, opt.dim), on_trace=on_trace)
+    details = f"z-identity worst {z_fold.worst:g}, direction-identity worst {m_fold.worst:g}"
+    z_fold.keep(m_fold.worst, m_fold.location)  # after z: a tie keeps the z-identity's location
+    return _report("momentum_identities", z_fold.worst, TOL_MOMENTUM, z_fold.location, details)

@@ -7,10 +7,23 @@ x0 and stepped the seeds one after another. Do not edit them to follow the
 package.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from gradagrad.core import GradaGrad, Trace
-from gradagrad.verify import CheckReport, RunHistory
+from gradagrad.verify import CheckReport
+
+
+@dataclass
+class RunHistory:
+    """x and z from x0 on, (steps + 1, d); m, (steps, d); the trace; beta."""
+
+    x: np.ndarray
+    z: np.ndarray
+    m: np.ndarray
+    trace: Trace
+    beta: float
 
 
 def check_convergence_trend(

@@ -564,11 +564,54 @@ class TestDrive:
         wall = drive(opt, lambda x: x - 1.0, 5, trace=Trace.empty(2, 2), on_trace=on_trace)
         assert wall < 1000.0 and clock[0] > 3000.0  # three rings: steps 0-1, 2-3 and 4
 
+    @pytest.mark.parametrize("ring", [1, 2, 10, None])
+    def test_a_pre_stepped_run_traces_from_its_step(self, ring):
+        """Steps 3-6 of an optimizer stepped 3 times before drive fill the rows
+        of steps 3-6 of one fresh traced run, in rings or in a whole-run trace."""
+        grads = np.random.default_rng(5).normal(0.5, 1.0, (7, 3))
+
+        def stepper():
+            return GradaGrad(np.array([1.0, -2.0, 0.5]), HyperParams(gamma0=0.5, beta=0.3))
+
+        fresh, whole = Trace.empty(7, 3), iter(grads)
+        drive(stepper(), lambda x: next(whole), 7, trace=fresh)
+        opt, split, chunks = stepper(), iter(grads), []
+        drive(opt, lambda x: next(split), 3)
+        trace = Trace.empty(4 if ring is None else ring, 3)
+        drive(opt, lambda x: next(split), 4, trace=trace,
+              on_trace=None if ring is None else lambda chunk: chunks.append(copy_trace(chunk)))
+        for name in ("k", "branch", *FLOAT_COLUMNS):
+            joined = getattr(trace, name) if ring is None else np.concatenate([getattr(c, name) for c in chunks])
+            np.testing.assert_array_equal(joined, getattr(fresh, name)[3:], err_msg=name)
+
     @pytest.mark.parametrize("eval_every", [0, -3])
     def test_rejects_eval_every_below_one(self, eval_every):
         opt = SGD([0.0])
         with pytest.raises(ValueError, match="eval_every must be >= 1"):
             drive(opt, lambda x: x, 5, eval_every=eval_every)
+        assert opt.k == 0
+
+    @pytest.mark.parametrize("stepper", [AdaGrad, SGD, Adam], ids=lambda stepper: stepper.__name__)
+    def test_rejects_a_trace_for_a_stepper_without_one(self, stepper):
+        opt = stepper(np.zeros(2))
+        with pytest.raises(ValueError, match=f"{stepper.__name__} fills no trace; GradaGrad and ScalarGradaGrad do"):
+            drive(opt, lambda x: x - 1.0, 5, trace=Trace.empty(5, 2))
+        assert opt.k == 0
+
+    @pytest.mark.parametrize("rows,on_trace,message", [
+        (4, None, "a trace of 4 rows is too short for 5 steps"),
+        (0, lambda chunk: None, "a trace ring of 0 rows is too short for 5 steps"),
+    ], ids=["whole-run", "ring"])
+    def test_rejects_a_trace_too_short_before_the_first_step(self, rows, on_trace, message):
+        opt = GradaGrad(np.zeros(2))
+        with pytest.raises(ValueError, match=message):
+            drive(opt, lambda x: x - 1.0, 5, trace=Trace.empty(rows, 2), on_trace=on_trace)
+        assert opt.k == 0
+
+    def test_rejects_on_trace_without_a_trace(self):
+        opt = GradaGrad(np.zeros(2))
+        with pytest.raises(ValueError, match="on_trace needs a trace ring to fill"):
+            drive(opt, lambda x: x - 1.0, 5, on_trace=lambda chunk: None)
         assert opt.k == 0
 
 

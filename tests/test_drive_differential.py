@@ -4,10 +4,7 @@ frozen sequential loops in reference_runs.py.
 check_convergence_trend now steps its seeds as the replicas of one
 optimizer, so its reports must equal the seed-by-seed loop's bit for bit,
 for every stepper on a noise, a deterministic and a minibatch oracle.
-record_run must record the same x/z/m histories and trace columns.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -19,17 +16,14 @@ from gradagrad import (
     AdaGrad,
     Adam,
     AbsValue,
-    Domain,
     GradaGrad,
     HyperParams,
     LogisticRegression,
     Quadratic,
     ScalarGradaGrad,
-    Trace,
     check_convergence_trend,
     load_dataset,
     normalize_labels,
-    record_run,
 )
 
 FACTORIES = {
@@ -62,28 +56,3 @@ def test_trend_reports_match_sequential_loop(optimizer, problem_name, n_seeds):
     old = ref.check_convergence_trend(problem, FACTORIES[optimizer], **args)
     assert (new.name, new.passed, new.location, new.details) == (old.name, old.passed, old.location, old.details)
     assert new.worst_violation.hex() == old.worst_violation.hex()
-
-
-def _assert_bit_equal(new, old):
-    assert new.dtype == old.dtype and new.shape == old.shape
-    assert new.tobytes() == old.tobytes()
-
-
-@pytest.mark.parametrize("pre_steps", [0, 5])
-@pytest.mark.parametrize("box", [False, True])
-@pytest.mark.parametrize("beta", [0.0, 0.9])
-def test_record_run_matches_sequential_loop(beta, box, pre_steps):
-    domain = Domain.box([-0.4] * 3, [0.4] * 3) if box else None
-    runs = []
-    for record in (record_run, ref.record_run):
-        rng = np.random.default_rng(12)
-        opt = GradaGrad(rng.uniform(-0.3, 0.3, 3), HyperParams(gamma0=0.5, rho=2.0, beta=beta, d_inf=0.6), domain)
-        for _ in range(pre_steps):
-            opt.step(rng.normal(0.8, 0.5, 3))
-        runs.append(record(opt, lambda x: 0.5 * x + rng.normal(0.8, 0.5, 3), 150))
-    new, old = runs
-    np.testing.assert_array_equal(new.beta, old.beta)  # the beta column holds the frozen loop's one beta
-    for name in ("x", "z", "m"):
-        _assert_bit_equal(getattr(new, name), getattr(old, name))
-    for field in dataclasses.fields(Trace):
-        _assert_bit_equal(getattr(new.trace, field.name), getattr(old.trace, field.name))

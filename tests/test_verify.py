@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gradagrad import (
     HyperParams,
     LogisticRegression,
     Quadratic,
+    ScalarGradaGrad,
     Trace,
     alpha_identity_sides,
     check_adagrad_equivalence,
@@ -21,9 +23,9 @@ from gradagrad import (
     check_momentum_identities,
     check_monotone_and_cap,
     check_reparam_invariance,
+    drive,
     load_dataset,
     normalize_labels,
-    record_run,
 )
 from conftest import BITS, copy_trace, first_branch, traced_run
 from gradagrad.core import BRANCH_NEGATIVE, BRANCH_POSITIVE
@@ -283,19 +285,18 @@ class TestMomentumIdentities:
     def test_with_momentum(self):
         rng = np.random.default_rng(8)
         opt = GradaGrad(rng.standard_normal(3), HyperParams(gamma0=0.5, rho=2.0, beta=0.9))
-        run = record_run(opt, lambda x: rng.normal(0.8, 0.5, 3), steps=200)
-        report = check_momentum_identities(run)
-        assert report.passed
+        report = check_momentum_identities(opt, lambda x: rng.normal(0.8, 0.5, 3), steps=200)
+        assert report.passed and opt.k == 200
 
     def test_without_momentum_direction_is_gradient(self):
         problem = Quadratic([1.0, 2.0])
         opt = GradaGrad(np.ones(2), HyperParams(rho=2.0, beta=0.0))
-        run = record_run(opt, problem.grad_full, steps=50)
-        assert check_momentum_identities(run).passed
-        assert run.x.shape == (51, 2) and run.m.shape == (50, 2) and len(run.trace) == 50
+        assert check_momentum_identities(opt, problem.grad_full, 50).passed
+        opt = GradaGrad(np.ones(2), HyperParams(rho=2.0, beta=0.0))
+        xs, ms = [], []  # the iterate and the direction after k steps
+        drive(opt, problem.grad_full, 50, lambda k: (xs.append(opt.x.copy()), ms.append(opt.m_prev.copy())))
         for k in range(50):
-            expected_g = problem.grad_full(run.x[k])
-            np.testing.assert_allclose(run.m[k], expected_g, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(ms[k + 1], problem.grad_full(xs[k]), rtol=1e-12, atol=1e-300)
 
     def test_projected_run_keeps_identities(self):
         from gradagrad import Domain
@@ -306,15 +307,40 @@ class TestMomentumIdentities:
             HyperParams(gamma0=1.0, rho=2.0, beta=0.7),
             Domain.box([-0.4, -0.4], [0.4, 0.4]),
         )
-        run = record_run(opt, lambda x: rng.normal(1.0, 0.3, 2), steps=150)
-        assert check_momentum_identities(run).passed
+        assert check_momentum_identities(opt, lambda x: rng.normal(1.0, 0.3, 2), steps=150).passed
 
     def test_replicas_with_their_own_beta(self):
         params = [HyperParams(beta=0.5), HyperParams(beta=0.0)]
-        run = record_run(GradaGrad(np.ones((2, 3)), params), lambda x: 2 * x, 40)
-        np.testing.assert_array_equal(run.beta, [0.5, 0.5, 0.5, 0.0, 0.0, 0.0])
-        assert check_momentum_identities(run).passed
+        assert check_momentum_identities(GradaGrad(np.ones((2, 3)), params), lambda x: 2 * x, 40).passed
+
+        def history(opt):
+            """x, z and m after each of 40 steps on 2 * x, as one (41, 3, dim) array."""
+            rows = []
+            drive(opt, lambda x: 2 * x, 40, lambda k: rows.append([opt.x.copy(), opt.z.copy(), opt.m_prev.copy()]))
+            return np.array(rows)
+
+        run = history(GradaGrad(np.ones((2, 3)), params))
         for r, p in enumerate(params):
-            alone = record_run(GradaGrad(np.ones(3), p), lambda x: 2 * x, 40)
-            for name in ("x", "z", "m"):
-                np.testing.assert_array_equal(getattr(run, name)[:, 3 * r:3 * r + 3], getattr(alone, name))
+            np.testing.assert_array_equal(run[:, :, 3 * r:3 * r + 3], history(GradaGrad(np.ones(3), p)))
+
+    @pytest.mark.parametrize("stepper", [ScalarGradaGrad, AdaGrad], ids=lambda stepper: stepper.__name__)
+    def test_rejects_a_stepper_without_momentum(self, stepper):
+        opt = stepper(np.zeros(3))
+        with pytest.raises(ValueError, match=f"need a diagonal GradaGrad, got {stepper.__name__}"):
+            check_momentum_identities(opt, lambda x: x - 1.0, 5)
+        assert opt.k == 0
+
+    @pytest.mark.parametrize("steps", [250, 1000])
+    def test_holds_one_step_of_the_run(self, steps):
+        """At d=1000 the check's memory does not grow with the steps: it holds
+        one ring row and one previous x, not the run's x, z and m."""
+        rng = np.random.default_rng(2)
+        opt = GradaGrad(rng.uniform(-1.0, 1.0, 1000), HyperParams(gamma0=0.5, beta=0.5))
+        tracemalloc.start()
+        try:
+            report = check_momentum_identities(opt, lambda x: 0.5 * x + rng.normal(0.8, 0.5, 1000), steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and opt.k == steps
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"

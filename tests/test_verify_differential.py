@@ -15,9 +15,11 @@ import math
 import numpy as np
 import pytest
 
+import reference_runs
 import reference_verify as ref
 from conftest import copy_trace, first_branch, make_fuzz_run, traced_run
 from gradagrad import (
+    Domain,
     GradaGrad,
     HyperParams,
     ScalarGradaGrad,
@@ -25,7 +27,6 @@ from gradagrad import (
     check_momentum_identities,
     check_monotone_and_cap,
     check_reparam_invariance,
-    record_run,
 )
 from gradagrad.core import BRANCH_NEGATIVE, BRANCH_POSITIVE, BRANCHES
 from gradagrad.verify import Fold
@@ -134,21 +135,44 @@ def test_random_corruptions_match_reference(seed):
     _assert_same_checks(bad, d_inf=2.5, gamma0=1.0)
 
 
-@pytest.mark.parametrize("beta,box", [(0.0, False), (0.9, False), (0.7, True)])
-def test_momentum_identities_match_reference(beta, box):
-    from gradagrad import Domain
+class _Edited(GradaGrad):
+    """A GradaGrad that, given edit = (after, name, i, scale), adds scale to
+    entry i of its attribute name (x, z or m_prev) right after the step that
+    brings k to after, so that both sides of a comparison see one broken run."""
 
-    rng = np.random.default_rng(8)
+    def __init__(self, x0, params, domain, edit=None):
+        super().__init__(x0, params, domain)
+        self.edit = edit
+
+    def step(self, g, trace=None):
+        super().step(g, trace)
+        if self.edit is not None and self.k == self.edit[0]:
+            _, name, i, scale = self.edit
+            getattr(self, name)[i] += scale
+
+
+@pytest.mark.parametrize("pre_steps", [0, 5])
+@pytest.mark.parametrize("beta,box", [(0.0, False), (0.9, False), (0.7, True)])
+def test_momentum_identities_match_reference(beta, box, pre_steps):
+    """The streaming check against the frozen check of the history the
+    frozen loop reference_runs.record_run records, for an identical
+    optimizer and gradient stream, unedited and with one edit at one step."""
     domain = Domain.box([-0.4] * 3, [0.4] * 3) if box else None
-    opt = GradaGrad(rng.uniform(-0.3, 0.3, 3), HyperParams(gamma0=0.5, rho=2.0, beta=beta), domain)
-    run = record_run(opt, lambda x: rng.normal(0.8, 0.5, 3), steps=200)
-    _assert_same_report(check_momentum_identities(run), ref.check_momentum_identities(ref.from_columns(run)))
-    for field, scale in (("z", 1e-6), ("m", 1e-6), ("z", 1e-16), ("x", 1e-3)):
-        broken = record_run(GradaGrad(np.zeros(3), opt.params, domain), lambda x: rng.normal(0.8, 0.5, 3), 50)
-        getattr(broken, field)[rng.integers(1, 50), rng.integers(0, 3)] += scale
-        _assert_same_report(
-            check_momentum_identities(broken), ref.check_momentum_identities(ref.from_columns(broken))
-        )
+    params = HyperParams(gamma0=0.5, rho=2.0, beta=beta)
+    where = np.random.default_rng(8)
+    edits = [(pre_steps + int(where.integers(1, 50)), name, int(where.integers(0, 3)), scale)
+             for name, scale in (("z", 1e-6), ("m_prev", 1e-6), ("z", 1e-16), ("x", 1e-3))]
+    for steps, edit in [(200, None), *((50, edit) for edit in edits)]:
+        reports = []
+        for check in (check_momentum_identities, lambda opt, grad, steps: ref.check_momentum_identities(
+                ref.from_columns(reference_runs.record_run(opt, grad, steps)))):
+            rng = np.random.default_rng(12)
+            opt = _Edited(rng.uniform(-0.3, 0.3, 3), params, domain, edit)
+            for _ in range(pre_steps):
+                opt.step(rng.normal(0.8, 0.5, 3))
+            reports.append(check(opt, lambda x: rng.normal(0.8, 0.5, 3), steps))
+        _assert_same_report(*reports)
+        assert reports[0].passed == (edit is None or edit[3] < 1e-10), edit
 
 
 def test_first_row_is_compared_with_zero_alpha():
