@@ -3,13 +3,15 @@
 Runs `run --problem quadratic --dim 1000 --noise-std 1 --steps STEPS
 --trace` into a temporary directory, then `check` and `trace-dump --head 0`
 on its trace, and `check` on a copy of the trace with "\r\n" line ends,
-which the reader parses line by line, each in a child process of its own
-that reports its peak resident set (ru_maxrss, KiB on Linux) and its wall
-seconds (the command alone, not the child's start). `run` writes its trace
-one ring of steps at a time, and the others read it one chunk at a time,
-so no peak grows with the trace; a writer or reader that holds the whole
-trace goes past LIMIT_MIB at these sizes. Exits 1 if a command fails or
-peaks above LIMIT_MIB.
+which the reader parses a block at a time as it does the original, each in
+a child process of its own that reports its peak resident set (ru_maxrss,
+KiB on Linux) and its wall seconds (the command alone, not the child's
+start). `run` writes its trace one ring of steps at a time, and the others
+read it one chunk at a time, so no peak grows with the trace; a writer or
+reader that holds the whole trace goes past LIMIT_MIB at these sizes. Exits
+1 if a command fails or peaks above LIMIT_MIB. It also prints the wall
+ratio of `check` on the copy to `check` on the original, which gates
+nothing: one run of each is noisy.
 
 Run from a checkout: PYTHONPATH=src python scripts/trace_memory.py
 """
@@ -48,6 +50,7 @@ def main() -> int:
         trace = str(out.with_suffix(".trace.csv"))
         failed = False
         crlf = str(Path(tmp) / "wide-crlf.trace.csv")
+        walls = {}
         for argv in (["run", "--problem", "quadratic", "--dim", "1000", "--noise-std", "1", "--steps", str(STEPS),
                       "--trace", "--out", str(out)], ["check", trace], ["trace-dump", trace, "--head", "0"],
                      ["check", crlf]):
@@ -55,6 +58,7 @@ def main() -> int:
             over = mib > LIMIT_MIB
             failed |= over or code != 0
             name = f"{argv[0]}{' crlf' if argv[1] == crlf else ''}"
+            walls[name] = seconds
             print(f"{name:10s} exit {code}  peak {mib:6.1f} MiB  (limit {LIMIT_MIB:g})  wall {seconds:6.2f} s"
                   f"{'  OVER' if over else ''}")
             if argv[0] == "run":
@@ -64,6 +68,7 @@ def main() -> int:
                 with open(trace, "rb") as src, open(crlf, "wb") as dst:
                     for line in src:
                         dst.write(line.replace(b"\n", b"\r\n"))
+        print(f"check crlf / check wall: {walls['check crlf'] / walls['check']:.2f}")
     return 1 if failed else 0
 
 

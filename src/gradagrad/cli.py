@@ -307,8 +307,11 @@ def cmd_check(args) -> int:
                               else f"unknown check {unknown[0]!r}; choose from {CHECK_NAMES} or 'all'")
         if args.d_inf is not None and not READS["d_inf"].intersection(names):
             raise ConfigError(f"--d-inf is not read by --checks {','.join(names)}")
-        reports = ([verify.record_report(*next(contents), args.d_inf)] * len(names) if record
-                   else verify.fold_trace_checks(contents, names, args.d_inf))
+        try:
+            reports = ([verify.record_report(*next(contents), args.d_inf)] * len(names) if record
+                       else verify.fold_trace_checks(contents, names, args.d_inf))
+        except verify.NegativeStart as exc:  # row n of step 0, coordinate n, is on line 2 + n
+            raise ConfigError(f"{args.trace}:{2 + exc.coord}: {exc}") from None
     for rep in reports:
         print(f"{rep.name}: {'PASS' if rep.passed else 'FAIL'} (worst={rep.worst_violation:g})", file=sys.stderr)
     rows = [[rep.name, rep.passed, rep.worst_violation, *(rep.location or (None, None)), rep.details]

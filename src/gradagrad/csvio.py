@@ -4,28 +4,27 @@ Run records, grids, check reports and step traces are CSV with the fixed
 headers RUN_HEADER, GRID_HEADER, CHECK_HEADER and TRACE_HEADER (missing
 values are empty fields). _write_csv writes every CSV; a field is quoted
 only where it holds ',', '"' or a newline, in practice a check report's
-details. The readers read run records and traces in the dialect the writer
-writes them in, a chunk at a time, as arrays and Traces; what those must
-satisfy is verify's to check.
+details. A float is spelled as repr spells it, and NaN as an empty field.
+A trace's floats go through orjson's number codec both ways. The writer
+formats v_clipped only where its bits differ from v_raw's and r only where
+it is not NaN, keeps orjson's shortest digits where repr spells them alike
+(±0 and finite |x| in [1e-4, 1e16)), calls repr for the rest and empties
+NaN fields by index.
 
-A float is spelled as repr spells it, and NaN as an empty field. A trace's
-floats go through orjson's number codec both ways. The writer formats
-v_clipped only where its bits differ from v_raw's and r only where it is
-not NaN, keeps orjson's shortest digits where repr spells them alike (±0
-and finite |x| in [1e-4, 1e16)), calls repr for the rest and empties NaN
-fields by index. The trace reader reads TRACE_READ_CHARS characters and
-the rest of their line at a time, and parses that block's bytes at once:
-its branch words become codes in place and one orjson parse reads all ten
-columns. A block it does not take (one with a line that is not nine
-commas and a "\n" around a branch word and JSON numbers that int() or
-float() read alike, r alone empty: a short or long row, a blank line,
-"\r", 1e400, +1, nan, a JSON float in k) is split into lines as
-newline="" splits them and parsed field by field by int() and float().
+The readers read run records and traces in the writer's dialect and no
+other, TRACE_READ_CHARS characters and the rest of their line at a time,
+as arrays and Traces; what those must satisfy is verify's to check. A line
+is ten unquoted, unpadded fields and a "\n", "\r\n" or "\r": branch a
+BRANCHES word, k, i and step int64 JSON integers, and every other field a
+JSON number that does not overflow, inf, -inf, nan, or empty for NaN.
+_block parses a block's bytes with one orjson parse; a block it refuses is
+malformed, and _fault names its first bad line.
 """
 
 import io
 import itertools
 import math
+import re
 import sys
 from array import array
 from contextlib import contextmanager, nullcontext
@@ -127,60 +126,19 @@ def trace_sink(path, steps, d):
                lambda chunk: write(zip(*trace_columns(chunk, _repr_fields))))
 
 
-def _parse(text: np.ndarray, dtype):
-    """A (columns, rows) object array of strings as dtype, empty fields as
-    NaN; if some field does not parse, the index of the first row with one."""
-    if dtype is float:
-        text = np.where(text == "", "nan", text)
-    try:
-        return text.astype(dtype)  # int() or float() of each string
-    except (ValueError, OverflowError):
-        def parses(field):
-            try:
-                np.array([field], dtype=object).astype(dtype)
-            except (ValueError, OverflowError):
-                return False
-            return True
-        return int(np.argmin(np.vectorize(parses, otypes=[bool])(text).all(axis=0)))
-
-
 def _read_csv(path, headers):
     """Yield the header of the CSV at path: the first of headers
     (TRACE_HEADER, RUN_HEADER or both) that its first line holds, else the
-    last, which that line must hold. Then yield the arrays that header's
-    parser (_trace_fields or _record_fields) returns for each block after
-    it: TRACE_READ_CHARS characters and the rest of their line, or one
-    empty block. A parser takes a block's (columns, rows) object array of
-    fields and returns (arrays, errors), errors a list of (row index,
-    message). A ConfigError names the line of the first bad row: one with
-    the wrong field count, or one of the parser's errors (on a tie, the
-    field count, then the parser's order). A trace's block that
-    _trace_block reads is not split into lines."""
-
-    def parsed(block, line):  # the arrays of block, which starts at line, and its line count
-        if header == TRACE_HEADER and (result := _trace_block(block)):
-            return result, len(result[0])
-        # the fields of each line, in the CSV dialect this program writes:
-        # unquoted fields, "\n", "\r\n" or "\r" line ends, split as newline="" splits them
-        lines = list(io.StringIO(block, newline=""))
-        rows = [row.rstrip("\r\n").split(",") for row in lines]
-        (wrong,) = np.nonzero(np.fromiter(map(len, rows), int, len(rows)) != len(header))
-        short = int(wrong[0]) if wrong.size else len(rows)
-        errors = [(short, f"expected {len(header)} fields")] if short < len(rows) else []
-        rows = rows[:short]
-        fields = np.fromiter(itertools.chain.from_iterable(rows), object, len(rows) * len(header))
-        result, more = parse(fields.reshape(len(rows), len(header)).T)
-        if errors or more:
-            row, message = min(errors + more, key=lambda e: e[0])  # ties keep the order above
-            raise ConfigError(f"{path}:{line + row}: {message}")
-        return result, len(lines)
-
+    last, which that line must hold. Then yield _block's arrays of each
+    block after it: TRACE_READ_CHARS characters and the rest of their line,
+    or one empty block. A block that _block refuses is malformed: a
+    ConfigError names the line and the fault that _fault finds."""
     with open_input(path) as f:
         first = next(f, "")
         found = first.rstrip("\r\n").split(",")
         header = next((header for header in headers if header == found), headers[-1])
         yield header
-        kind, parse = ("trace", _trace_fields) if header == TRACE_HEADER else ("run record", _record_fields)
+        kind = "trace" if header == TRACE_HEADER else "run record"
         if not first:
             raise ConfigError(f"{path}: empty {kind} file")
         if found != header:
@@ -191,8 +149,10 @@ def _read_csv(path, headers):
             )
         line, blocks = 2, iter(lambda: f.read(TRACE_READ_CHARS) + f.readline(), "")  # readline keeps "\r\n" whole
         for block in itertools.chain([next(blocks, "")], blocks):
-            result, lines = parsed(block, line)
-            line += lines
+            if (result := _block(block, header)) is None:
+                n, message = _fault(block, header)
+                raise ConfigError(f"{path}:{line + n}: {message}")
+            line += len(result[0])
             yield result
 
 
@@ -201,79 +161,102 @@ _BRANCH_CODES = np.full(256, -1, dtype=np.int8)
 _BRANCH_CODES[[ord(name[0]) for name in BRANCHES]] = range(len(BRANCHES))
 _BRANCH_LENGTHS = np.array([len(name) for name in BRANCHES])
 _BRANCH_BYTES = np.array([list(name.encode().ljust(max(_BRANCH_LENGTHS), b"\0")) for name in BRANCHES], np.uint8)
-_SEPARATORS = np.frombuffer(b"," * 9 + b"\n", dtype=np.uint8)  # of each trace line
+_SEPARATORS = b"," * 9 + b"\n"  # of each line: both headers have ten fields
+_NUMBER_BYTES = b"0123456789+-.eE,\n "  # a JSON number's, a separator's, the "[\n" before a block and filler
+_TOKENS = {b"inf": math.inf, b"-inf": -math.inf, b"nan": math.nan}
+_TOKEN = re.compile(rb"(?<=[,\n])(-?inf|nan)(?=[,\]])")  # a whole field
 
 
-def _trace_block(text):
-    """_trace_fields' arrays of a block of whole trace lines, parsed as one
-    byte block, or None where the block is not TRACE_HEADER's ten fields a
-    line, nine of them JSON numbers that int() or float() read alike and a
-    BRANCHES word, with r alone empty where empty. Each branch word is
-    rewritten as its code digit, space-padded; an empty r takes a 0 from
-    the word's bytes and is NaN once parsed. orjson reads the JSON int -0
-    as 0, so float() reads each float zero from its text."""
-    text = text.encode()
-    block = np.frombuffer(text, dtype=np.uint8).copy()
+def _block(text, header):
+    """The arrays of text, whole lines of a trace (header TRACE_HEADER) or of
+    a run record, or None if some line is not in the writer's dialect (the
+    last may lack a line end). A trace's arrays are its branch codes, k and
+    i, and its float columns; a record's its steps and gamma_max, empty as
+    -inf, which no cap check fails. The lines are parsed as one byte block:
+    each branch word is rewritten as its code digit, space-padded, an empty r
+    takes a 0 from the word's bytes (NaN once parsed), another empty field an
+    inserted null (NaN, and no int), and a token a float zero of its length
+    (no int either), set once parsed. orjson reads the JSON int -0 as 0, so
+    float() reads each int zero of a float column from its text."""
+    data = text.encode()
+    if b"\r" in data:  # a "\r\n" or a lone "\r" ends a line as a "\n" does
+        data = b"\n".join(data.splitlines()) + b"\n"
+    if b" " in data:
+        return None
+    # "[\n" before the first line, so that each field follows a separator, and a "\n" after a last line that lacks one
+    data = b"[\n" + data + (b"" if data[-1:] in b"\n" else b"\n")
+    block = np.frombuffer(bytearray(data), dtype=np.uint8)
     seps = np.flatnonzero((block == ord(",")) | (block == ord("\n")))
-    rows, extra = divmod(seps.size, 10)
-    if extra or block.size != (seps[-1] + 1 if rows else 0):  # the last line ends the block
+    rows, extra = divmod(seps.size - 1, 10)  # seps[0] is the "\n" before the first line
+    if extra or seps[-1] != block.size - 1:  # the last line ends the block
         return None
-    seps = seps.reshape(rows, 10)
-    start = seps[:, 4] + 1
-    codes = _BRANCH_CODES[block[start]]
-    at = start[:, None] + np.arange(_BRANCH_BYTES.shape[1])
-    inside = at < seps[:, 5:6]
-    # each line's own nine commas and "\n", not only the block's count, and its branch word
-    if (block[seps] != _SEPARATORS).any() or (codes < 0).any() or (
-            seps[:, 5] - start != _BRANCH_LENGTHS[codes]).any() or (
-            (block.take(at, mode="clip") != _BRANCH_BYTES[codes]) & inside).any():
+    ends = seps[1:].reshape(rows, 10)
+    if block[ends].tobytes() != _SEPARATORS * rows:  # each line's own nine commas and "\n", not only the count
         return None
-    block[at[inside]] = ord(" ")
-    block[start] = codes + ord("0")
-    (empty,) = np.nonzero(seps[:, 6] == seps[:, 5] + 1)  # an empty r: "c,0" and spaces up to r's comma
-    block[start[empty] + 1], block[start[empty] + 2], block[seps[empty, 5]] = ord(","), ord("0"), ord(" ")
-    block[seps[:, 9]] = ord(",")
-    numbers = block[:-1].tobytes()
-    if numbers.translate(None, b"0123456789+-.eE, \t\n"):  # true, null, strings, NUL, non-ASCII
+    trace = header == TRACE_HEADER
+    ints, fields = (2, FLOAT_FIELDS) if trace else (1, [5])  # k and i, or step, lead; fields: the floats read
+    empty = (seps[1:] - seps[:-1] == 1).reshape(rows, 10)
+    if trace:
+        start = ends[:, 4] + 1
+        codes = _BRANCH_CODES[block[start]]
+        at = start[:, None] + np.arange(_BRANCH_BYTES.shape[1])
+        inside = at < ends[:, 5:6]
+        if (codes < 0).any() or (ends[:, 5] - start != _BRANCH_LENGTHS[codes]).any() or (
+                (block.take(at, mode="clip") != _BRANCH_BYTES[codes]) & inside).any():
+            return None
+        block[at[inside]] = ord(" ")
+        block[start] = codes + ord("0")
+        (r,) = np.nonzero(empty[:, 6])  # an empty r: "c,0" and spaces up to r's comma
+        block[start[r] + 1], block[start[r] + 2], block[ends[r, 5]] = ord(","), ord("0"), ord(" ")
+        empty[r, 6] = False
+    block[ends[:, 9]], block[-1] = ord(","), ord("]")  # one JSON array, "[\n" its first bytes
+    numbers, tokens = block.tobytes(), []
+    if numbers.translate(None, _NUMBER_BYTES) != b"[]":  # a token, or what no number holds
+        numbers = _TOKEN.sub(lambda m: tokens.append((m.start(), _TOKENS[m[1]])) or m[1][:-3] + b"0.0", numbers)
+        if numbers.translate(None, _NUMBER_BYTES) != b"[]":  # true, null, strings, NUL, non-ASCII
+            return None
+    if cuts := ends[empty].tolist():  # a null inserted into each other empty field: NaN, and no int
+        numbers = b"null".join([numbers[a:b] for a, b in zip([0, *cuts], [*cuts, None])])
+    try:  # orjson takes no number that overflows; array("q") no float, and no int past int64
+        values = orjson.loads(numbers)
+        integers = array("q", sum((values[column::10] for column in range(ints)), []))
+    except (orjson.JSONDecodeError, TypeError, OverflowError):
         return None
-    try:
-        values = orjson.loads(b"[" + numbers + b"]")
-    except orjson.JSONDecodeError:
-        return None
-    if len(values) != 10 * rows:
-        return None
-    try:  # array("q") takes no float, and no int past int64
-        ints = array("q", values[0::10] + values[1::10])
-    except (TypeError, OverflowError):
-        return None
-    floats = np.fromiter(values, float, len(values)).reshape(rows, 10).T[FLOAT_FIELDS]
-    floats[FLOAT_COLUMNS.index("r"), empty] = math.nan
-    for column, row in zip(*np.nonzero(floats == 0)):
-        field = FLOAT_FIELDS[column]
-        floats[column, row] = float(text[seps[row, field - 1] + 1:seps[row, field]])
-    return codes, np.frombuffer(ints, dtype=np.int64).reshape(2, rows), floats
+    floats = np.array([values[column::10] for column in fields], dtype=float)  # None as NaN
+    if trace:
+        floats[FLOAT_COLUMNS.index("r"), r] = math.nan
+    for position, value in tokens:
+        row, column = divmod(int(np.searchsorted(seps, position)) - 1, 10)
+        if column in fields:
+            floats[fields.index(column), row] = value
+    for column, row in () if floats.all() else zip(*np.nonzero(floats == 0)):  # orjson reads -0 as 0, -0.0 as -0.0
+        if type(values[10 * row + fields[column]]) is int:
+            floats[column, row] = float(data[ends[row, fields[column] - 1] + 1:ends[row, fields[column]]])
+    if trace:
+        return codes, np.frombuffer(integers, dtype=np.int64).reshape(2, rows), floats
+    return np.frombuffer(integers, dtype=np.int64), np.where(empty[:, 5], -math.inf, floats[0])
 
 
-def _trace_fields(text):
-    """Branch codes, k and i, and the float columns of trace fields; errors as _read_csv reads them."""
-    ints, floats = _parse(text[:2], int), _parse(text[FLOAT_FIELDS], float)
-    errors = [(bad, "non-numeric field") for bad in (ints, floats) if isinstance(bad, int)]
-    branch = text[TRACE_HEADER.index("branch")]
-    codes = np.full(text.shape[1], -1, dtype=np.int8)
-    for code, name in enumerate(BRANCHES):
-        codes[branch == name] = code
-    if (codes < 0).any():
-        row = int(np.argmin(codes))
-        errors.append((row, f"unknown branch {branch[row]!r}; expected one of {list(BRANCHES)}"))
-    return (codes, ints, floats), errors
-
-
-def _record_fields(text):
-    """The step and gamma_max columns of run-record fields, an empty
-    gamma_max as -inf, which no cap check fails; errors as _read_csv reads them."""
-    step, gamma_max = _parse(text[:1], int), _parse(np.where(text[5:6] == "", "-inf", text[5:6]), float)
-    return (step, gamma_max), [(bad, "non-numeric step or gamma_max") for bad in (step, gamma_max)
-                               if isinstance(bad, int)]
+def _fault(block, header):
+    """(n, message) for block, lines of a CSV with header that _block
+    refuses: its first line n (from 0) that _block refuses alone, split as
+    newline="" splits them and found by halving, and what is wrong with it:
+    its field count, else a non-numeric field, else (in a trace) its branch
+    word; a record's non-numeric step or gamma_max has a message of its own."""
+    lines = list(io.StringIO(block, newline=""))
+    n, end = 0, len(lines)  # lines[n:end] holds the first line refused, and lines[:n] none
+    while end - n > 1:
+        half = (n + end) // 2
+        n, end = (n, half) if _block("".join(lines[n:half]), header) is None else (half, end)
+    fields = lines[n].rstrip("\r\n").split(",")
+    if len(fields) != len(header):
+        return n, f"expected {len(header)} fields"
+    if header == TRACE_HEADER:
+        branch, fields[5] = fields[5], BRANCHES[0]
+        return n, ("non-numeric field" if _block(",".join(fields), header) is None
+                   else f"unknown branch {branch!r}; expected one of {list(BRANCHES)}")
+    fields[1:5] = fields[6:] = [""] * 4  # the columns the record check does not read, empty
+    return n, "non-numeric step or gamma_max" if _block(",".join(fields), header) is None else "non-numeric field"
 
 
 def read_input(path, headers=(TRACE_HEADER,), rows=None):
@@ -288,7 +271,7 @@ def read_input(path, headers=(TRACE_HEADER,), rows=None):
     header = next(runs)
     yield header
     if header == RUN_HEADER:
-        (step,), (gamma_max,) = map(np.hstack, zip(*runs))
+        step, gamma_max = map(np.concatenate, zip(*runs))
         yield step, gamma_max
         return
     d, n, s, error, held = None, 0, 0, None, []  # step 0's rows once known, rows read, steps yielded, runs held

@@ -82,12 +82,20 @@ class Fold:
             self.worst, self.location = worst, location
 
 
+class NegativeStart(ValueError):
+    """A negative branch at coordinate coord of the first step a trace check reads."""
+
+    def __init__(self, coord: int):
+        super().__init__("negative branch in the first trace: traces must start at step 0")
+        self.coord = coord
+
+
 def _negative(trace: Trace, fold: Fold) -> np.ndarray:
     """Negative-branch mask of trace; the identities relate a negative step
     to the one before it, so step 0 must not hold one."""
     neg = trace.branch == BRANCH_NEGATIVE
     if fold.last is None and neg[:1].any():
-        raise ValueError("negative branch in the first trace: traces must start at step 0")
+        raise NegativeStart(int(np.argmax(neg[0])))
     return neg
 
 
@@ -158,16 +166,17 @@ def check_alpha_identity_rho1(gs) -> CheckReport:
 def check_adagrad_equivalence(problem, steps: int, gamma: float, x0=None) -> CheckReport:
     """With rho=0 (practical mode, beta=0, unconstrained) the diagonal
     stepper accumulates exactly g^2 and never rescales gamma, so its
-    trajectory must match AdaGrad's coordinate-for-coordinate."""
+    trajectory must match AdaGrad's coordinate-for-coordinate. The two step
+    in turn, holding only their iterates; step k compares them after k + 1."""
     x0 = np.ones(problem.dim) if x0 is None else x0
     gg = GradaGrad(x0, HyperParams(gamma0=gamma, rho=0.0, beta=0.0, mode="practical"))
-    xs = np.empty((2, steps + 1, gg.dim))  # row k of each: its optimizer's iterate after k steps
-    for x, opt in zip(xs, (gg, AdaGrad(x0, gamma=gamma))):
-        drive(opt, problem.grad_full, steps, lambda k: np.copyto(x[k], opt.x))
-    gg, ag = xs[:, 1:]
-    dev = np.abs(gg - ag) / np.maximum(1.0, np.maximum(np.abs(gg), np.abs(ag)))
-    worst, location = _worst(dev, True, range(steps))
-    return _report("adagrad_equivalence", worst, TOL_IDENTITY, location, f"{steps} steps")
+    ag, fold = AdaGrad(x0, gamma=gamma), Fold()
+    for k in range(steps):
+        for opt in (gg, ag):
+            drive(opt, problem.grad_full, 1)
+        dev = np.abs(gg.x - ag.x) / np.maximum(1.0, np.maximum(np.abs(gg.x), np.abs(ag.x)))
+        fold.keep(*_worst(dev[None], True, [k]))
+    return _report("adagrad_equivalence", fold.worst, TOL_IDENTITY, fold.location, f"{steps} steps")
 
 
 def check_finite_diff(problem, point, h: float = 1e-6) -> CheckReport:
@@ -179,10 +188,12 @@ def check_finite_diff(problem, point, h: float = 1e-6) -> CheckReport:
     point = np.asarray(point, dtype=float)
     if not problem.smooth_at(point, 2.0 * h):
         return _report("finite_diff", 0.0, np.inf, details="skipped: objective not smooth at the evaluation point")
-    grad = problem.grad_full(point)
-    fd = [(problem.loss_full(point + e) - problem.loss_full(point - e)) / (2.0 * h)
-          for e in h * np.eye(point.size)]
-    rel = np.abs(np.array(fd) - grad) / np.maximum(1.0, np.abs(grad))
+    grad, fd, e = problem.grad_full(point), np.empty(point.size), h * np.zeros(point.size)
+    for i in range(point.size):  # e is row i of h * np.eye(point.size) while e[i] is h: (d,), not (d, d)
+        e[i] = h
+        fd[i] = (problem.loss_full(point + e) - problem.loss_full(point - e)) / (2.0 * h)
+        e[i] = h * 0.0
+    rel = np.abs(fd - grad) / np.maximum(1.0, np.abs(grad))
     worst, location = _worst(rel[None], True, [0])
     return _report("finite_diff", worst, TOL_FINITE_DIFF, location, f"h={h:g}")
 

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -111,3 +113,21 @@ def first_branch(trace, code) -> tuple[int, int]:
     found = np.argwhere(trace.branch[1:] == code)
     assert found.size, f"no branch {BRANCHES[code]} after step 0"
     return int(found[0, 0]) + 1, int(found[0, 1])
+
+
+# spellings a trace or record field can hold that JSON and float() or int()
+# read otherwise, or that only one of them reads
+HOSTILE = ["-0", "-0.0", "0", "5", "9007199254740993", "1" * 400, "1e400", "-1e400", "1e-400", "-1e-400",
+           "true", "false", "null", '"1.5"', "[1]", "{}", " 1.5", "1.5 ", " -0 ", "-0\t", "+1", ".5", "5.",
+           "01", "00001.5", "1_0", "\u0661", "inf", "nan", "Infinity", "NaN", "0x1p3", "1E+05",
+           "1.7976931348623159e308", "18446744073709551615", "18446744073709551616"]
+INTEGER = re.compile(r"-?(?:0|[1-9][0-9]*)")
+NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
+def in_dialect(field, integer) -> bool:
+    """Whether the readers' grammar takes field: a JSON integer, if integer,
+    else empty, inf, -inf, nan or a JSON number that does not overflow."""
+    if integer:
+        return INTEGER.fullmatch(field) is not None
+    return field in ("", "inf", "-inf", "nan") or NUMBER.fullmatch(field) is not None and math.isfinite(float(field))

@@ -3,9 +3,11 @@ gradagrad.csvio's trace writer and CSV reader.
 
 This is the writer and reader the CLI used while trace rows went through
 the csv module: csv.writer over rows formatted column by column, and
-csv.reader split into TRACE_CHUNK_ROWS-row runs; and the trace field parser
-it used while every float column went through one empty-field pass and one
-parse, v_clipped included. Do not edit it to follow the package.
+csv.reader split into TRACE_CHUNK_ROWS-row runs; the trace field parser it
+used while every float column went through one empty-field pass and one
+parse, v_clipped included; and the run-record field parser it used until
+one block parser read both kinds of CSV. Each field parser reads what
+int() and float() read. Do not edit it to follow the package.
 """
 
 import csv
@@ -98,3 +100,11 @@ def trace_fields(text):
         row = int(np.argmin(codes))
         errors.append((row, f"unknown branch {text[5][row]!r}; expected one of {list(BRANCHES)}"))
     return (codes, ints, floats), errors
+
+
+def record_fields(text):
+    """gradagrad.csvio._record_fields as it was: the step and gamma_max
+    columns of run-record fields, an empty gamma_max as -inf."""
+    step, gamma_max = parse(text[:1], int), parse(np.where(text[5:6] == "", "-inf", text[5:6]), float)
+    return (step, gamma_max), [(bad, "non-numeric step or gamma_max") for bad in (step, gamma_max)
+                               if isinstance(bad, int)]

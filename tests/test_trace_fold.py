@@ -120,7 +120,7 @@ def test_a_malformed_line_in_a_later_chunk_wins_over_a_negative_branch_at_step_0
     _set_field(path, 2, 5, "negative")  # step 0, coordinate 0
     code, out, err = _chunked(monkeypatch, rows, ["check", str(path)])
     assert (code, out) == (2, "")
-    assert err == "error: negative branch in the first trace: traces must start at step 0\n"
+    assert err == f"error: {path}:2: negative branch in the first trace: traces must start at step 0\n"
     _set_field(path, 1100, 2, "x")
     for argv in (["check", str(path)], ["check", str(path), "--checks", "monotone,errnegativity"]):
         assert _chunked(monkeypatch, rows, argv) == (2, "", f"error: {path}:1100: non-numeric field\n")
@@ -128,6 +128,17 @@ def test_a_malformed_line_in_a_later_chunk_wins_over_a_negative_branch_at_step_0
     _set_field(path, 1150, 1, "0")  # a row out of place
     code, out, err = _chunked(monkeypatch, rows, ["check", str(path)])
     assert (code, out) == (2, "") and err.startswith(f"error: {path}:1150: expected step 382, coordinate 2, ")
+
+
+@pytest.mark.parametrize("coord", [0, 2])
+def test_a_negative_branch_at_step_0_is_named_at_its_line(tmp_path, coord):
+    _, trace = make_fuzz_run(dim=3, steps=20, seed=2)
+    path = _write(tmp_path, trace)
+    _set_field(path, 2 + coord, 5, "negative")  # step 0, coordinate coord
+    for checks in ("all", "errnegativity", "reparam,monotone"):
+        assert _cli(["check", str(path), "--checks", checks]) == (
+            2, "", f"error: {path}:{2 + coord}: negative branch in the first trace: traces must start at step 0\n")
+    assert _cli(["check", str(path), "--checks", "monotone"])[0] in (0, 1)  # the one check that relates no steps
 
 
 @pytest.mark.parametrize("d,rows", [(10, 4), (1025, 1024), (7, 1)])

@@ -4,21 +4,24 @@ The writer must write the bytes the csv.writer one wrote, on fuzzed and
 scalar traces, on hand-set values (signed zeros, infinities, NaNs with
 different payloads, subnormals, values repeated across columns and
 chunks) and at the widths around the TRACE_CHUNK_ROWS chunk edges. The
-reader, with its trace field parser, must read the same Trace or run
-record as the csv.reader one with the frozen parser, or fail with the same
-message, on well-formed files and on malformed ones. A quoted field is the
-one expected difference: csv.reader unquoted it, the reader now reports it.
+reader must read the same Trace or run record as the csv.reader one with
+the frozen field parsers, or fail with the same message, on well-formed
+files and on malformed ones, wherever every field is in the dialect the
+writer writes (conftest.in_dialect). A field outside it, which the frozen
+parsers read as int() or float() does, is malformed at its line, as is a
+quoted field, which csv.reader unquoted.
 """
 
 import contextlib
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
 
 import reference_trace_io as ref
-from conftest import make_fuzz_run, traced_run, write_trace_csv
+from conftest import HOSTILE, in_dialect, make_fuzz_run, traced_run, write_trace_csv
 from gradagrad import HyperParams, ScalarGradaGrad, Trace, cli, csvio, verify
 from gradagrad.core import BRANCHES, FLOAT_COLUMNS
 
@@ -87,13 +90,12 @@ def test_reader_and_commands_match_the_frozen_reader_on_written_traces(tmp_path,
     _assert_same_read(path, max(1, trace.branch.shape[1]))
 
 
-def _outcome(path, read_csv, trace_fields):
-    """What the CLI makes of path with read_csv as its CSV reader and
-    trace_fields as its trace field parser: the parsed trace or record
-    report, or the error, and every command's exit code and output."""
+def _outcome(path, read_csv, commands=True):
+    """What the CLI makes of path with read_csv as its CSV reader: the
+    parsed trace or record report, or the error, and (unless commands is
+    False) every command's exit code and output."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(csvio, "_read_csv", read_csv)
-        mp.setattr(csvio, "_trace_fields", trace_fields)
         with cli.open_input(path) as f:
             record = f.readline().rstrip("\r\n").split(",") == csvio.RUN_HEADER
         try:
@@ -106,25 +108,61 @@ def _outcome(path, read_csv, trace_fields):
                            getattr(trace, f.name).tobytes()) for f in dataclasses.fields(trace)]
         except cli.ConfigError as exc:
             parsed = str(exc)
-        commands = []
-        for argv in (["check", str(path)], ["check", str(path), "--d-inf", "3"], ["trace-dump", str(path)]):
+        argvs = (["check", str(path)], ["check", str(path), "--d-inf", "3"], ["trace-dump", str(path)])
+        outputs = []
+        for argv in argvs if commands else ():
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
-            commands.append((code, out.getvalue(), err.getvalue()))
-    return parsed, commands
+            outputs.append((code, out.getvalue(), err.getvalue()))
+    return parsed, outputs
 
 
 READ_CSV = csvio._read_csv  # the package's reader, which _outcome patches
 
 
-def _frozen_read_csv(path, headers):
+def _dialect(text, integers, floats):
+    """text, a (columns, rows) object array of fields, with each field of
+    the integers and floats columns that is outside the dialect set to "x",
+    which no frozen parser reads; and the first row that has one, if any."""
+    text, bad = text.copy(), []
+    for columns, integer in ((integers, True), (floats, False)):
+        for column in columns:
+            ok = [in_dialect(field, integer) for field in text[column]]
+            text[column] = np.where(ok, text[column], "x")
+            bad += [ok.index(False)] if False in ok else []
+    return text, min(bad, default=None)
+
+
+def _trace_fields(text):
+    """The frozen trace field parser, reading only the dialect."""
+    return ref.trace_fields(_dialect(text, [0, 1], [2, 3, 4, 6, 7, 8, 9])[0])
+
+
+def _record_fields(text):
+    """The frozen run-record field parser, reading only the dialect: a
+    field outside it in step or gamma_max fails as the parser fails, and in
+    another column, which the parser does not read, as a non-numeric field."""
+    arrays, errors = ref.record_fields(_dialect(text, [0], [5])[0])
+    other = _dialect(text, [], [1, 2, 3, 4, 6, 7, 8, 9])[1]
+    return arrays, errors + ([(other, "non-numeric field")] if other is not None else [])
+
+
+def _frozen_read_csv(path, headers, dialect=True):
     """The header the package's reader picks from headers, then the frozen
     reader's arrays of the whole file, as one run of rows, from which the
-    CLI folds over the whole trace in one chunk."""
+    CLI folds over the whole trace in one chunk. Unless dialect is False,
+    its field parsers read only the dialect."""
     header = next(READ_CSV(path, headers))
-    parse = csvio._trace_fields if header == csvio.TRACE_HEADER else csvio._record_fields
-    return iter([header, ref.read_csv(path, header, parse)])
+    if header == csvio.TRACE_HEADER:
+        return iter([header, ref.read_csv(path, header, _trace_fields if dialect else ref.trace_fields)])
+    arrays = ref.read_csv(path, header, _record_fields if dialect else ref.record_fields)
+    return iter([header, [column.ravel() for column in arrays]])
+
+
+def _frozen_read_csv_as_int_and_float(path, headers):
+    """_frozen_read_csv with the frozen field parsers as they were, reading what int() and float() read."""
+    return _frozen_read_csv(path, headers, dialect=False)
 
 
 def _first_row_chars(path):
@@ -140,14 +178,22 @@ def _assert_same_read(path, d=3):
     blank lines before it) folded at 7 steps of d rows a chunk, and in
     blocks of seven lines folded at 1 step. (The block-edge test below
     tries every block size up to a line.)"""
-    new = _outcome(path, csvio._read_csv, csvio._trace_fields)
-    assert new == _outcome(path, _frozen_read_csv, ref.trace_fields)
+    new = _outcome(path, csvio._read_csv)
+    assert new == _outcome(path, _frozen_read_csv)
     for chars, steps in ((1, 7), (7 * _first_row_chars(path), 1)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(csvio, "TRACE_READ_CHARS", chars)
             mp.setattr(csvio, "TRACE_FOLD_ROWS", steps * d)
-            assert _outcome(path, csvio._read_csv, csvio._trace_fields) == new, (chars, steps)
+            assert _outcome(path, csvio._read_csv) == new, (chars, steps)
     return new
+
+
+def _assert_outside_the_dialect_is_malformed(path, parsed):
+    """Where the frozen reader, reading what int() and float() read, reads
+    path otherwise than the dialect does, the reader finds a field outside
+    the dialect malformed at its line."""
+    if _outcome(path, _frozen_read_csv_as_int_and_float, commands=False)[0] != parsed:
+        assert re.fullmatch(rf"{re.escape(str(path))}:\d+: non-numeric (field|step or gamma_max)", parsed), parsed
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +329,7 @@ def test_reader_matches_the_csv_reader_on_traces(tmp_path, files, name):
     path = tmp_path / "t.trace.csv"
     path.write_bytes(EDITS[name](files["trace"]).encode())
     parsed, commands = _assert_same_read(path)
+    _assert_outside_the_dialect_is_malformed(path, parsed)
     if name == "as-written":
         assert isinstance(parsed, list) and commands[0][0] == 0
 
@@ -292,6 +339,7 @@ def test_reader_matches_the_csv_reader_on_run_records(tmp_path, files, name):
     path = tmp_path / "r.csv"
     path.write_bytes(RECORD_EDITS[name](files["record"]).encode())
     parsed, commands = _assert_same_read(path)
+    _assert_outside_the_dialect_is_malformed(path, parsed)
     if name == "as-written":
         assert parsed.startswith("CheckReport(name='run_record', passed=True") and commands[0][0] == 0
 
@@ -321,7 +369,7 @@ def test_a_quoted_field_is_malformed_at_its_line(tmp_path, capsys, files, kind, 
     path = tmp_path / ("t.trace.csv" if kind == "trace" else "r.csv")
     path.write_text(_set_field(line, column, quoted)(files[kind]))
     header = csvio.TRACE_HEADER if kind == "trace" else csvio.RUN_HEADER
-    parse = csvio._trace_fields if kind == "trace" else csvio._record_fields
+    parse = ref.trace_fields if kind == "trace" else ref.record_fields
     ref.read_csv(path, header, parse)  # csv.reader unquoted the field
     for argv in (["check", str(path)], ["trace-dump", str(path)]) if kind == "trace" else (["check", str(path)],):
         assert cli.main(argv) == 2
@@ -378,14 +426,6 @@ def test_repr_fields_spells_every_value_as_repr():
     assert csvio._repr_fields(np.empty((7, 0))) == [[]] * 7
 
 
-# spellings a trace field can hold that JSON and float() or int() read
-# otherwise, or that only one of them reads
-HOSTILE = ["-0", "-0.0", "0", "5", "9007199254740993", "1" * 400, "1e400", "-1e400", "1e-400", "-1e-400",
-           "true", "false", "null", '"1.5"', "[1]", "{}", " 1.5", "1.5 ", " -0 ", "-0\t", "+1", ".5", "5.",
-           "01", "00001.5", "1_0", "١", "inf", "nan", "Infinity", "NaN", "0x1p3", "1E+05",
-           "1.7976931348623159e308", "18446744073709551615", "18446744073709551616"]
-
-
 @pytest.fixture(scope="module")
 def small_trace(tmp_path_factory):
     """The text of a trace of d=3 over 12 steps, some r fields empty."""
@@ -399,30 +439,51 @@ def small_trace(tmp_path_factory):
 @pytest.mark.parametrize("token", HOSTILE, ids=lambda t: repr(t) if len(t) < 30 else f"{len(t)}-digits")
 @pytest.mark.parametrize("column", [0, 1, 2, 3, 4, 6, 7, 8, 9], ids=lambda c: csvio.TRACE_HEADER[c])
 def test_reader_matches_the_frozen_reader_on_hostile_tokens(tmp_path, small_trace, token, column):
-    """A token in one numeric field reads as the frozen field parser and the
-    frozen reader read it, or fails with their message, whether orjson or
-    float() and int() parse it."""
+    """A token in one numeric field that the dialect takes reads as the
+    frozen reader reads it; one outside the dialect is a non-numeric field."""
     path = tmp_path / "t.trace.csv"
     path.write_text(_set_field(9, column, token)(small_trace))
-    new = _outcome(path, csvio._read_csv, csvio._trace_fields)
-    assert new == _outcome(path, csvio._read_csv, ref.trace_fields)
+    new = _outcome(path, csvio._read_csv)
+    if in_dialect(token, column < 2):
+        assert new == _outcome(path, _frozen_read_csv_as_int_and_float)
+    else:
+        assert new[0] == f"{path}:9: non-numeric field"
     if '"' not in token:  # csv.reader unquotes a field (test_a_quoted_field_is_malformed_at_its_line)
-        assert new == _outcome(path, _frozen_read_csv, ref.trace_fields)
+        assert new == _outcome(path, _frozen_read_csv)
 
 
-def test_a_written_trace_is_read_without_the_fallback(tmp_path, monkeypatch):
-    """_trace_block reads every block of lines of a trace a run writes, empty
-    r fields and all, so the field-by-field parse of _parse never runs on it."""
+def _read_in_blocks_alone(path, header, expected):
+    """Assert that the reader takes every block of path, with "\n", "\r\n"
+    and "\r" line ends alike, and reads the arrays expected; the per-line
+    pass that names a malformed line fails the test if it runs."""
+    text = path.read_bytes()
+    for end in (b"\n", b"\r\n", b"\r"):
+        path.write_bytes(text.replace(b"\n", end))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(csvio, "_fault", lambda block, header: pytest.fail(f"a block refused, {end!r} line ends"))
+            runs = list(csvio._read_csv(path, (header,)))[1:]
+        for new, old in zip([np.concatenate(arrays, axis=-1) for arrays in zip(*runs)], expected):
+            assert new.dtype == old.dtype and new.tobytes() == old.tobytes(), end
+
+
+@pytest.mark.parametrize("name", WRITER_CASES)
+def test_a_written_trace_is_read_in_blocks_alone(tmp_path, name):
+    """Every block of a trace the writer writes, ±inf and NaN fields
+    included, is in the dialect: its values are those the frozen reader reads."""
     path = tmp_path / "t.trace.csv"
-    write_trace_csv(path, make_fuzz_run(dim=10, steps=300, seed=3, d_inf=3.0)[1])
-    expected = ref.read_csv(path, csvio.TRACE_HEADER, ref.trace_fields)
-    blocks, trace_block = [], csvio._trace_block
-    monkeypatch.setattr(csvio, "_trace_block", lambda text: blocks.append(trace_block(text)) or blocks[-1])
-    monkeypatch.setattr(csvio, "_parse", lambda text, dtype: pytest.fail(f"_parse of {text.shape} as {dtype}"))
-    runs = list(csvio._read_csv(path, (csvio.TRACE_HEADER,)))[1:]
-    assert len(runs) == len(blocks) > 1 and all(block is not None for block in blocks)
-    for new, old in zip([np.concatenate(arrays, axis=-1) for arrays in zip(*runs)], expected):
-        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+    write_trace_csv(path, WRITER_CASES[name]())
+    _read_in_blocks_alone(path, csvio.TRACE_HEADER, ref.read_csv(path, csvio.TRACE_HEADER, ref.trace_fields))
+
+
+@pytest.mark.parametrize("optimizer", cli.OPTIMIZERS)
+def test_a_written_run_record_is_read_in_blocks_alone(tmp_path, optimizer):
+    """So is every block of the run record of each optimizer, its empty
+    fields included."""
+    path = tmp_path / "r.csv"
+    assert cli.main(["run", "--problem", "quadratic", "--dim", "3", "--noise-std", "0.5", "--steps", "300",
+                     "--eval-every", "3", "--optimizer", optimizer, "--out", str(path)]) == 0
+    expected = [column.ravel() for column in ref.read_csv(path, csvio.RUN_HEADER, ref.record_fields)]
+    _read_in_blocks_alone(path, csvio.RUN_HEADER, expected)
 
 
 def _line_ends(text, ends):
@@ -453,12 +514,12 @@ def test_reader_matches_the_frozen_reader_at_every_block_edge(tmp_path, small_tr
     seven lines, reads as the frozen reader does."""
     path = tmp_path / "t.trace.csv"
     path.write_bytes(LINE_END_CASES[name](small_trace).encode())
-    expected = _outcome(path, _frozen_read_csv, ref.trace_fields)
+    expected = _outcome(path, _frozen_read_csv)
     line = _first_row_chars(path)
     for chars in [*range(1, line + 2), 7 * line]:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(csvio, "TRACE_READ_CHARS", chars)
-            assert _outcome(path, csvio._read_csv, csvio._trace_fields) == expected, chars
+            assert _outcome(path, csvio._read_csv) == expected, chars
 
 
 def test_non_utf8_byte_in_a_later_block_names_its_line(tmp_path, capsys):

@@ -134,6 +134,20 @@ class TestAdagradEquivalence:
         assert worst > 1e-12
 
 
+    def test_holds_two_iterates_not_the_runs(self):
+        """At d=1000 and 1000 steps the check holds each stepper's iterate,
+        not a (2, steps + 1, d) history of them, which peaks near 46 MiB here."""
+        problem = Quadratic(np.linspace(0.5, 2.0, 1000))
+        tracemalloc.start()
+        try:
+            report = check_adagrad_equivalence(problem, 1000, gamma=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.details == "1000 steps"
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 class TestFiniteDiff:
     def test_quadratic_tight(self):
         report = check_finite_diff(Quadratic([2.0]), [3.0])
@@ -151,6 +165,18 @@ class TestFiniteDiff:
             -(X * y[:, None]).mean(axis=0) / 2.0,
             rtol=1e-12,
         )
+
+    def test_perturbs_one_coordinate_at_a_time(self):
+        """At d=2000 the check holds one perturbation vector, not h * eye(d), which peaks near 31 MiB here."""
+        problem = Quadratic(np.linspace(0.5, 2.0, 2000))
+        tracemalloc.start()
+        try:
+            report = check_finite_diff(problem, np.linspace(-1.0, 1.0, 2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_abs_kink_skipped(self):
         report = check_finite_diff(AbsValue(1), [0.0])
