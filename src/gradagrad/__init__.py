@@ -19,7 +19,6 @@ from .data import (
     LibsvmParseError,
     MinibatchStream,
     load_dataset,
-    minibatch_iter,
     normalize_labels,
     parse_libsvm_line,
     save_dataset,

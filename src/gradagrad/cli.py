@@ -13,7 +13,6 @@ appears in the stderr summary.
 import argparse
 import functools
 import math
-import os
 import sys
 from contextlib import closing, nullcontext
 from pathlib import Path
@@ -171,21 +170,14 @@ def cmd_run(args) -> int:
     if args.trace and args.out is None:
         raise ConfigError("--trace requires --out (the trace path derives from it)")
     rows, states = [], [problem.init_state(args.seed)]
-    # the trace goes, one ring of steps at a time, to a file that replaces the trace path once the record is written
+    # drive fills the trace sink's ring; the written trace replaces the trace path once the record is written
     trace_path = Path(args.out).with_suffix(".trace.csv") if args.trace else None
-    partial = trace_path and trace_path.with_name(f"{trace_path.name}.{os.getpid()}.tmp")
-    try:
-        with nullcontext((None, None)) if partial is None else csvio.trace_sink(partial, steps, opt.gamma.size) as sink:
-            wall = drive(opt, lambda x: problem.grad_sample(x, states), steps,
-                         lambda k: rows.append(_eval_row(k, n_batches, problem, opt)), eval_every, *sink)
-            csvio.write_rows(args.out, csvio.RUN_HEADER, rows)
-        if partial is not None:
-            partial.replace(trace_path)
-            print(f"trace written to {trace_path}", file=sys.stderr)
-    except BaseException:
-        if partial is not None:
-            partial.unlink(missing_ok=True)
-        raise
+    with nullcontext((None, None)) if trace_path is None else csvio.trace_sink(trace_path, steps, opt.gamma.size) as sink:
+        wall = drive(opt, lambda x: problem.grad_sample(x, states), steps,
+                     lambda k: rows.append(_eval_row(k, n_batches, problem, opt)), eval_every, *sink)
+        csvio.write_rows(args.out, csvio.RUN_HEADER, rows)
+    if trace_path is not None:
+        print(f"trace written to {trace_path}", file=sys.stderr)
     final_loss = rows[-1][2]
     avg_loss = problem.loss_full(opt.averaged_iterate())
     print(
@@ -307,10 +299,14 @@ def cmd_check(args) -> int:
                               else f"unknown check {unknown[0]!r}; choose from {CHECK_NAMES} or 'all'")
         if args.d_inf is not None and not READS["d_inf"].intersection(names):
             raise ConfigError(f"--d-inf is not read by --checks {','.join(names)}")
+        sink = verify.trace_checks(names, args.d_inf) if not record else (  # a record's columns come as one chunk
+            lambda columns: [verify.record_report(*columns, args.d_inf)] * len(names))
         try:
-            reports = ([verify.record_report(*next(contents), args.d_inf)] * len(names) if record
-                       else verify.fold_trace_checks(contents, names, args.d_inf))
+            for chunk in contents:
+                reports = sink(chunk)
         except verify.NegativeStart as exc:  # row n of step 0, coordinate n, is on line 2 + n
+            for _ in contents:  # the reader's error, raised only once every line has parsed, beats a check's
+                pass
             raise ConfigError(f"{args.trace}:{2 + exc.coord}: {exc}") from None
     for rep in reports:
         print(f"{rep.name}: {'PASS' if rep.passed else 'FAIL'} (worst={rep.worst_violation:g})", file=sys.stderr)

@@ -564,7 +564,9 @@ def drive(opt: Optimizer, grad, steps: int, on_eval=None, eval_every: int = 1,
     every eval_every steps and the last step. Fill trace if given (only the
     GradaGrad steppers take one), its k first moved to start at opt.k; with
     on_trace, trace is a ring whose filled rows go to on_trace when it is
-    full and after the last step, its k then moved on by len(trace). Returns
+    full and after the last step, its k then moved on by len(trace).
+    on_trace is a sink of a trace's chunks: a function called with each
+    chunk of whole steps in order, whose return value drive ignores. Returns
     the wall seconds of the steps and of the evaluations after k = 0,
     without on_trace's."""
     if eval_every < 1:

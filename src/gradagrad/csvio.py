@@ -9,14 +9,16 @@ A trace's floats go through orjson's number codec both ways. The writer
 formats v_clipped only where its bits differ from v_raw's and r only where
 it is not NaN, keeps orjson's shortest digits where repr spells them alike
 (±0 and finite |x| in [1e-4, 1e16)), calls repr for the rest and empties
-NaN fields by index.
+NaN fields by index. trace_sink gives drive the sink that writes a trace,
+and it alone names, replaces and removes the trace's temporary file.
 
 The readers read run records and traces in the writer's dialect and no
 other, TRACE_READ_CHARS characters and the rest of their line at a time,
-as arrays and Traces; what those must satisfy is verify's to check. A line
-is ten unquoted, unpadded fields and a "\n", "\r\n" or "\r": branch a
-BRANCHES word, k, i and step int64 JSON integers, and every other field a
-JSON number that does not overflow, inf, -inf, nan, or empty for NaN.
+as arrays and as Traces of whole steps, the chunks that `check` calls
+verify.trace_checks with; what those must satisfy is verify's to check.
+A line is ten unquoted, unpadded fields and a "\n", "\r\n" or "\r": branch
+a BRANCHES word, k, i and step int64 JSON integers, and every other field
+a JSON number that does not overflow, inf, -inf, nan, or empty for NaN.
 _block parses a block's bytes with one orjson parse; a block it refuses is
 malformed, and _fault names its first bad line.
 """
@@ -24,10 +26,12 @@ malformed, and _fault names its first bad line.
 import io
 import itertools
 import math
+import os
 import re
 import sys
 from array import array
 from contextlib import contextmanager, nullcontext
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -117,13 +121,20 @@ def _repr_fields(floats: np.ndarray) -> list[list[str]]:
 
 @contextmanager
 def trace_sink(path, steps, d):
-    """Write TRACE_HEADER to path, and give the with block (ring, on_trace)
-    for a run of steps steps of d coordinates: drive's ring, of
-    TRACE_CHUNK_ROWS // d steps (one at least, and steps at most), and the
-    on_trace that writes each chunk of it that drive passes on."""
-    with _write_csv(path, TRACE_HEADER) as write:
-        yield (Trace.empty(min(steps, max(1, TRACE_CHUNK_ROWS // d)), d),
-               lambda chunk: write(zip(*trace_columns(chunk, _repr_fields))))
+    """Write a trace to path, and give the with block (ring, on_trace) for a
+    run of steps steps of d coordinates: drive's ring, of TRACE_CHUNK_ROWS // d
+    steps (one at least, and steps at most), and the sink that writes each
+    chunk of it to <path>.<pid>.tmp, a file that replaces path when the with
+    block ends and is removed if it raises."""
+    partial = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with _write_csv(partial, TRACE_HEADER) as write:
+            yield (Trace.empty(min(steps, max(1, TRACE_CHUNK_ROWS // d)), d),
+                   lambda chunk: write(zip(*trace_columns(chunk, _repr_fields))))
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _read_csv(path, headers):
@@ -259,14 +270,14 @@ def _fault(block, header):
     return n, "non-numeric step or gamma_max" if _block(",".join(fields), header) is None else "non-numeric field"
 
 
-def read_input(path, headers=(TRACE_HEADER,), rows=None):
+def read_input(path, headers=(TRACE_HEADER,)):
     """Yield the header of the CSV at path, as _read_csv picks it from
     headers, and then what the CSV holds, opening path once. A run record's
     is its step and gamma_max columns, read whole. A trace's is Traces of
-    whole steps, each of rows (TRACE_FOLD_ROWS if None) rows or more but the
-    last, or one of no rows. If step 0 has d rows, row n (from 0) must hold
-    step n // d, coordinate n % d, and the last step d rows: a ConfigError
-    names the first line that does not, once every line has parsed."""
+    whole steps, each of TRACE_FOLD_ROWS rows or more but the last, or one
+    of no rows. If step 0 has d rows, row n (from 0) must hold step n // d,
+    coordinate n % d, and the last step d rows: a ConfigError names the
+    first line that does not, once every line has parsed."""
     runs = _read_csv(path, headers)
     header = next(runs)
     yield header
@@ -293,7 +304,7 @@ def read_input(path, headers=(TRACE_HEADER,), rows=None):
                                     f"got step {k[b]}, coordinate {i[b]}; a trace's rows run in (k, i) order")
             held.append((codes, floats))
         n += len(k)
-        if error is None and d and (n // d - s) * d >= (rows or TRACE_FOLD_ROWS):
+        if error is None and d and (n // d - s) * d >= TRACE_FOLD_ROWS:
             yield steps(n // d - s)
             s = n // d
     if error is not None:
@@ -306,12 +317,13 @@ def read_input(path, headers=(TRACE_HEADER,), rows=None):
         yield steps(n // max(d, 1) - s)
 
 
-def trace_chunks(path, rows=None):
+def trace_chunks(path):
     """The Traces of the trace CSV at path, as read_input yields them."""
-    return itertools.islice(read_input(path, rows=rows), 1, None)
+    return itertools.islice(read_input(path), 1, None)
 
 
 def read_trace_csv(path) -> Trace:
-    """The whole trace CSV at path as one Trace (see read_input)."""
-    [trace] = trace_chunks(path, rows=math.inf)
-    return trace
+    """The whole trace CSV at path as one Trace: its chunks (see read_input), joined."""
+    chunks = list(trace_chunks(path))
+    return Trace(**{name: np.concatenate([getattr(chunk, name) for chunk in chunks])
+                    for name in ("k", "branch", *FLOAT_COLUMNS)})

@@ -253,18 +253,6 @@ def save_dataset(dataset: Dataset, path) -> None:
         f.write(serialize_dataset(dataset))
 
 
-def minibatch_iter(dataset, batch_size: int, epoch_seed) -> list[np.ndarray]:
-    """One epoch of minibatch index arrays: a seeded permutation split into
-    consecutive batches (the last possibly smaller). Every index appears
-    exactly once."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n = dataset if isinstance(dataset, int) else len(dataset)
-    rng = np.random.default_rng(epoch_seed)
-    perm = rng.permutation(n)
-    return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
-
-
 def _words(value: int) -> list[int]:
     """value as SeedSequence takes an int into its entropy: 32-bit words, low word first, one word for 0."""
     return np.frombuffer(value.to_bytes(4 * max(1, -(-value.bit_length() // 32)), "little"), np.uint32).tolist()

@@ -9,7 +9,8 @@ Trace-based checks take a run's Trace from step 0 on, since several
 identities relate step k to step k-1, and evaluate each identity on all
 rows at once, over shifted slices of the columns. A NaN among the values a
 check reads fails it at the first such (step, coordinate). With a Fold, a
-trace check takes a trace one chunk of steps at a time, in bounded memory.
+trace check takes a trace one chunk of steps at a time, in bounded memory:
+`check` calls the sink trace_checks with each chunk that csvio reads.
 """
 
 from dataclasses import dataclass
@@ -73,7 +74,7 @@ class Fold:
         """Fold in the chunk trace: _worst(viol, checked, trace.k), count and notes."""
         self.keep(*_worst(viol, checked, trace.k))
         self.count, self.notes = self.count + count, (self.notes + tuple(notes))[:3]
-        self.last = trace[-1:] if len(trace) else self.last
+        self.last = trace[[-1]] if len(trace) else self.last  # a copy: drive refills its ring after each chunk
 
     def keep(self, worst, location):
         """Take (worst, location), found after those kept so far, if worst is
@@ -312,18 +313,12 @@ TRACE_CHECKS = {
 }
 
 
-def fold_trace_checks(chunks, names, d_inf=None) -> list[CheckReport]:
-    """The TRACE_CHECKS reports of names over chunks, a trace's chunks from step 0
-    on; a check's ValueError waits until chunks runs out, so that theirs wins."""
+def trace_checks(names, d_inf=None):
+    """A sink for a trace's chunks: called with each chunk of whole steps, in
+    order from step 0, it returns the TRACE_CHECKS reports of names over the
+    chunks so far."""
     folds = [Fold() for _ in names]
-    try:
-        for chunk in chunks:
-            reports = [TRACE_CHECKS[name](chunk, fold, d_inf) for name, fold in zip(names, folds)]
-    except ValueError:
-        for _ in chunks:
-            pass
-        raise
-    return reports
+    return lambda chunk: [TRACE_CHECKS[name](chunk, fold, d_inf) for name, fold in zip(names, folds)]
 
 
 def record_report(step, gamma_max, d_inf) -> CheckReport:

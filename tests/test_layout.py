@@ -4,7 +4,8 @@ attribute of the imported module nor through `from module import _name`;
 and each of the one-path rules holds: only verify._report builds a
 CheckReport, only core.drive steps an optimizer, only data.open_input and
 the writers open files, only csvio._read_csv (every CSV),
-cli._load_config_flags and data.load_dataset call data.open_input, no
+cli._load_config_flags and data.load_dataset call data.open_input, only
+csvio.trace_sink names (getpid) or removes (unlink) a temporary file, no
 module imports csv (csvio._write_csv writes every CSV), and only
 cli._build_run compares a run's --optimizer, --problem or --mode with a
 string (cli.READS says which runs read which flag)."""
@@ -109,6 +110,13 @@ def test_only_the_input_reader_and_the_writers_open_files(name, owners):
     callers = {f"{path.stem}.{function}" for path in PACKAGE.glob("*.py")
                for function in _callers(path.read_text(encoding="utf-8"), name)}
     assert callers == owners
+
+
+@pytest.mark.parametrize("name", ["getpid", "unlink"])
+def test_only_the_trace_writer_names_or_removes_a_temporary_file(name):
+    callers = {f"{path.stem}.{function}" for path in PACKAGE.glob("*.py")
+               for function in _callers(path.read_text(encoding="utf-8"), name)}
+    assert callers == {"csvio.trace_sink"}
 
 
 def test_only_the_csv_config_and_libsvm_readers_open_input_files():

@@ -9,9 +9,9 @@ from gradagrad import (
     LogisticRegression,
     Quadratic,
     load_dataset,
-    minibatch_iter,
     normalize_labels,
 )
+from reference_data import minibatch_iter
 
 
 class TestAbsValue:

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import copy_trace, first_branch, make_fuzz_run, write_trace_csv
 from gradagrad import cli, csvio, verify
-from gradagrad.core import BRANCH_NEGATIVE, BRANCH_POSITIVE, Trace
+from gradagrad.core import BRANCH_NEGATIVE, BRANCH_POSITIVE, HyperParams, ScalarGradaGrad, Trace, drive
 
 WHOLE = 10 ** 9  # rows that hold any trace here in one chunk
 
@@ -216,3 +216,41 @@ def test_check_opens_its_input_once(tmp_path, monkeypatch, kind):
     path = str(tmp_path / "r.trace.csv") if kind == "trace" else str(out)
     assert _cli(["check", path])[0] == 0
     assert opened == [path]
+
+
+def _reports(reports):
+    return [(r.name, r.passed, r.worst_violation.hex(), r.location, r.details) for r in reports]
+
+
+@pytest.mark.parametrize("ring", [1, 2, 7, 200])  # 200: the whole run
+@pytest.mark.parametrize("stepper", ["diagonal", "scalar"])
+def test_the_trace_checks_fed_from_drives_ring_report_as_on_the_whole_trace(stepper, ring):
+    """verify.trace_checks is a sink: fed from drive's ring of 1, 2 and 7
+    steps, or of the whole run, its last result is the check_* reports on the
+    run's whole trace, though drive refills the ring after each call."""
+    d_inf, steps, d = 3.0, 200, 4
+    if stepper == "diagonal":  # the fuzz stream, its gradients replayed from the trace's g column
+        _, whole = make_fuzz_run(dim=d, steps=steps, seed=5, d_inf=d_inf, beta=0.8)
+
+        def start():
+            opt, _ = make_fuzz_run(dim=d, steps=0, seed=5, d_inf=d_inf, beta=0.8)
+            grads = iter(whole.g)
+            return opt, lambda x: next(grads)
+    else:
+        def start():
+            rng = np.random.default_rng(5)
+            return ScalarGradaGrad(np.ones(d), HyperParams(rho=2.0)), lambda x: rng.normal(1.0, 0.4, d)
+
+        opt, grad = start()
+        whole = Trace.empty(steps, 1)
+        drive(opt, grad, steps, trace=whole)
+    expected = _reports([verify.check_errnegativity(whole), verify.check_monotone_and_cap(whole, d_inf=d_inf),
+                         verify.check_reparam_invariance(whole, d_inf=d_inf)])
+    assert [name for name, *_ in expected] == ["errnegativity", "monotone_and_cap", "reparam_invariance"]
+    assert any(location for *_, location, _ in expected)  # a worst violation after step 0, to be found again
+    opt, grad = start()
+    sink, results = verify.trace_checks(cli.CHECK_NAMES, d_inf), []
+    drive(opt, grad, steps, trace=Trace.empty(ring, whole.branch.shape[1]),
+          on_trace=lambda chunk: results.append(sink(chunk)))
+    assert len(results) == -(-steps // ring)
+    assert _reports(results[-1]) == expected
