@@ -5,7 +5,7 @@ reports and step traces are CSV in the format that csvio owns; check
 applies verify's checks to what csvio reads.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 usage/config error,
-3 a run diverged (its gradient turned NaN or infinite).
+3 a run diverged (its gradient or an evaluated loss turned NaN or infinite).
 Output CSVs are byte-deterministic for a fixed seed; wall-clock timing only
 appears in the stderr summary.
 """
@@ -13,6 +13,7 @@ appears in the stderr summary.
 import argparse
 import functools
 import math
+import re
 import sys
 from contextlib import closing, nullcontext
 from pathlib import Path
@@ -40,9 +41,26 @@ CHECK_NAMES = tuple(verify.TRACE_CHECKS)
 DEFAULT_GRID = "0.015625,0.03125,0.0625,0.125,0.25,0.5,1,2,4"
 
 
+def _number(kind):
+    """The argparse type of an int or float flag, in the trace CSV's grammar: an unpadded JSON
+    integer, or for float a JSON number that does not overflow, inf, -inf or nan."""
+    grammar = re.compile(r"-?(?:0|[1-9][0-9]*)" + ("" if kind is int else r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|-?inf|nan"))
+
+    def parse(text: str):
+        if not grammar.fullmatch(text) or kind is float and math.isinf(float(text)) and "inf" not in text:
+            raise ValueError(text)
+        return kind(text)
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_int, _float = _number(int), _number(float)
+
+
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [_float(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
@@ -50,14 +68,14 @@ def _parse_floats(text: str) -> list[float]:
 def _parse_r(text: str) -> float | None:
     """--r's value: a fixed clip, or None for the adaptive one."""
     try:
-        return None if text == "adaptive" else float(text)
+        return None if text == "adaptive" else _float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a number or 'adaptive', got {text!r}") from None
 
 
 def _parse_seed(text: str) -> int:
     try:
-        value = int(text)
+        value = _int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit value, got {text!r}") from None
     if not 0 <= value < 2 ** 64:
@@ -150,8 +168,15 @@ def _build_run(args):
 # run
 # ---------------------------------------------------------------------------
 
+def _finite(loss, what):
+    """loss, unless a diverged run has made it NaN or infinite (exit 3)."""
+    if not math.isfinite(loss):
+        raise FloatingPointError(f"{what} is {loss}; losses must be finite")
+    return loss
+
+
 def _eval_row(step, n_batches, problem, opt):
-    loss = problem.loss_full(opt.x)
+    loss = _finite(problem.loss_full(opt.x), f"step {step}: loss")
     stats = opt.stats()
     subopt = loss - problem.f_star if problem.f_star is not None else None
     return [
@@ -170,16 +195,18 @@ def cmd_run(args) -> int:
     if args.trace and args.out is None:
         raise ConfigError("--trace requires --out (the trace path derives from it)")
     rows, states = [], [problem.init_state(args.seed)]
-    # drive fills the trace sink's ring; the written trace replaces the trace path once the record is written
+    # drive fills the trace sink's ring; the written trace replaces the trace path once the record is written;
+    # a non-finite gradient or loss stops the run (exit 3), so no overflow warns
     trace_path = Path(args.out).with_suffix(".trace.csv") if args.trace else None
-    with nullcontext((None, None)) if trace_path is None else csvio.trace_sink(trace_path, steps, opt.gamma.size) as sink:
+    with np.errstate(all="ignore"), nullcontext((None, None)) if trace_path is None else csvio.trace_sink(
+            trace_path, steps, opt.gamma.size) as sink:
         wall = drive(opt, lambda x: problem.grad_sample(x, states), steps,
                      lambda k: rows.append(_eval_row(k, n_batches, problem, opt)), eval_every, *sink)
+        avg_loss = _finite(problem.loss_full(opt.averaged_iterate()), f"step {steps}: averaged-iterate loss")
         csvio.write_rows(args.out, csvio.RUN_HEADER, rows)
     if trace_path is not None:
         print(f"trace written to {trace_path}", file=sys.stderr)
     final_loss = rows[-1][2]
-    avg_loss = problem.loss_full(opt.averaged_iterate())
     print(
         f"run complete: steps={steps} final_loss={final_loss!r} "
         f"averaged_iterate_loss={avg_loss!r} wall={wall:.3f}s",
@@ -346,25 +373,25 @@ def cmd_trace_dump(args) -> int:
 def _add_run_flags(p):
     p.add_argument("--problem", choices=RUN_CHOICES["problem"])
     p.add_argument("--dataset", help="LIBSVM file (logistic problem)")
-    p.add_argument("--dim", type=int, default=1, help="dimension for synthetic problems")
+    p.add_argument("--dim", type=_int, default=1, help="dimension for synthetic problems")
     p.add_argument("--diag", type=_parse_floats, help="comma-separated quadratic diagonal (overrides --dim)")
-    p.add_argument("--noise-std", type=float, default=0.0, help="gradient noise (quadratic)")
+    p.add_argument("--noise-std", type=_float, default=0.0, help="gradient noise (quadratic)")
     p.add_argument("--x0", type=_parse_floats, help="initial point: one value (broadcast) or comma-separated")
     p.add_argument("--optimizer", choices=OPTIMIZERS, default="gradagrad")
-    p.add_argument("--gamma0", type=float, default=HyperParams.gamma0,
+    p.add_argument("--gamma0", type=_float, default=HyperParams.gamma0,
                    help="step-size numerator; also the sgd/adam learning rate")
-    p.add_argument("--rho", type=float, default=HyperParams.rho)
-    p.add_argument("--beta", type=float, default=HyperParams.beta)
-    p.add_argument("--g-inf", type=float, default=HyperParams.g_inf)
-    p.add_argument("--d-inf", type=float, default=HyperParams.d_inf)
+    p.add_argument("--rho", type=_float, default=HyperParams.rho)
+    p.add_argument("--beta", type=_float, default=HyperParams.beta)
+    p.add_argument("--g-inf", type=_float, default=HyperParams.g_inf)
+    p.add_argument("--d-inf", type=_float, default=HyperParams.d_inf)
     p.add_argument("--r", type=_parse_r, default=HyperParams.r_fixed,
                    help="scalar-variant clip: a number or 'adaptive'")
     p.add_argument("--mode", choices=RUN_CHOICES["mode"], default=HyperParams.mode)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--steps", type=_int)
+    p.add_argument("--epochs", type=_int)
+    p.add_argument("--batch-size", type=_int, default=32)
     p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--eval-every", type=int)
+    p.add_argument("--eval-every", type=_int)
     p.add_argument("--trace", action="store_true", help="also write a step-trace CSV")
     p.add_argument("--out", help="run record CSV path (stdout when omitted)")
     p.add_argument("--config", help="key=value config file; flags override file values")
@@ -376,7 +403,7 @@ def _add_grid_flags(p):
                    choices=GRID_PARAMS + tuple(name.replace("_", "-") for name in GRID_PARAMS if "_" in name))
     p.add_argument("--grid-values", type=_parse_floats, default=DEFAULT_GRID,
                    help="comma-separated values (default: powers of 2)")
-    p.add_argument("--seeds", type=int, default=10, help="replicates per grid point")
+    p.add_argument("--seeds", type=_int, default=10, help="replicates per grid point")
 
 
 @functools.cache
@@ -396,14 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--checks", default="all",
                          help=f"comma-separated subset of {CHECK_NAMES} or 'all' "
                               "(run-record files support 'record')")
-    p_check.add_argument("--d-inf", type=float,
+    p_check.add_argument("--d-inf", type=_float,
                          help="gamma cap to assert; by default cap binding is "
                               "self-detected from the trace and no cap bound is asserted")
     p_check.add_argument("--out", help="check report CSV path (stdout when omitted)")
 
     p_dump = sub.add_parser("trace-dump", help="summarize a step-trace CSV")
     p_dump.add_argument("trace")
-    p_dump.add_argument("--head", type=int, default=10, help="records to print")
+    p_dump.add_argument("--head", type=_int, default=10, help="records to print")
 
     return parser
 
@@ -469,10 +496,10 @@ def main(argv=None) -> int:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as exc:  # argparse has printed a usage error (2) or --help (0)
         return exc.code
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, FloatingPointError) as exc:
         # ValueError covers LibsvmParseError and contract violations from bad flag combinations
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, NonFiniteGradient) else 2  # 3: a run diverged
+        return 3 if isinstance(exc, (NonFiniteGradient, FloatingPointError)) else 2  # 3: a run diverged
 
 
 def entry() -> None:

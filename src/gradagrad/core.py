@@ -21,10 +21,12 @@ record's columns from that state.
 Every stepper also runs R replicas in lockstep: x0 is then an (R, d) stack,
 the state is one flat (R*d,) vector with replica r in [r*d, (r+1)*d), and
 step(g) takes the R gradients as one flat (R*d,) vector. Each replica may
-have its own hyperparameters (one HyperParams, gamma or lr per replica),
-which the steppers hold as columns repeated over the replica's d entries.
-Every operation is elementwise or a stacked matmul of one row per replica,
-so each replica steps exactly as it would alone.
+have its own hyperparameters (one HyperParams, gamma or lr per replica).
+A value that every replica shares is held once, as a 0-d array that each
+elementwise operation reads as it would a repeat; one that differs is held
+as a column repeated over each replica's d entries. Every operation is
+elementwise or a stacked matmul of one row per replica, so each replica
+steps exactly as it would alone.
 
 A run's trace is one columnar Trace of (steps, width) arrays, with width d
 for the diagonal stepper and 1 for the scalar one. The GradaGrad steppers
@@ -204,7 +206,8 @@ def _gradagrad_update(v, t_at, gamma, alpha, r_fixed, d_inf, traced):
     largest r for which the per-step gradient error stays nonpositive), and
     absorbed as gamma = min(gamma * sqrt(1 - v / alpha), d_inf); alpha
     stays, and the step size gamma / sqrt(alpha) is that of the implied
-    accumulator alpha - v. d_inf is a column like gamma, or None for no cap.
+    accumulator alpha - v. d_inf is a column like gamma, a 0-d array that
+    caps every entry, or None for no cap.
     gamma and alpha are updated in place; t_at(i) gives t at the indices i
     where v < 0. Returns (v_clipped, r), r NaN where v >= 0, if traced, else
     (None, None).
@@ -232,7 +235,7 @@ def _gradagrad_update(v, t_at, gamma, alpha, r_fixed, d_inf, traced):
             np.float_power(t_at(i), 2.0) if traced else _t_squared(t_at(i), alpha_i, v_i)) - 1.0
         v_clip_i = np.maximum(v_i, -r_i * alpha_i)
         gamma_i = gamma.take(i) * np.sqrt(1.0 - v_clip_i / alpha_i)
-        gamma[i] = gamma_i if d_inf is None else np.minimum(gamma_i, d_inf.take(i))
+        gamma[i] = gamma_i if d_inf is None else np.minimum(gamma_i, d_inf.take(i) if d_inf.ndim else d_inf)
         inc[i] = np.maximum(v_clip_i, 0.0)  # 0 unless the adaptive r is negative
         if traced:
             v_clip[i], r[i] = v_clip_i, r_i
@@ -329,6 +332,11 @@ class Optimizer:
         """(R,) per-replica values, each repeated over its replica's entries of x."""
         return np.asarray(values).repeat(self.dim // self.replicas)
 
+    def _shared(self, values: np.ndarray) -> np.ndarray:
+        """(R,) per-replica float hyperparameters: one 0-d array if all are
+        the same bits (-0.0 is not 0.0), else their _column."""
+        return np.array(values[0]) if len({v.hex() for v in values.tolist()}) == 1 else self._column(values)
+
     def _commit(self, x_new: np.ndarray):
         self.x = x_new
         self.k += 1
@@ -370,7 +378,7 @@ class ScalarGradaGrad(Optimizer):
         each = _replica_params(self.params, self.replicas)
         self._rho = np.array([p.rho for p in each])
         self._r_fixed = each[0].r_fixed
-        self.gamma = np.array([p.gamma0 for p in each])
+        self.gamma = np.array([p.gamma0 for p in each], dtype=float)
         self.alpha = np.zeros(self.replicas)
         self.ainv = np.zeros(self.replicas)
         self.g_prev = np.zeros_like(self.x)
@@ -439,15 +447,16 @@ class GradaGrad(Optimizer):
                                       np.tile(self.domain.upper, self.replicas))
         each = _replica_params(self.params, self.replicas)
 
-        def column(name):
-            return self._column([getattr(p, name) for p in each])
+        def values(name):
+            return np.array([getattr(p, name) for p in each], dtype=float)
 
-        self._rho, self._beta, self._d_inf = column("rho"), column("beta"), column("d_inf")
-        self._z_weight = 1.0 - self._beta  # of z in x <- beta * x + (1 - beta) * z
-        self._v_init = np.float_power(column("g_inf"), 2.0) if each[0].mode == "theory" else None  # libm pow, as g_inf ** 2 rounds
+        rho, self._beta, self._d_inf = map(self._shared, (values("rho"), values("beta"), values("d_inf")))
+        self._rho, self._rho_at = rho, rho.take if rho.ndim else lambda i: rho  # rho at indices i (not via self: a cycle)
+        self._z_weight = self._shared(1.0 - values("beta"))  # of z in x <- beta * x + (1 - beta) * z
+        self._v_init = np.float_power(self._column(values("g_inf")), 2.0) if each[0].mode == "theory" else None  # libm pow, as g_inf ** 2 rounds
         self.z = self.x.copy()
         self.m_prev = np.zeros_like(self.x)
-        self.gamma = column("gamma0")
+        self.gamma = self._column(values("gamma0"))
         self.alpha = np.zeros(self.dim, dtype=float)
         self.ainv = np.zeros(self.dim, dtype=float)
 
@@ -462,7 +471,7 @@ class GradaGrad(Optimizer):
             v_raw = gsq - self._rho * g * self.m_prev
             if capped.any():
                 v_raw = np.where(capped, gsq, v_raw)
-        v_clip, r = _gradagrad_update(v_raw, lambda i: self._rho.take(i) * self.m_prev.take(i) / g.take(i),
+        v_clip, r = _gradagrad_update(v_raw, lambda i: self._rho_at(i) * self.m_prev.take(i) / g.take(i),
                                       self.gamma, self.alpha, None, self._d_inf, trace is not None)
         self.ainv, a, _ = _step_sizes(self.gamma, self.alpha, True)
 
@@ -493,7 +502,7 @@ class AdaGrad(Optimizer):
     def __init__(self, x0, gamma: float | Sequence[float] = 1.0):
         super().__init__(x0)
         self.gamma = self._per_replica("gamma", gamma)
-        self._gamma = self._column(self.gamma)
+        self._gamma = self._shared(self.gamma)
         self.alpha = np.zeros(self.dim, dtype=float)
         self.ainv = np.zeros(self.dim, dtype=float)
 
@@ -511,7 +520,7 @@ class SGD(Optimizer):
     def __init__(self, x0, lr: float | Sequence[float] = 0.01):
         super().__init__(x0)
         self.lr = self._per_replica("lr", lr)
-        self._lr = self._column(self.lr)
+        self._lr = self._shared(self.lr)
 
     def step(self, g) -> None:
         g = self._check_grad(g)
@@ -530,7 +539,7 @@ class Adam(Optimizer):
                  beta2: float = 0.999, eps: float = 1e-8):
         super().__init__(x0)
         self.lr = self._per_replica("lr", lr)
-        self._lr = self._column(self.lr)
+        self._lr = self._shared(self.lr)
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError(f"betas must be in [0, 1), got ({beta1}, {beta2})")
         if not 0 < eps < math.inf:

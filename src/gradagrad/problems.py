@@ -105,7 +105,11 @@ class Quadratic(Problem):
     def grad_sample(self, x, states) -> np.ndarray:
         g = self.diag * np.asarray(x, dtype=float).reshape(len(states), self.dim)
         if self.noise_std != 0.0:
-            g = g + self.noise_std * np.array([state.standard_normal(self.dim) for state in states])
+            noise = np.empty_like(g)
+            for state, row in zip(states, noise):  # each replica's draws, as standard_normal(dim) returns them
+                state.standard_normal(out=row)
+            noise *= self.noise_std
+            g += noise
         return g.ravel()
 
 

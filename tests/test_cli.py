@@ -1,11 +1,13 @@
+import argparse
 import csv
+import functools
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import BITS, BLOBS, GRID_CASES
+from conftest import BITS, BLOBS, GRID_CASES, HOSTILE, in_dialect
 from gradagrad import HyperParams, cli, csvio, load_dataset
 
 
@@ -40,6 +42,19 @@ class TestRun:
         assert run_cli(["run", "--problem", "quadratic", "--dim", "2", "--optimizer", "sgd",
                         "--gamma0", "1e155", "--steps", "6", "--out", str(out)]) == 3
         assert capsys.readouterr().err == "error: step 2: gradient entry 0 is inf; gradients must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--gamma0", "1e153", "--x0", "1e153", "--steps", "1", "--eval-every", "1"], "step 1: loss is inf"),
+        (["--gamma0", "1e155", "--steps", "6", "--eval-every", "1"], "step 1: loss is inf"),
+        (["--problem", "abs", "--dim", "1", "--gamma0", "1", "--x0", "1e308", "--steps", "1"],
+         "step 1: averaged-iterate loss is inf"),
+    ], ids=["loss-1e153", "loss-1e155", "averaged-iterate"])
+    def test_a_non_finite_loss_exits_3_without_a_record_or_a_warning(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "run.csv"
+        assert run_cli(["run", "--problem", "quadratic", "--dim", "2", "--optimizer", "sgd", *argv,
+                        "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}; losses must be finite\n"
         assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -330,7 +345,7 @@ def test_a_rejected_setting_has_its_exact_message(tmp_path, capsys, argv, text, 
     assert not out.exists()
 
 
-# a value each string-valued flag's own type rejects, and argparse's message for it
+# a value each string-valued or numeric flag's own type rejects, and argparse's message for it
 LIST_VALUE_ERRORS = [
     ("run", "x0=a", "argument --x0: expected comma-separated numbers, got 'a'"),
     ("run", "diag=1,b", "argument --diag: expected comma-separated numbers, got '1,b'"),
@@ -338,7 +353,48 @@ LIST_VALUE_ERRORS = [
     ("grid", "grid_param=foo", "argument --grid-param: invalid choice: 'foo'"),
     ("run", "r=sometimes", "argument --r: must be a number or 'adaptive', got 'sometimes'"),
     ("run", "seed=abc", "argument --seed: seed must be an unsigned 64-bit value, got 'abc'"),
+    # spellings that int() or float() takes and the trace CSV's number grammar does not
+    ("run", "steps=1_0", "argument --steps: invalid int value: '1_0'"),
+    ("run", "gamma0=\u0661", "argument --gamma0: invalid float value: '\u0661'"),
+    ("run", "seed=1_0", "argument --seed: seed must be an unsigned 64-bit value, got '1_0'"),
+    ("run", "x0=1_0", "argument --x0: expected comma-separated numbers, got '1_0'"),
+    ("run", "d_inf=Infinity", "argument --d-inf: invalid float value: 'Infinity'"),
+    ("run", "r=1_0", "argument --r: must be a number or 'adaptive', got '1_0'"),
+    ("run", "dim=01", "argument --dim: invalid int value: '01'"),
+    ("run", "eval_every=+1", "argument --eval-every: invalid int value: '+1'"),
+    ("run", "rho=.5", "argument --rho: invalid float value: '.5'"),
+    ("run", "beta=5.", "argument --beta: invalid float value: '5.'"),
+    ("run", "noise_std=1e400", "argument --noise-std: invalid float value: '1e400'"),
+    ("run", "g_inf=NaN", "argument --g-inf: invalid float value: 'NaN'"),
+    ("grid", "grid_values=1,+2", "argument --grid-values: expected comma-separated numbers, got '1,+2'"),
 ]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--problem", "abs", "--steps", "1_0", "--gamma0", "\u0661"], "argument --steps: invalid int value: '1_0'"),
+    (["run", "--problem", "abs", "--steps", "1", "--gamma0", " 1.5 "], "argument --gamma0: invalid float value: ' 1.5 '"),
+    (["run", "--problem", "quadratic", "--steps", "1", "--diag", "1, 2"],
+     "argument --diag: expected comma-separated numbers, got '1, 2'"),
+    (["check", "t.csv", "--d-inf", "Infinity"], "argument --d-inf: invalid float value: 'Infinity'"),
+    (["trace-dump", "t.csv", "--head", "1_0"], "argument --head: invalid int value: '1_0'"),
+])
+def test_a_numeric_flag_takes_only_the_trace_csv_number_grammar(capsys, argv, message):
+    """Beside LIST_VALUE_ERRORS' spellings, which a config line rejects too: padding, which a config line strips."""
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("token", HOSTILE)
+@pytest.mark.parametrize("flag,integer", [("--steps", True), ("--gamma0", False), ("--x0", False)])
+def test_a_numeric_flag_takes_what_the_trace_reader_takes(flag, integer, token):
+    """A flag takes a token where the readers' grammar does, and then reads it as int() or float() does."""
+    parse = functools.partial(cli._flag_parser("run").parse_args, [f"{flag}={token}"])
+    if not in_dialect(token, integer):
+        with pytest.raises(argparse.ArgumentError):
+            parse()
+    else:
+        expected = int(token) if integer else float(token)
+        assert repr(getattr(parse(), flag[2:])) == repr([expected] if flag == "--x0" else expected)
 
 
 def test_run_defaults_are_the_hyperparams_defaults():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,6 +409,15 @@ class TestDiagonalStepper:
         with pytest.raises(ValueError):
             opt.step([1.0])
 
+    @pytest.mark.parametrize("make", [GradaGrad, ScalarGradaGrad])
+    def test_an_int_gamma0_grows_as_its_float_does(self, make):
+        int_run, float_run = make(np.zeros(3), HyperParams(gamma0=1)), make(np.zeros(3), HyperParams(gamma0=1.0))
+        for _ in range(3):  # a repeated gradient takes the negative branch, which grows gamma
+            for opt in (int_run, float_run):
+                opt.step(np.array([1.0, 2.0, 0.5]))
+        assert int_run.gamma.dtype == float and float_run.gamma.max() > 1.0
+        np.testing.assert_array_equal(int_run.gamma, float_run.gamma)
+
 
 class TestBaselines:
     def test_adagrad_accumulation(self):
@@ -487,6 +497,30 @@ class TestNonFiniteGradient:
         assert opt.k == 2
         for name, value in before.items():
             np.testing.assert_array_equal(getattr(opt, name), value, err_msg=name)
+
+
+
+class TestSharedHyperParameters:
+    """A hyperparameter that every replica shares is held once, not repeated
+    over the R*d entries of the state."""
+
+    @pytest.mark.parametrize("replicas", [1, 4])
+    @pytest.mark.parametrize("make,arrays", [
+        (lambda x0: GradaGrad(x0, HyperParams(beta=0.5, d_inf=3.0)), 7),  # x, _x_sum, z, m_prev, gamma, alpha, ainv
+        (lambda x0: AdaGrad(x0, 1.0), 4),  # x, _x_sum, alpha, ainv
+    ], ids=["gradagrad", "adagrad"])
+    def test_held_state_is_per_coordinate_only(self, make, arrays, replicas):
+        size = 10 ** 5
+        x0, g = np.ones((replicas, size // replicas)).squeeze(), np.linspace(-1.0, 1.0, size)
+        tracemalloc.start()
+        try:
+            opt = make(x0)
+            for sign in (1.0, -1.0, 1.0):  # the second step takes the negative branch
+                opt.step(sign * g)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < (arrays + 0.5) * 8 * size, f"{held / (8 * size):.2f} arrays of {size} floats"
 
 
 class TestAveragedIterate:

@@ -38,6 +38,8 @@ def stepper_cases():
           for mode in ("practical", "theory")
           for g0, rho, beta, d_inf, g_inf in ((1.0, 2.0, 0.0, 1e10, 1.0), (0.5, 1.0, 0.6, 1.2, 3.0),
                                               (2.0, 3.3, 0.3, 2.5, 0.5), (1.0, 0.0, 0.0, 1e10, 2.0))]
+    # rho and beta shared, d_inf per replica: 0-d and repeated columns meet in one step
+    mixed = [HyperParams(gamma0=g0, rho=1.5, beta=0.4, d_inf=d_inf) for g0, d_inf in ((1.0, 1e10), (0.5, 1.2), (2.0, 2.5), (1.0, 1.1))]
     box = Domain.box(-np.ones(D), 2 * np.ones(D))
     scalar = [[HyperParams(gamma0=g0, rho=rho, r_fixed=r) for g0, rho in ((1.0, 2.0), (0.3, 1.0), (2.0, 3.3), (1.0, 0.0))]
               for r in (1.0, None, 0.25)]
@@ -45,6 +47,7 @@ def stepper_cases():
         "gradagrad-practical": (lambda x0, i: GradaGrad(x0, gg[:R] if i is None else gg[i]), True),
         "gradagrad-theory": (lambda x0, i: GradaGrad(x0, gg[R:] if i is None else gg[R + i]), True),
         "gradagrad-box": (lambda x0, i: GradaGrad(x0, gg[:R] if i is None else gg[i], box), True),
+        "gradagrad-mixed": (lambda x0, i: GradaGrad(x0, mixed if i is None else mixed[i]), True),
         **{f"scalar-r{n}": (lambda x0, i, p=p: ScalarGradaGrad(x0, p if i is None else p[i]), True)
            for n, p in enumerate(scalar)},
         "adagrad": (lambda x0, i: AdaGrad(x0, gamma=[0.1, 1.0, 3.0, 0.5] if i is None else [0.1, 1.0, 3.0, 0.5][i]), False),
