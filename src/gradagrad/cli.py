@@ -312,12 +312,13 @@ def cmd_grid(args) -> int:
 def cmd_check(args) -> int:
     if args.d_inf is not None and not args.d_inf > 0:  # NaN fails too; inf is allowed, a cap that never binds
         raise ConfigError(f"--d-inf must be positive, got {args.d_inf}")
-    with closing(csvio.read_input(args.trace, (csvio.RUN_HEADER, csvio.TRACE_HEADER))) as contents:
+    names = [tok.strip() for tok in args.checks.split(",") if tok.strip()]
+    columns = {column for name in (CHECK_NAMES if args.checks == "all" else names) if name in verify.TRACE_CHECKS
+               for column in verify.TRACE_CHECKS[name][0]}  # the float columns the trace checks named read
+    with closing(csvio.read_input(args.trace, (csvio.RUN_HEADER, csvio.TRACE_HEADER), columns)) as contents:
         record = next(contents) == csvio.RUN_HEADER  # the header, read from the one handle that reads on below
         checks = ["record"] if record else CHECK_NAMES
-        names = list(checks) if args.checks == "all" else [
-            tok.strip() for tok in args.checks.split(",") if tok.strip()
-        ]
+        names = list(checks) if args.checks == "all" else names
         if not names:
             raise ConfigError("no checks requested")
         unknown = [name for name in names if name not in checks]
@@ -347,7 +348,8 @@ def cmd_trace_dump(args) -> int:
     if args.head < 0:
         raise ConfigError(f"--head must be >= 0, got {args.head}")
     steps, counts, lo, hi, head = 0, 0, np.inf, -np.inf, []  # lo and hi: gamma's and alpha's bounds
-    for trace in csvio.trace_chunks(args.trace):
+    # every float column of the rows printed, and gamma and alpha of the others
+    for trace in csvio.trace_chunks(args.trace, ("gamma_after", "alpha_after"), args.head):
         steps, d, both = steps + len(trace), trace.branch.shape[1], np.stack([trace.gamma_after, trace.alpha_after])
         counts = counts + np.bincount(trace.branch.ravel(), minlength=len(BRANCHES))
         lo, hi = np.minimum(lo, both.min((1, 2), initial=np.inf)), np.maximum(hi, both.max((1, 2), initial=-np.inf))
@@ -356,8 +358,8 @@ def cmd_trace_dump(args) -> int:
             # an r of NaN, where no clip ran, is empty, as in the CSV
             cols = csvio.trace_columns(trace[: -(-n // d)], lambda floats: [
                 [format(v, ".6g") if v == v or name != "r" else "" for v in col]
-                for name, col in zip(csvio.FLOAT_COLUMNS, floats.tolist())])
-            head += ["  ".join(row) for row in zip(*cols)][:n]
+                for name, col in zip(csvio.FLOAT_COLUMNS, floats.tolist())], n)
+            head += ["  ".join(row) for row in zip(*cols)]
     print(f"steps: {steps}  coordinates: {d}")
     print("branches: " + " ".join(f"{b}={n}" for b, n in zip(BRANCHES, counts.tolist())))
     if steps:

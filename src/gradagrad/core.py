@@ -453,7 +453,7 @@ class GradaGrad(Optimizer):
         rho, self._beta, self._d_inf = map(self._shared, (values("rho"), values("beta"), values("d_inf")))
         self._rho, self._rho_at = rho, rho.take if rho.ndim else lambda i: rho  # rho at indices i (not via self: a cycle)
         self._z_weight = self._shared(1.0 - values("beta"))  # of z in x <- beta * x + (1 - beta) * z
-        self._v_init = np.float_power(self._column(values("g_inf")), 2.0) if each[0].mode == "theory" else None  # libm pow, as g_inf ** 2 rounds
+        self._g_inf = values("g_inf") if each[0].mode == "theory" else None  # (R,): g_inf^2 seeds alpha at step 0
         self.z = self.x.copy()
         self.m_prev = np.zeros_like(self.x)
         self.gamma = self._column(values("gamma0"))
@@ -465,7 +465,7 @@ class GradaGrad(Optimizer):
         k = self.k
         gsq = g * g
         if k == 0:
-            v_raw = self._v_init if self._v_init is not None else gsq
+            v_raw = gsq if self._g_inf is None else np.float_power(self._column(self._g_inf), 2.0)  # pow, as g_inf ** 2 rounds
         else:
             capped = self.gamma >= self._d_inf  # not ==: min() meets the cap up to rounding
             v_raw = gsq - self._rho * g * self.m_prev

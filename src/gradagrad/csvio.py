@@ -16,6 +16,9 @@ The readers read run records and traces in the writer's dialect and no
 other, TRACE_READ_CHARS characters and the rest of their line at a time,
 as arrays and as Traces of whole steps, the chunks that `check` calls
 verify.trace_checks with; what those must satisfy is verify's to check.
+A trace reader parses and checks every field, but builds only the float
+columns of its column set (all by default; the others are NaN), except in
+the blocks that hold its first head rows (none by default), which build all.
 A line is ten unquoted, unpadded fields and a "\n", "\r\n" or "\r": branch
 a BRANCHES word, k, i and step int64 JSON integers, and every other field
 a JSON number that does not overflow, inf, -inf, nan, or empty for NaN.
@@ -84,16 +87,18 @@ def write_rows(path, header, rows) -> None:
         write(map(_fmt, row) for row in rows)
 
 
-def trace_columns(trace: Trace, fmt) -> list[list[str]]:
-    """The trace CSV columns as strings, row-major over (step, coordinate);
-    fmt maps the (7, rows) array of FLOAT_COLUMNS to one list of strings
-    each."""
+def trace_columns(trace: Trace, fmt, rows=None) -> list[list[str]]:
+    """The trace CSV columns as strings, row-major over (step, coordinate),
+    of the first rows rows, or of all; fmt maps the (7, rows) array of
+    FLOAT_COLUMNS to one list of strings each."""
     steps, d = trace.branch.shape
-    floats = np.stack([getattr(trace, name).ravel() for name in FLOAT_COLUMNS])
+    first = slice(rows)
+    floats = np.stack([getattr(trace, name).ravel()[first] for name in FLOAT_COLUMNS])
     # object arrays repeat one string per step and per branch, not a copy per row
     k = np.array(list(map(str, trace.k.tolist())), dtype=object)
-    cols = [np.repeat(k, d).tolist(), list(map(str, range(d))) * steps, *fmt(floats)]
-    cols.insert(5, np.take(np.array(BRANCHES, dtype=object), trace.branch.ravel()).tolist())
+    coords = list(map(str, range(d))) * steps if rows is None else [str(n % d) for n in range(floats.shape[1])]
+    cols = [np.repeat(k, d)[first].tolist(), coords, *fmt(floats)]
+    cols.insert(5, np.take(np.array(BRANCHES, dtype=object), trace.branch.ravel()[first]).tolist())
     return cols
 
 
@@ -137,13 +142,14 @@ def trace_sink(path, steps, d):
         raise
 
 
-def _read_csv(path, headers):
+def _read_csv(path, headers, columns=FLOAT_COLUMNS, head=0):
     """Yield the header of the CSV at path: the first of headers
     (TRACE_HEADER, RUN_HEADER or both) that its first line holds, else the
     last, which that line must hold. Then yield _block's arrays of each
     block after it: TRACE_READ_CHARS characters and the rest of their line,
-    or one empty block. A block that _block refuses is malformed: a
-    ConfigError names the line and the fault that _fault finds."""
+    or one empty block; a block from row head on (from 0) builds columns. A
+    block that _block refuses is malformed: a ConfigError names the line and
+    the fault that _fault finds."""
     with open_input(path) as f:
         first = next(f, "")
         found = first.rstrip("\r\n").split(",")
@@ -160,7 +166,7 @@ def _read_csv(path, headers):
             )
         line, blocks = 2, iter(lambda: f.read(TRACE_READ_CHARS) + f.readline(), "")  # readline keeps "\r\n" whole
         for block in itertools.chain([next(blocks, "")], blocks):
-            if (result := _block(block, header)) is None:
+            if (result := _block(block, header, FLOAT_COLUMNS if line - 2 < head else columns)) is None:
                 n, message = _fault(block, header)
                 raise ConfigError(f"{path}:{line + n}: {message}")
             line += len(result[0])
@@ -178,13 +184,14 @@ _TOKENS = {b"inf": math.inf, b"-inf": -math.inf, b"nan": math.nan}
 _TOKEN = re.compile(rb"(?<=[,\n])(-?inf|nan)(?=[,\]])")  # a whole field
 
 
-def _block(text, header):
+def _block(text, header, columns=FLOAT_COLUMNS):
     """The arrays of text, whole lines of a trace (header TRACE_HEADER) or of
     a run record, or None if some line is not in the writer's dialect (the
     last may lack a line end). A trace's arrays are its branch codes, k and
-    i, and its float columns; a record's its steps and gamma_max, empty as
-    -inf, which no cap check fails. The lines are parsed as one byte block:
-    each branch word is rewritten as its code digit, space-padded, an empty r
+    i, and its float columns, NaN but those of columns; a record's its steps
+    and gamma_max, empty as -inf, which no cap check fails. Whatever columns
+    holds, every field is parsed, as one byte block, and checked: each
+    branch word is rewritten as its code digit, space-padded, an empty r
     takes a 0 from the word's bytes (NaN once parsed), another empty field an
     inserted null (NaN, and no int), and a token a float zero of its length
     (no int either), set once parsed. orjson reads the JSON int -0 as 0, so
@@ -205,7 +212,7 @@ def _block(text, header):
     if block[ends].tobytes() != _SEPARATORS * rows:  # each line's own nine commas and "\n", not only the count
         return None
     trace = header == TRACE_HEADER
-    ints, fields = (2, FLOAT_FIELDS) if trace else (1, [5])  # k and i, or step, lead; fields: the floats read
+    ints, fields = (2, FLOAT_FIELDS) if trace else (1, [5])  # k and i, or step, lead; fields: the floats
     empty = (seps[1:] - seps[:-1] == 1).reshape(rows, 10)
     if trace:
         start = ends[:, 4] + 1
@@ -233,12 +240,17 @@ def _block(text, header):
         integers = array("q", sum((values[column::10] for column in range(ints)), []))
     except (orjson.JSONDecodeError, TypeError, OverflowError):
         return None
-    floats = np.array([values[column::10] for column in fields], dtype=float)  # None as NaN
-    if trace:
+    if trace:  # read: the fields of columns; the other float columns stay NaN
+        read = [f for f, name in zip(fields, FLOAT_COLUMNS) if name in columns]
+        floats = np.full((len(fields), rows), math.nan)
+        for column in read:
+            floats[fields.index(column)] = values[column::10]  # None as NaN
         floats[FLOAT_COLUMNS.index("r"), r] = math.nan
+    else:
+        read, floats = fields, np.array([values[5::10]], dtype=float)  # None as NaN
     for position, value in tokens:
         row, column = divmod(int(np.searchsorted(seps, position)) - 1, 10)
-        if column in fields:
+        if column in read:
             floats[fields.index(column), row] = value
     for column, row in () if floats.all() else zip(*np.nonzero(floats == 0)):  # orjson reads -0 as 0, -0.0 as -0.0
         if type(values[10 * row + fields[column]]) is int:
@@ -270,15 +282,17 @@ def _fault(block, header):
     return n, "non-numeric step or gamma_max" if _block(",".join(fields), header) is None else "non-numeric field"
 
 
-def read_input(path, headers=(TRACE_HEADER,)):
+def read_input(path, headers=(TRACE_HEADER,), columns=FLOAT_COLUMNS, head=0):
     """Yield the header of the CSV at path, as _read_csv picks it from
     headers, and then what the CSV holds, opening path once. A run record's
     is its step and gamma_max columns, read whole. A trace's is Traces of
     whole steps, each of TRACE_FOLD_ROWS rows or more but the last, or one
-    of no rows. If step 0 has d rows, row n (from 0) must hold step n // d,
-    coordinate n % d, and the last step d rows: a ConfigError names the
-    first line that does not, once every line has parsed."""
-    runs = _read_csv(path, headers)
+    of no rows, with every float column in its first head rows, and only
+    columns (the others NaN) in the blocks after them. If step 0 has d rows,
+    row n (from 0) must hold step n // d, coordinate n % d, and the last
+    step d rows: a ConfigError names the first line that does not, once
+    every line has parsed."""
+    runs = _read_csv(path, headers, columns, head)
     header = next(runs)
     yield header
     if header == RUN_HEADER:
@@ -317,9 +331,9 @@ def read_input(path, headers=(TRACE_HEADER,)):
         yield steps(n // max(d, 1) - s)
 
 
-def trace_chunks(path):
+def trace_chunks(path, columns=FLOAT_COLUMNS, head=0):
     """The Traces of the trace CSV at path, as read_input yields them."""
-    return itertools.islice(read_input(path), 1, None)
+    return itertools.islice(read_input(path, (TRACE_HEADER,), columns, head), 1, None)
 
 
 def read_trace_csv(path) -> Trace:

@@ -304,12 +304,15 @@ def check_reparam_invariance(trace: Trace, d_inf: float | None = None, fold: Fol
     return _report("reparam_invariance", fold.worst, TOL_IDENTITY, fold.location, details)
 
 
-# the trace checks by their `check` names; each looks its function up when
-# called, so that wrappers patched onto this module apply
+# the trace checks by their `check` names, each as (the float columns it
+# reads, which alone a reader need build, and the check); each looks its
+# function up when called, so that wrappers patched onto this module apply
 TRACE_CHECKS = {
-    "errnegativity": lambda trace, fold, d_inf: check_errnegativity(trace, fold=fold),
-    "monotone": lambda trace, fold, d_inf: check_monotone_and_cap(trace, d_inf=d_inf, fold=fold),
-    "reparam": lambda trace, fold, d_inf: check_reparam_invariance(trace, d_inf=d_inf, fold=fold),
+    "errnegativity": (("g", "v_raw", "a_after"), lambda trace, fold, d_inf: check_errnegativity(trace, fold=fold)),
+    "monotone": (("gamma_after", "alpha_after"),
+                 lambda trace, fold, d_inf: check_monotone_and_cap(trace, d_inf=d_inf, fold=fold)),
+    "reparam": (("gamma_after", "alpha_after", "v_clipped"),
+                lambda trace, fold, d_inf: check_reparam_invariance(trace, d_inf=d_inf, fold=fold)),
 }
 
 
@@ -318,7 +321,7 @@ def trace_checks(names, d_inf=None):
     order from step 0, it returns the TRACE_CHECKS reports of names over the
     chunks so far."""
     folds = [Fold() for _ in names]
-    return lambda chunk: [TRACE_CHECKS[name](chunk, fold, d_inf) for name, fold in zip(names, folds)]
+    return lambda chunk: [TRACE_CHECKS[name][1](chunk, fold, d_inf) for name, fold in zip(names, folds)]
 
 
 def record_report(step, gamma_max, d_inf) -> CheckReport:

@@ -1269,6 +1269,44 @@ def test_trace_check_and_dump_bytes_match_golden_chunk_by_chunk(tmp_path, capsys
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == dump_digest
 
 
+# SHA-256 of trace-dump's stdout on each GOLDEN trace with every row
+# printed (--head past the end), recorded before `check` and `trace-dump`
+# built only the columns they read; a dump with --head n is its first 4 + n lines.
+GOLDEN_FULL_DUMP = {
+    "abs": "a5d7847a2fa47e02c6fdb5a2c746de010140bdfef8373ecb746942386083a916",
+    "quad": "01a5eb8817842baa7f4e5199084d02658f6553bd9eb192e950aa83f2b07b39c7",
+}
+
+
+@pytest.mark.parametrize("chars", [csvio.TRACE_READ_CHARS, 1, 150])  # the file, a line, about two lines a block
+@pytest.mark.parametrize("name", sorted(GOLDEN_FULL_DUMP))
+def test_trace_dump_head_bytes_across_block_and_step_edges(tmp_path, capsys, monkeypatch, name, chars):
+    """The head rows, whose blocks build every column, end at each side of a
+    step's and a block's edge, and past the trace's end, with the bytes of the
+    full golden dump; check and trace-dump each open the trace once."""
+    import hashlib
+
+    out = tmp_path / f"{name}.csv"
+    assert run_cli(["run", *GOLDEN_RUNS[name][0], "--trace", "--out", str(out)]) == 0
+    trace = str(tmp_path / f"{name}.trace.csv")
+    d = cli.read_trace_csv(trace).branch.shape[1]
+    opened, real = [], csvio.open_input
+    monkeypatch.setattr(csvio, "open_input", lambda path: opened.append(path) or real(path))
+    monkeypatch.setattr(csvio, "TRACE_READ_CHARS", chars)
+    monkeypatch.setattr(csvio, "TRACE_FOLD_ROWS", 2 * d)
+    capsys.readouterr()
+    assert run_cli(["trace-dump", trace, "--head", "100000"]) == 0
+    full = capsys.readouterr().out
+    assert hashlib.sha256(full.encode()).hexdigest() == GOLDEN_FULL_DUMP[name]
+    heads = (0, 1, d - 1, d, d + 1, 3 * d + 2, len(full.splitlines()) - 4, 5000)
+    for head in heads:
+        assert run_cli(["trace-dump", trace, "--head", str(head)]) == 0
+        assert capsys.readouterr().out == "".join(full.splitlines(keepends=True)[:4 + head]), head
+    for checks in ("all", "monotone", "errnegativity,reparam"):
+        assert run_cli(["check", trace, "--checks", checks]) == 0
+    assert opened == [trace] * (1 + len(heads) + 3)
+
+
 # SHA-256 of the run record, trace and grid CSVs on the bundled LIBSVM
 # fixtures, recorded before datasets became CSR arrays and before grid
 # loaded its dataset once; neither change may alter an output byte.

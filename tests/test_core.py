@@ -507,8 +507,9 @@ class TestSharedHyperParameters:
     @pytest.mark.parametrize("replicas", [1, 4])
     @pytest.mark.parametrize("make,arrays", [
         (lambda x0: GradaGrad(x0, HyperParams(beta=0.5, d_inf=3.0)), 7),  # x, _x_sum, z, m_prev, gamma, alpha, ainv
+        (lambda x0: GradaGrad(x0, HyperParams(beta=0.5, d_inf=3.0, mode="theory")), 7),  # g_inf^2 only at step 0
         (lambda x0: AdaGrad(x0, 1.0), 4),  # x, _x_sum, alpha, ainv
-    ], ids=["gradagrad", "adagrad"])
+    ], ids=["gradagrad", "gradagrad-theory", "adagrad"])
     def test_held_state_is_per_coordinate_only(self, make, arrays, replicas):
         size = 10 ** 5
         x0, g = np.ones((replicas, size // replicas)).squeeze(), np.linspace(-1.0, 1.0, size)

@@ -18,7 +18,7 @@ import pytest
 
 from conftest import copy_trace, first_branch, make_fuzz_run, write_trace_csv
 from gradagrad import cli, csvio, verify
-from gradagrad.core import BRANCH_NEGATIVE, BRANCH_POSITIVE, HyperParams, ScalarGradaGrad, Trace, drive
+from gradagrad.core import BRANCH_NEGATIVE, BRANCH_POSITIVE, FLOAT_COLUMNS, HyperParams, ScalarGradaGrad, Trace, drive
 
 WHOLE = 10 ** 9  # rows that hold any trace here in one chunk
 
@@ -254,3 +254,23 @@ def test_the_trace_checks_fed_from_drives_ring_report_as_on_the_whole_trace(step
           on_trace=lambda chunk: results.append(sink(chunk)))
     assert len(results) == -(-steps // ring)
     assert _reports(results[-1]) == expected
+
+
+@pytest.mark.parametrize("d_inf", [None, 3.0])
+@pytest.mark.parametrize("name", sorted(verify.TRACE_CHECKS))
+def test_each_trace_check_reads_only_the_columns_it_declares(name, d_inf):
+    """A check folded over chunks whose other float columns are NaN, as `check`'s reader builds them, reports as
+    over the full chunks."""
+    columns, check = verify.TRACE_CHECKS[name]
+    for seed, mode in ((5, "practical"), (6, "theory")):
+        _, trace = make_fuzz_run(dim=4, steps=120, seed=seed, d_inf=3.0, beta=0.8 if mode == "theory" else 0.0,
+                                 mode=mode)
+        blind = copy_trace(trace)
+        for other in set(FLOAT_COLUMNS) - set(columns):
+            getattr(blind, other)[:] = np.nan
+        for steps in (7, 120):
+            full, partial = verify.Fold(), verify.Fold()
+            for start in range(0, len(trace), steps):
+                expected = check(trace[start:start + steps], full, d_inf)
+                report = check(blind[start:start + steps], partial, d_inf)
+            assert _reports([report]) == _reports([expected])  # a NaN read would fail the check at its row

@@ -148,11 +148,13 @@ def _record_fields(text):
     return arrays, errors + ([(other, "non-numeric field")] if other is not None else [])
 
 
-def _frozen_read_csv(path, headers, dialect=True):
+def _frozen_read_csv(path, headers, columns=csvio.FLOAT_COLUMNS, head=0, dialect=True):
     """The header the package's reader picks from headers, then the frozen
     reader's arrays of the whole file, as one run of rows, from which the
     CLI folds over the whole trace in one chunk. Unless dialect is False,
-    its field parsers read only the dialect."""
+    its field parsers read only the dialect. It takes the package reader's
+    column set and head, and ignores them: it gives every column of every
+    row, which the CLI's output must not tell from the package reader's."""
     header = next(READ_CSV(path, headers))
     if header == csvio.TRACE_HEADER:
         return iter([header, ref.read_csv(path, header, _trace_fields if dialect else ref.trace_fields)])
@@ -160,9 +162,9 @@ def _frozen_read_csv(path, headers, dialect=True):
     return iter([header, [column.ravel() for column in arrays]])
 
 
-def _frozen_read_csv_as_int_and_float(path, headers):
+def _frozen_read_csv_as_int_and_float(path, headers, columns=csvio.FLOAT_COLUMNS, head=0):
     """_frozen_read_csv with the frozen field parsers as they were, reading what int() and float() read."""
-    return _frozen_read_csv(path, headers, dialect=False)
+    return _frozen_read_csv(path, headers, columns, head, dialect=False)
 
 
 def _first_row_chars(path):
