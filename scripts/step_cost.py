@@ -9,9 +9,8 @@ gamma0, rho, beta and d_inf, so that none of them is shared and a
 stepper holds each as a column repeated over each replica's d entries.
 Each stepper runs on a noisy quadratic (diagonal 1, noise 1, x0 = 3,
 seed 0), whose gradient is drawn outside the timed region, so the clip
-and the negative branch take their share of steps. A cell that the
-checked-out version cannot run prints "-": R > 1 before the steppers
-took replica stacks, and any trace on AdaGrad.
+and the negative branch take their share of steps. A traced AdaGrad cell
+prints "-": AdaGrad fills no trace.
 
 Traced cells write a two-row trace in turn, so a traced step does all the
 trace work of a full run at a fraction of its memory.
@@ -60,14 +59,8 @@ class RingTrace(Trace):
 
 def step_us(make, dim: int, replicas: int, traced: bool) -> float | None:
     """The fastest of up to MAX_CALLS timed `.step` calls, in microseconds;
-    None if the stepper does not take this shape or a trace."""
-    x0 = np.full((replicas, dim) if replicas > 1 else dim, 3.0)
-    try:
-        opt = make(x0)
-    except ValueError:
-        if replicas == 1:
-            raise
-        return None  # a version before replica stacks
+    None for a traced AdaGrad, which fills no trace."""
+    opt = make(np.full((replicas, dim) if replicas > 1 else dim, 3.0))
     if traced and isinstance(opt, AdaGrad):
         return None
     trace_arg = (RingTrace.empty(2, opt.gamma.size),) if traced else ()

@@ -168,16 +168,17 @@ def _build_run(args):
 # run
 # ---------------------------------------------------------------------------
 
-def _finite(loss, what):
-    """loss, unless a diverged run has made it NaN or infinite (exit 3)."""
-    if not math.isfinite(loss):
-        raise FloatingPointError(f"{what} is {loss}; losses must be finite")
-    return loss
+def _finite(value, what, kind="losses"):
+    """value, unless a diverged run has made it NaN or infinite (exit 3)."""
+    if not math.isfinite(value):
+        raise FloatingPointError(f"{what} is {value}; {kind} must be finite")
+    return value
 
 
 def _eval_row(step, n_batches, problem, opt):
     loss = _finite(problem.loss_full(opt.x), f"step {step}: loss")
-    stats = opt.stats()
+    stats = {name: value if value is None else _finite(value, f"step {step}: {name}", "statistics")
+             for name, value in opt.stats().items()}
     subopt = loss - problem.f_star if problem.f_star is not None else None
     return [
         step,
@@ -196,7 +197,7 @@ def cmd_run(args) -> int:
         raise ConfigError("--trace requires --out (the trace path derives from it)")
     rows, states = [], [problem.init_state(args.seed)]
     # drive fills the trace sink's ring; the written trace replaces the trace path once the record is written;
-    # a non-finite gradient or loss stops the run (exit 3), so no overflow warns
+    # a non-finite gradient, loss or statistic stops the run (exit 3), so no overflow warns
     trace_path = Path(args.out).with_suffix(".trace.csv") if args.trace else None
     with np.errstate(all="ignore"), nullcontext((None, None)) if trace_path is None else csvio.trace_sink(
             trace_path, steps, opt.gamma.size) as sink:

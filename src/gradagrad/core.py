@@ -15,8 +15,9 @@ scaling the whole gradient, fixed or adaptive r) on length-1 arrays. Each
 variant only forms v and the clip ratio t. AdaGrad, SGD and Adam baselines
 share the single-step interface step(g), which drive() runs on an oracle.
 GradaGrad, ScalarGradaGrad and AdaGrad keep the step sizes gamma /
-sqrt(alpha) their last step applied as ainv, and one stats() reads the run
-record's columns from that state.
+sqrt(alpha) their last step applied as ainv, 0 where alpha is 0, so an
+entry that has accumulated nothing takes the zero step x - 0 * g in all
+three; one stats() reads the run record's columns from that state.
 
 Every stepper also runs R replicas in lockstep: x0 is then an (R, d) stack,
 the state is one flat (R*d,) vector with replica r in [r*d, (r+1)*d), and
@@ -244,15 +245,15 @@ def _gradagrad_update(v, t_at, gamma, alpha, r_fixed, d_inf, traced):
 
 
 def _step_sizes(gamma, alpha, with_a):
-    """(gamma / sqrt(alpha), sqrt(alpha) / gamma if with_a else None, live),
-    both 0 where alpha is not positive (an entry that has accumulated nothing
-    takes a zero step), with live that mask alpha > 0, or None if all are."""
+    """(gamma / sqrt(alpha), sqrt(alpha) / gamma if with_a else None), both 0
+    where alpha is not positive: an entry that has accumulated nothing takes
+    the zero step x - 0 * g."""
     root = np.sqrt(alpha)
     if alpha.min(initial=math.inf) > 0:  # NaN fails
-        return gamma / root, root / gamma if with_a else None, None
+        return gamma / root, root / gamma if with_a else None
     live = alpha > 0
     return (np.divide(gamma, root, out=np.zeros(alpha.shape), where=live),
-            np.divide(root, gamma, out=np.zeros(alpha.shape), where=live) if with_a else None, live)
+            np.divide(root, gamma, out=np.zeros(alpha.shape), where=live) if with_a else None)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +369,7 @@ class ScalarGradaGrad(Optimizer):
     for R replicas, one pair each), with no cap (d_inf = inf) and no init
     branch. r is params.r_fixed, or t^2 - 1 with t = rho * <g, g_prev> /
     ||g||^2 when r_fixed is None: ||g||^2 and <g, g_prev> play the roles of
-    g_i^2 and g_i * m_prev_i. A zero gradient before anything has
-    accumulated leaves the state untouched (zero-step rule).
+    g_i^2 and g_i * m_prev_i.
     """
 
     def __init__(self, x0, params: HyperParams | Sequence[HyperParams] | None = None):
@@ -393,11 +393,8 @@ class ScalarGradaGrad(Optimizer):
         v = gsq - rho_cross
         v_clip, r = _gradagrad_update(v, lambda i: rho_cross.take(i) / gsq.take(i), self.gamma, self.alpha,
                                       self._r_fixed, None, trace is not None)
-        self.ainv, a, live = _step_sizes(self.gamma, self.alpha, trace is not None)
+        self.ainv, a = _step_sizes(self.gamma, self.alpha, trace is not None)
         x_new = self.x - self._column(self.ainv) * g
-        if live is not None:
-            # where alpha is 0, x stays: x - 0 * g would turn an x of -0.0 into +0.0 where g is -0.0 or below
-            x_new = np.where(self._column(live), x_new, self.x)
         if trace is not None:
             trace.record(  # g: the norm, as np.linalg.norm takes it
                 self.k, g=np.sqrt(gsq), v_raw=v, v_clipped=v_clip,
@@ -473,7 +470,7 @@ class GradaGrad(Optimizer):
                 v_raw = np.where(capped, gsq, v_raw)
         v_clip, r = _gradagrad_update(v_raw, lambda i: self._rho_at(i) * self.m_prev.take(i) / g.take(i),
                                       self.gamma, self.alpha, None, self._d_inf, trace is not None)
-        self.ainv, a, _ = _step_sizes(self.gamma, self.alpha, True)
+        self.ainv, a = _step_sizes(self.gamma, self.alpha, True)
 
         z_new = project(self.z - self.ainv * g, self._domain)
         x_new = self._beta * self.x + self._z_weight * z_new

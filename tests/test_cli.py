@@ -57,6 +57,17 @@ class TestRun:
         assert capsys.readouterr().err == f"error: {message}; losses must be finite\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        # a = sqrt(alpha) / gamma overflows at step 0, so m = inf * 0 makes every later v and alpha NaN
+        (["--problem", "abs", "--gamma0", "1e-320", "--eval-every", "1"], "step 2: alpha_mean is nan"),
+        # g^2 overflows
+        (["--problem", "quadratic", "--dim", "1", "--noise-std", "1e308"], "step 3: alpha_mean is nan"),
+    ], ids=["gamma0-1e-320", "noise-1e308"])
+    def test_a_non_finite_statistic_exits_3_without_a_record_or_a_trace(self, tmp_path, capsys, argv, message):
+        assert run_cli(["run", *argv, "--steps", "3", "--trace", "--out", str(tmp_path / "run.csv")]) == 3
+        assert capsys.readouterr().err == f"error: {message}; statistics must be finite\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_reruns(self, tmp_path):
         args = [
             "run", "--problem", "quadratic", "--dim", "3", "--noise-std", "1.0",
@@ -1338,6 +1349,25 @@ def test_logistic_run_and_grid_bytes_match_golden(tmp_path, name):
         "--batch-size", "64", "--seeds", "2", "--grid-values", "0.25,1,4", "--seed", "7", "--out", str(grid),
     ]) == 0
     assert (sha(run), sha(tmp_path / f"{name}.trace.csv"), sha(grid)) == LOGISTIC_GOLDEN[name]
+
+
+@pytest.mark.parametrize("problem", ["abs", "quadratic"])
+def test_a_scalar_zero_step_from_signed_zeros_matches_golden(tmp_path, problem):
+    """Where alpha is 0, x takes the zero step x - 0 * g. On quadratic, g = x
+    is -0.0 at step 0, so x turns from -0.0 to +0.0; on abs, g = sign(x) is
+    +0.0 and x stays -0.0. The record's losses and the trace's gradient norm
+    and v carry no sign of zero, so no byte shows it: SHA-256 of the record
+    and of the trace, recorded when the scalar stepper kept x where alpha
+    was 0."""
+    import hashlib
+
+    out = tmp_path / "zero.csv"
+    assert run_cli(["run", "--problem", problem, "--dim", "2", "--x0=-0.0,-0.0", "--optimizer", "gradagrad-scalar",
+                    "--steps", "4", "--eval-every", "1", "--trace", "--out", str(out)]) == 0
+    assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, tmp_path / "zero.trace.csv")] == [
+        "a350c8596f905b0d89c766584baf81f2c7279b7e9017dcd6cef8191415c90c48",
+        "236c71b22e4582d7dec8d36eb2a376b01adf0a36672949b10dfa66e719f07b13",
+    ]
 
 
 # `run --trace` writes its trace one ring of TRACE_CHUNK_ROWS // d steps at a

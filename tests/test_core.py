@@ -500,6 +500,60 @@ class TestNonFiniteGradient:
 
 
 
+class TestZeroStepRule:
+    """Where alpha is 0, every adaptive stepper takes the zero step x - 0.0 * g,
+    traced or not, alone or in a stack: -0.0 turns into +0.0 where g is -0.0."""
+
+    # the still replica: gradients of +-0.0 until step 3 accumulates into entry 1;
+    # the moving replica beside it: entry 2 never accumulates
+    STILL = ([-0.0, 0.0, -0.0, 1.0],
+             [[-0.0, -0.0, 0.0, 0.0], [0.0, -0.0, -0.0, -0.0], [-0.0, 0.0, -0.0, 0.0],
+              [-0.0, 0.5, 0.0, -0.0], [0.0, -0.25, -0.0, 0.0]])
+    MOVING = ([1.0, -2.0, -0.0, 3.0],
+              [[0.5, -1.0, -0.0, 2.0], [0.25, -0.5, 0.0, 1.0], [-0.5, 1.0, -0.0, -1.0],
+               [0.125, 0.75, 0.0, 0.5], [1.5, -0.25, -0.0, 0.5]])
+    ZERO_PHASE = 3  # steps before anything of the still replica accumulates
+    STEPPERS = {
+        "gradagrad": lambda x0: GradaGrad(x0, HyperParams()),
+        "scalar-r1": lambda x0: ScalarGradaGrad(x0, HyperParams(r_fixed=1.0)),
+        "scalar-adaptive": lambda x0: ScalarGradaGrad(x0, HyperParams(r_fixed=None)),
+        "adagrad": lambda x0: AdaGrad(x0),
+    }
+    RUNS = [(name, traced) for name in STEPPERS for traced in (False, True) if not (traced and name == "adagrad")]
+
+    def _still_history(self, name, traced, stacked):
+        """Step the still replica (beside the moving one if stacked); assert
+        that each entry whose alpha is 0 took the zero step, bit for bit, and
+        return the still replica's x after each step."""
+        replicas = (self.STILL, self.MOVING) if stacked else (self.STILL,)
+        x0 = np.array([x0 for x0, _ in replicas])
+        opt = self.STEPPERS[name](x0 if stacked else x0[0])
+        history = []
+        for k, grads in enumerate(zip(*(gs for _, gs in replicas))):
+            g, x_prev = np.concatenate(grads), opt.x.copy()
+            if traced:
+                traced_step(opt, g)
+            else:
+                opt.step(g)
+            zero = np.repeat(opt.alpha, opt.dim // opt.alpha.size) == 0.0
+            assert [v.hex() for v in opt.x[zero]] == [v.hex() for v in (x_prev - 0.0 * g)[zero]], k
+            assert zero[:4].all() == (k < self.ZERO_PHASE), k
+            history.append([v.hex() for v in opt.x[:4]])
+        return history
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+    @pytest.mark.parametrize("name,traced", RUNS, ids=[f"{n}-{'traced' if t else 'untraced'}" for n, t in RUNS])
+    def test_zero_alpha_entries_take_the_zero_step(self, name, traced, stacked):
+        self._still_history(name, traced, stacked)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["alone", "stacked"])
+    def test_every_stepper_takes_the_same_zero_steps(self, stacked):
+        histories = {run: self._still_history(*run, stacked)[:self.ZERO_PHASE] for run in self.RUNS}
+        assert histories[self.RUNS[0]][0] == [v.hex() for v in (0.0, 0.0, -0.0, 1.0)]
+        for run, history in histories.items():
+            assert history == histories[self.RUNS[0]], run
+
+
 class TestSharedHyperParameters:
     """A hyperparameter that every replica shares is held once, not repeated
     over the R*d entries of the state."""

@@ -46,14 +46,3 @@ def test_untraced_scalar_matches_reference(rho, r_fixed):
     _assert_bit_identical(new.alpha, np.array([ref.coord.alpha]), "alpha")
     assert new.stats() == ref.stats()
 
-
-def test_untraced_scalar_zero_step_keeps_signed_zero():
-    """Before anything accumulates, alpha is 0 and the scalar stepper leaves
-    x as it is, -0.0 included, where x - 0 * g would give +0.0."""
-    x0 = np.array([-0.0, 1.0])
-    new, ref = ScalarGradaGrad(x0, HyperParams()), ReferenceScalarGradaGrad(x0, HyperParams())
-    for k, g in enumerate(([-0.0, 0.0], [-0.0, 0.0], [-1.0, 0.5])):
-        new.step(np.array(g))
-        ref.step(np.array(g))
-        _assert_bit_identical(new.x, ref.x, k)
-        assert np.signbit(new.x[0]) == (k < 2), k
